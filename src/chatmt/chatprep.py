@@ -23,6 +23,10 @@ CONTEXT_TAG = "<context begins>"
 SEP_TAG = "<SEP>"
 RESERVED_TAGS = (BT_TAG, AGENT_TAG, CUSTOMER_TAG, CONTEXT_TAG, SEP_TAG)
 
+# The agent side of the WMT'22 chat task speaks English; the customer
+# speaks the other language of the pair.
+AGENT_LANG = "en"
+
 SAME_LANGUAGE = "same_language"
 MIXED_LANGUAGE = "mixed_language"
 MODES = (SAME_LANGUAGE, MIXED_LANGUAGE)
@@ -37,14 +41,14 @@ class ContextConfig:
     n_prev: int = 2
     mode: str = SAME_LANGUAGE
     speaker_tags: bool = True
-    # Language the agent speaks; the customer speaks the other side.
-    agent_lang: str = "en"
 
     def __post_init__(self):
         if not 0 <= self.n_prev <= 3:
             raise ValueError("n_prev must be in 0..3")
         if self.mode not in MODES:
             raise ValueError(f"unknown context mode {self.mode!r}")
+        if not isinstance(self.speaker_tags, bool):
+            raise ValueError("speaker_tags must be a boolean")
 
 
 def contains_reserved_tag(text: str) -> bool:
@@ -76,12 +80,12 @@ def tag_speaker(rec: ChatRecord) -> BitextPair:
     return BitextPair(source=f"{tag} {rec.src_text}", target=f"{tag} {rec.tgt_text}")
 
 
-def _own_language_side(rec: ChatRecord, agent_lang: str) -> tuple[str, str]:
+def _own_language_side(rec: ChatRecord) -> tuple[str, str]:
     """(own-language text, translation text) for the turn's speaker."""
     src_is_own = (
-        rec.src_lang == agent_lang
+        rec.src_lang == AGENT_LANG
         if rec.speaker == AGENT
-        else rec.src_lang != agent_lang
+        else rec.src_lang != AGENT_LANG
     )
     if src_is_own:
         return rec.src_text, rec.tgt_text
@@ -115,7 +119,7 @@ def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig) -> BitextPai
             src_ctx.append(prev.src_text)
             tgt_ctx.append(prev.tgt_text)
         else:
-            own, translation = _own_language_side(prev, cfg.agent_lang)
+            own, translation = _own_language_side(prev)
             src_ctx.append(own)
             tgt_ctx.append(translation)
 

@@ -13,12 +13,13 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
 from . import __version__
 from .corpus import (
-    BitextPair,
+    BITEXT_FORMATS,
     CorpusError,
     ParseStats,
     parse_bitext,
@@ -41,6 +42,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+
+FAIL_MODES = ("fail_fast", "skip_and_count")
+_STAGE_CONFIGS = {"filter": FilterConfig, "chatprep": ContextConfig, "denoise": DenoiseConfig}
+# An option is named by its CLI flag's dest, which is also its pipeline
+# config key. These config fields' options go by a shorter name.
+_OPTION_NAMES = {"max_sentence_words": "max_words", "token_replace_prob": "token_prob"}
+# CLI and pipeline spellings of config values, by option.
+_SPELLINGS = {
+    "mode": {"same": SAME_LANGUAGE, "mixed": MIXED_LANGUAGE},
+    "speaker_tags": {"on": True, "off": False},
+}
 
 
 class UsageError(Exception):
@@ -95,128 +107,78 @@ def _require_input(path: str) -> None:
         raise UsageError(f"input path does not exist: {path}")
 
 
-# ---------------------------------------------------------------- filter
+def _options(config_cls) -> dict[str, str]:
+    """Option name -> config field, in field order."""
+    return {_OPTION_NAMES.get(f.name, f.name): f.name for f in fields(config_cls)}
 
-def _run_filter(args) -> dict:
-    _require_input(args.infile)
-    cfg = FilterConfig(
-        max_sentence_words=args.max_words,
-        max_word_chars=args.max_word_chars,
-        max_ratio=args.max_ratio,
-    )
-    in_fmt = _infer_format(args.infile, args.in_format)
-    out_fmt = _infer_format(args.outfile, args.out_format)
-    stats = ParseStats()
-    on_error = "skip" if args.fail_mode == "skip_and_count" else "raise"
-    pairs = parse_bitext(_read_lines(args.infile), in_fmt, on_error, stats)
+
+def _stage_config(config_cls, values: dict):
+    """A stage's config from option values keyed by option name; options
+    left out keep the config dataclass's default."""
+    kwargs = {}
+    for name, field in _options(config_cls).items():
+        if name in values:
+            value = values[name]
+            if isinstance(value, str):
+                value = _SPELLINGS.get(name, {}).get(value, value)
+            kwargs[field] = value
+    return config_cls(**kwargs)
+
+
+def _config_report(cfg) -> dict:
+    return {name: getattr(cfg, field) for name, field in _options(type(cfg)).items()}
+
+
+# ------------------------------------------------------------ stages
+# A stage runner takes its paths, its config and formats (None infers the
+# format from the file suffix) and returns the run report, whose `seconds`
+# covers reading, parsing, the transform and writing.
+
+def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | None = None,
+                out_format: str | None = None, fail_mode: str = FAIL_MODES[0]) -> dict:
     started = time.monotonic()
+    _require_input(infile)
+    stats = ParseStats()
+    on_error = "skip" if fail_mode == "skip_and_count" else "raise"
+    pairs = parse_bitext(_read_lines(infile), _infer_format(infile, in_format), on_error, stats)
     kept, report = filter_corpus(pairs, cfg)
-    _atomic_write_lines(args.outfile, write_bitext(kept, out_fmt))
+    _atomic_write_lines(outfile, write_bitext(kept, _infer_format(outfile, out_format)))
     return {
         "command": "filter",
-        "config": {
-            "max_words": cfg.max_sentence_words,
-            "max_word_chars": cfg.max_word_chars,
-            "max_ratio": cfg.max_ratio,
-            "fail_mode": args.fail_mode,
-        },
+        "config": {**_config_report(cfg), "fail_mode": fail_mode},
         "parse_skipped": stats.skipped,
         "seconds": round(time.monotonic() - started, 6),
         **report.as_dict(),
     }
 
 
-# -------------------------------------------------------------- chatprep
-
-def _run_chatprep(args) -> dict:
-    _require_input(args.infile)
-    cfg = ContextConfig(
-        n_prev=args.n_prev,
-        mode=SAME_LANGUAGE if args.mode == "same" else MIXED_LANGUAGE,
-        speaker_tags=args.speaker_tags == "on",
-    )
-    out_fmt = _infer_format(args.outfile, args.out_format)
+def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig,
+                  out_format: str | None = None) -> dict:
     started = time.monotonic()
-    dialogues = parse_chat(_read_lines(args.infile))
+    _require_input(infile)
+    dialogues = parse_chat(_read_lines(infile))
     pairs = list(prepare_chat_corpus(dialogues, cfg))
-    _atomic_write_lines(args.outfile, write_bitext(pairs, out_fmt))
+    _atomic_write_lines(outfile, write_bitext(pairs, _infer_format(outfile, out_format)))
     return {
         "command": "chatprep",
-        "config": {
-            "n_prev": cfg.n_prev,
-            "mode": cfg.mode,
-            "speaker_tags": cfg.speaker_tags,
-        },
+        "config": _config_report(cfg),
         "dialogues": len(dialogues),
         "pairs": len(pairs),
         "seconds": round(time.monotonic() - started, 6),
     }
 
 
-# --------------------------------------------------------------- denoise
-
-def _load_denoise_input(path: str, fmt: str):
-    pairs: list[BitextPair] = []
-    spans: list[tuple[int, int] | None] = []
-    extra: list[dict] = []
-    if fmt == "tsv":
-        for pair in parse_bitext(_read_lines(path), "tsv"):
-            pairs.append(pair)
-            spans.append(None)
-            extra.append({})
-        return pairs, spans, extra
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"invalid JSON: {exc}", lineno) from exc
-        pairs.append(
-            BitextPair(
-                source=obj["source"],
-                target=obj["target"],
-                origin=obj.get("origin", "genuine"),
-            )
-        )
-        span = obj.get("target_payload_span")
-        spans.append(tuple(span) if span is not None else None)
-        extra.append(
-            {"target_payload_span": span} if span is not None else {}
-        )
-    return pairs, spans, extra
-
-
-def _run_denoise(args) -> dict:
-    _require_input(args.infile)
-    cfg = DenoiseConfig(
-        pair_fraction=args.pair_fraction,
-        token_replace_prob=args.token_prob,
-        seed=args.seed,
-    )
-    fmt = _infer_format(args.infile, args.in_format)
-    out_fmt = _infer_format(args.outfile, args.out_format) if args.outfile else fmt
+def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, in_format: str | None = None,
+                 out_format: str | None = None) -> dict:
     started = time.monotonic()
-    pairs, spans, extra = _load_denoise_input(args.infile, fmt)
-    noised = denoise_corpus(pairs, cfg, spans)
-    if out_fmt == "tsv":
-        _atomic_write_lines(args.outfile, write_bitext(noised, "tsv"))
-    else:
-        lines = []
-        for pair, meta in zip(noised, extra):
-            obj = {"source": pair.source, "target": pair.target, "origin": pair.origin}
-            obj.update(meta)
-            lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
-        _atomic_write_lines(args.outfile, lines)
+    _require_input(infile)
+    pairs = list(parse_bitext(_read_lines(infile), _infer_format(infile, in_format)))
+    noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
+    _atomic_write_lines(outfile, write_bitext(noised, _infer_format(outfile, out_format)))
     changed = sum(1 for a, b in zip(pairs, noised) if a.target != b.target)
     return {
         "command": "denoise",
-        "config": {
-            "seed": cfg.seed,
-            "pair_fraction": cfg.pair_fraction,
-            "token_prob": cfg.token_replace_prob,
-        },
+        "config": _config_report(cfg),
         "pairs": len(pairs),
         "chosen": len(pairs) and int(cfg.pair_fraction * len(pairs) + 1e-9),
         "changed_targets": changed,
@@ -224,9 +186,25 @@ def _run_denoise(args) -> dict:
     }
 
 
+def _cmd_filter(args) -> dict:
+    return _run_filter(args.infile, args.outfile, _stage_config(FilterConfig, vars(args)),
+                       args.in_format, args.out_format, args.fail_mode)
+
+
+def _cmd_chatprep(args) -> dict:
+    return _run_chatprep(args.infile, args.outfile, _stage_config(ContextConfig, vars(args)),
+                         args.out_format)
+
+
+def _cmd_denoise(args) -> dict:
+    return _run_denoise(args.infile, args.outfile, _stage_config(DenoiseConfig, vars(args)),
+                        args.in_format, args.out_format)
+
+
 # ----------------------------------------------------------- bsce-select
 
 def _run_bsce(args) -> dict:
+    started = time.monotonic()
     _require_input(args.scores)
     with open(args.scores, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -238,7 +216,6 @@ def _run_bsce(args) -> dict:
         raise UsageError(
             f"--ensemble-size must be in 1..{score_set.n}, got {args.ensemble_size}"
         )
-    started = time.monotonic()
     selection = select_ensemble(score_set, args.ensemble_size)
     out = selection.as_dict()
     if args.outfile:
@@ -268,66 +245,55 @@ def _run_kernels_check(args) -> dict:
 
 # -------------------------------------------------------------- pipeline
 
+def _config_section(obj, where: str, allowed, required=()) -> dict:
+    """Check one level of the pipeline config against its closed key set."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"pipeline config: {where} must be a JSON object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise UsageError(f"pipeline config: unknown key {unknown[0]!r} in {where}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise UsageError(f"pipeline config: {where}.{missing[0]} missing")
+    return obj
+
+
 def _run_pipeline(args) -> dict:
     _require_input(args.config)
     with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = _config_section(json.load(fh), "the top level",
+                              {"seed", "fail_mode", *_STAGE_CONFIGS})
+    fail_mode = cfg.get("fail_mode", FAIL_MODES[0])
+    if fail_mode not in FAIL_MODES:
+        raise UsageError(
+            f"pipeline config: fail_mode must be one of {', '.join(FAIL_MODES)}, "
+            f"got {fail_mode!r}"
+        )
+    filt, chat, den = (
+        _config_section(
+            cfg.get(stage, {}), stage,
+            {"input", "output", "format", *_options(_STAGE_CONFIGS[stage])},
+            # denoise reads chatprep's output unless given its own input.
+            ("output",) if stage == "denoise" else ("input", "output"),
+        )
+        for stage in ("filter", "chatprep", "denoise")
+    )
+    # Build every config and check the given inputs before any stage writes.
+    filter_cfg = _stage_config(FilterConfig, filt)
+    context_cfg = _stage_config(ContextConfig, chat)
+    # The top-level seed is denoise's default seed.
+    den_options = {"seed": cfg["seed"], **den} if "seed" in cfg else den
+    denoise_cfg = _stage_config(DenoiseConfig, den_options)
+    _require_input(filt["input"])
+    _require_input(chat["input"])
 
-    filter_cfg = cfg.get("filter", {})
-    chat_cfg = cfg.get("chatprep", {})
-    den_cfg = cfg.get("denoise", {})
-    for stage, c, key in (
-        ("filter", filter_cfg, "input"),
-        ("chatprep", chat_cfg, "input"),
-    ):
-        if key not in c:
-            raise UsageError(f"pipeline config: {stage}.{key} missing")
-        _require_input(c[key])
-    for stage, c in (("filter", filter_cfg), ("chatprep", chat_cfg), ("denoise", den_cfg)):
-        if "output" not in c:
-            raise UsageError(f"pipeline config: {stage}.output missing")
-
-    ns = argparse.Namespace
-    reports = []
-    reports.append(
-        _run_filter(
-            ns(
-                infile=filter_cfg["input"],
-                outfile=filter_cfg["output"],
-                in_format=filter_cfg.get("format"),
-                out_format=filter_cfg.get("format"),
-                max_words=filter_cfg.get("max_words", 100),
-                max_word_chars=filter_cfg.get("max_word_chars", 40),
-                max_ratio=filter_cfg.get("max_ratio", 4.0),
-                fail_mode=cfg.get("fail_mode", "fail_fast"),
-            )
-        )
-    )
-    reports.append(
-        _run_chatprep(
-            ns(
-                infile=chat_cfg["input"],
-                outfile=chat_cfg["output"],
-                out_format=chat_cfg.get("format"),
-                n_prev=chat_cfg.get("n_prev", 2),
-                mode=chat_cfg.get("mode", "same"),
-                speaker_tags="on" if chat_cfg.get("speaker_tags", True) else "off",
-            )
-        )
-    )
-    reports.append(
-        _run_denoise(
-            ns(
-                infile=den_cfg.get("input", chat_cfg["output"]),
-                outfile=den_cfg["output"],
-                in_format=den_cfg.get("format"),
-                out_format=den_cfg.get("format"),
-                seed=den_cfg.get("seed", cfg.get("seed", 0)),
-                pair_fraction=den_cfg.get("pair_fraction", 0.30),
-                token_prob=den_cfg.get("token_prob", 0.15),
-            )
-        )
-    )
+    reports = [
+        _run_filter(filt["input"], filt["output"], filter_cfg,
+                    filt.get("format"), filt.get("format"), fail_mode),
+        _run_chatprep(chat["input"], chat["output"], context_cfg, chat.get("format")),
+        _run_denoise(den.get("input", chat["output"]), den["output"], denoise_cfg,
+                     den.get("format"), den.get("format")),
+    ]
     return {"command": "pipeline", "config_path": args.config, "stages": reports}
 
 
@@ -338,61 +304,50 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chatmt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--report", default=None, help="write the run report here")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker count; never affects output bytes")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--report", default=None, help="write the run report here")
 
-    p = sub.add_parser("filter", help="apply the corpus filtering rules")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--in-format", choices=("tsv", "jsonl"), default=None)
-    p.add_argument("--out-format", choices=("tsv", "jsonl"), default=None)
-    p.add_argument("--max-words", type=int, default=100)
-    p.add_argument("--max-word-chars", type=int, default=40)
-    p.add_argument("--max-ratio", type=float, default=4.0)
-    p.add_argument("--fail-mode", choices=("fail_fast", "skip_and_count"),
-                   default="fail_fast")
-    common(p)
-    p.set_defaults(func=_run_filter)
+    def command(name: str, func, help: str) -> _ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("chatprep", help="build the speaker/context corpus")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--out-format", choices=("tsv", "jsonl"), default=None)
-    p.add_argument("--n-prev", type=int, choices=(0, 1, 2, 3), default=2)
-    p.add_argument("--mode", choices=("same", "mixed"), default="same")
-    p.add_argument("--speaker-tags", choices=("on", "off"), default="on")
-    common(p)
-    p.set_defaults(func=_run_chatprep)
+    def files(p, *formats):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", dest="outfile", required=True)
+        for fmt in formats:
+            p.add_argument(f"--{fmt}-format", choices=BITEXT_FORMATS, default=None)
 
-    p = sub.add_parser("denoise", help="generate the target-denoised corpus")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--in-format", choices=("tsv", "jsonl"), default=None)
-    p.add_argument("--out-format", choices=("tsv", "jsonl"), default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pair-fraction", type=float, default=0.30)
-    p.add_argument("--token-prob", type=float, default=0.15)
-    common(p)
-    p.set_defaults(func=_run_denoise)
+    p = command("filter", _cmd_filter, "apply the corpus filtering rules")
+    files(p, "in", "out")
+    p.add_argument("--max-words", type=int, default=FilterConfig.max_sentence_words)
+    p.add_argument("--max-word-chars", type=int, default=FilterConfig.max_word_chars)
+    p.add_argument("--max-ratio", type=float, default=FilterConfig.max_ratio)
+    p.add_argument("--fail-mode", choices=FAIL_MODES, default=FAIL_MODES[0])
 
-    p = sub.add_parser("bsce-select", help="greedy diversity-aware ensemble selection")
+    p = command("chatprep", _cmd_chatprep, "build the speaker/context corpus")
+    files(p, "out")
+    p.add_argument("--n-prev", type=int, choices=(0, 1, 2, 3), default=ContextConfig.n_prev)
+    p.add_argument("--mode", choices=_SPELLINGS["mode"], default=ContextConfig.mode)
+    p.add_argument("--speaker-tags", choices=_SPELLINGS["speaker_tags"],
+                   default=ContextConfig.speaker_tags)
+
+    p = command("denoise", _cmd_denoise, "generate the target-denoised corpus")
+    files(p, "in", "out")
+    p.add_argument("--seed", type=int, default=DenoiseConfig.seed)
+    p.add_argument("--pair-fraction", type=float, default=DenoiseConfig.pair_fraction)
+    p.add_argument("--token-prob", type=float, default=DenoiseConfig.token_replace_prob)
+
+    p = command("bsce-select", _run_bsce, "greedy diversity-aware ensemble selection")
     p.add_argument("--scores", required=True)
     p.add_argument("--ensemble-size", type=int, required=True)
     p.add_argument("--out", dest="outfile", default=None)
-    common(p)
-    p.set_defaults(func=_run_bsce)
 
-    p = sub.add_parser("kernels-check", help="run the attention kernel self-checks")
+    p = command("kernels-check", _run_kernels_check, "run the attention kernel self-checks")
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_run_kernels_check)
 
-    p = sub.add_parser("pipeline", help="run filter, chatprep, denoise in order")
+    p = command("pipeline", _run_pipeline, "run filter, chatprep, denoise in order")
     p.add_argument("config", help="pipeline config (JSON)")
-    common(p)
-    p.set_defaults(func=_run_pipeline)
     return parser
 
 
@@ -400,8 +355,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError("--threads must be >= 1")
         report = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

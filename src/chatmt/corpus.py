@@ -8,7 +8,7 @@ separated substring.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 GENUINE = "genuine"
@@ -37,6 +37,9 @@ class BitextPair:
     source: str
     target: str
     origin: str = GENUINE
+    # (start, end) token indices of the target's mutable payload, split on
+    # single spaces; carried only by JSONL as "target_payload_span".
+    payload_span: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,17 @@ def _parse_jsonl_line(raw: str, line: int) -> BitextPair:
     if origin not in ORIGINS:
         raise CorpusError(f"unknown origin {origin!r}", line)
     _check_pair_fields(source, target, line)
-    return BitextPair(source=source, target=target, origin=origin)
+    span = obj.get("target_payload_span")
+    # type(), not isinstance(): a JSON true would pass as the int 1.
+    if span is not None and not (
+        isinstance(span, list) and len(span) == 2 and all(type(i) is int for i in span)
+        and 0 <= span[0] <= span[1] <= target.count(" ") + 1
+    ):
+        raise CorpusError(
+            f"target_payload_span {json.dumps(span)} is not a [start, end] "
+            "token span of the target", line)
+    return BitextPair(source=source, target=target, origin=origin,
+                      payload_span=None if span is None else tuple(span))
 
 
 def parse_bitext(
@@ -134,8 +147,9 @@ def write_bitext(pairs: Iterable[BitextPair], fmt: str = "tsv") -> Iterator[str]
     """Serialize pairs to lines (newline included).
 
     TSV refuses text containing tabs or newlines so parse(write(x)) == x
-    always holds. TSV does not carry the origin flag; use JSONL when the
-    corpus mixes genuine and synthetic data.
+    always holds. TSV carries neither the origin flag nor the payload
+    span; use JSONL when the corpus mixes genuine and synthetic data or
+    marks payload spans.
     """
     if fmt not in BITEXT_FORMATS:
         raise ValueError(f"unknown bitext format {fmt!r}")
@@ -149,6 +163,8 @@ def write_bitext(pairs: Iterable[BitextPair], fmt: str = "tsv") -> Iterator[str]
             yield f"{pair.source}\t{pair.target}\n"
         else:
             obj = {"source": pair.source, "target": pair.target, "origin": pair.origin}
+            if pair.payload_span is not None:
+                obj["target_payload_span"] = pair.payload_span
             yield json.dumps(obj, ensure_ascii=False) + "\n"
 
 
@@ -205,19 +221,3 @@ def parse_chat(lines: Iterable[str]) -> list[Dialogue]:
         dialogues.append(Dialogue(dialogue_id=did, turns=tuple(recs)))
     return dialogues
 
-
-def write_chat(dialogues: Iterable[Dialogue]) -> Iterator[str]:
-    for d in dialogues:
-        for rec in d.turns:
-            yield json.dumps(
-                {
-                    "dialogue_id": rec.dialogue_id,
-                    "turn_index": rec.turn_index,
-                    "speaker": rec.speaker,
-                    "src_text": rec.src_text,
-                    "tgt_text": rec.tgt_text,
-                    "src_lang": rec.src_lang,
-                    "tgt_lang": rec.tgt_lang,
-                },
-                ensure_ascii=False,
-            ) + "\n"

@@ -15,7 +15,7 @@ order or thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -163,11 +163,5 @@ def denoise_corpus(
         except DenoiseFormatError as exc:
             raise DenoiseFormatError(f"record {i}: {exc}") from exc
         noised = denoise_tokens(spans.payload, cfg, _record_rng(cfg.seed, i))
-        out.append(
-            BitextPair(
-                source=pair.source,
-                target=spans.rebuild(noised),
-                origin=pair.origin,
-            )
-        )
+        out.append(replace(pair, target=spans.rebuild(noised)))
     return out

@@ -15,11 +15,9 @@ from typing import Iterable
 
 from .corpus import BitextPair
 
-RULE_NORMALIZE = "normalize"
 RULE_LENGTH = "length"
 RULE_DEDUP = "dedup"
 RULE_RATIO = "ratio"
-ALL_RULES = frozenset({RULE_NORMALIZE, RULE_LENGTH, RULE_DEDUP, RULE_RATIO})
 # Rules that can drop a pair, in application order.
 DROP_RULES = (RULE_LENGTH, RULE_DEDUP, RULE_RATIO)
 
@@ -46,16 +44,12 @@ class FilterConfig:
     max_sentence_words: int = 100
     max_word_chars: int = 40
     max_ratio: float = 4.0
-    rules_enabled: frozenset = ALL_RULES
 
     def __post_init__(self):
         if self.max_sentence_words <= 0 or self.max_word_chars <= 0:
             raise ValueError("length thresholds must be positive")
         if self.max_ratio < 1:
             raise ValueError("max_ratio must be >= 1")
-        unknown = set(self.rules_enabled) - ALL_RULES
-        if unknown:
-            raise ValueError(f"unknown rules: {sorted(unknown)}")
 
 
 @dataclass
@@ -97,43 +91,31 @@ def check_ratio(pair: BitextPair, cfg: FilterConfig) -> str | None:
     return None
 
 
-def dedup(pairs: Iterable[BitextPair]):
-    """Keep the first occurrence of each exact (source, target) pair."""
-    seen: set[tuple[str, str]] = set()
-    for pair in pairs:
-        key = (pair.source, pair.target)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield pair
-
-
 def filter_corpus(
     pairs: Iterable[BitextPair], cfg: FilterConfig | None = None
 ) -> tuple[list[BitextPair], FilterReport]:
-    """Apply the enabled rules in order; survivors keep input order."""
+    """Apply the rules in order; survivors keep input order. Normalization
+    can move token boundaries, so kept pairs carry no payload span."""
     cfg = cfg or FilterConfig()
     report = FilterReport()
     kept: list[BitextPair] = []
     seen: set[tuple[str, str]] = set()
     for pair in pairs:
         report.input_count += 1
-        if RULE_NORMALIZE in cfg.rules_enabled:
-            pair = BitextPair(
-                source=normalize_punctuation(pair.source),
-                target=normalize_punctuation(pair.target),
-                origin=pair.origin,
-            )
-        if RULE_LENGTH in cfg.rules_enabled and check_length(pair, cfg):
+        pair = BitextPair(
+            source=normalize_punctuation(pair.source),
+            target=normalize_punctuation(pair.target),
+            origin=pair.origin,
+        )
+        if check_length(pair, cfg):
             report.dropped_by_rule[RULE_LENGTH] += 1
             continue
-        if RULE_DEDUP in cfg.rules_enabled:
-            key = (pair.source, pair.target)
-            if key in seen:
-                report.dropped_by_rule[RULE_DEDUP] += 1
-                continue
-            seen.add(key)
-        if RULE_RATIO in cfg.rules_enabled and check_ratio(pair, cfg):
+        key = (pair.source, pair.target)
+        if key in seen:
+            report.dropped_by_rule[RULE_DEDUP] += 1
+            continue
+        seen.add(key)
+        if check_ratio(pair, cfg):
             report.dropped_by_rule[RULE_RATIO] += 1
             continue
         report.kept_count += 1

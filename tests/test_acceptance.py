@@ -130,17 +130,17 @@ def test_c5_denoise_statistics(tmp_path):
     rate = replaced / total
     assert 0.14 <= rate <= 0.16, f"observed replacement rate {rate:.4f}"
 
-    # thread-count invariance through the CLI
+    # run-to-run byte invariance through the CLI
     src = tmp_path / "in.tsv"
     with open(src, "w", encoding="utf-8") as fh:
         fh.writelines(write_bitext(pairs, "tsv"))
     blobs = []
-    for threads, name in [(1, "t1.tsv"), (8, "t8.tsv")]:
+    for name in ("run1.tsv", "run2.tsv"):
         dst = tmp_path / name
         assert cli_main(["denoise", "--in", str(src), "--out", str(dst),
-                         "--seed", "42", "--threads", str(threads)]) == 0
+                         "--seed", "42"]) == 0
         blobs.append(dst.read_bytes())
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == "".join(write_bitext(out, "tsv")).encode("utf-8")
     _report("5 denoise statistics", started, 30.0)
 
 
@@ -237,8 +237,8 @@ def test_c8_pipeline_determinism(tmp_path):
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
 
     blobs = []
-    for threads in (1, 4, 1):
-        assert cli_main(["pipeline", str(cfg_path), "--threads", str(threads)]) == 0
+    for _ in range(3):
+        assert cli_main(["pipeline", str(cfg_path)]) == 0
         blobs.append([p.read_bytes() for p in outputs])
     assert blobs[0] == blobs[1] == blobs[2]
     _report("8 pipeline determinism", started, 10.0)

@@ -100,18 +100,18 @@ def test_chatprep_outputs_context_lines(tmp_path):
     assert lines[2] == "<customer> Guten Morgen\t<customer> Good morning"
 
 
-def test_denoise_deterministic_and_thread_invariant(tmp_path):
+def test_denoise_deterministic(tmp_path):
     src = tmp_path / "in.tsv"
     lines = [f"src {i}\t" + " ".join(f"w{i}_{j}" for j in range(8)) + "\n"
              for i in range(100)]
     src.write_text("".join(lines), encoding="utf-8")
     outs = []
-    for threads, name in [(1, "a.tsv"), (4, "b.tsv"), (1, "c.tsv")]:
+    for name in ("a.tsv", "b.tsv", "c.tsv"):
         out = tmp_path / name
-        assert run(["denoise", "--in", str(src), "--out", str(out),
-                    "--seed", "7", "--threads", str(threads)]) == 0
+        assert run(["denoise", "--in", str(src), "--out", str(out), "--seed", "7"]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+    assert outs[0] != src.read_bytes()
 
 
 def test_denoise_jsonl_span_passthrough(tmp_path):
@@ -126,6 +126,26 @@ def test_denoise_jsonl_span_passthrough(tmp_path):
     tokens = obj["target"].split(" ")
     assert tokens[0] == "keep" and tokens[-1] == "keep2"
     assert obj["target_payload_span"] == [1, 6]
+
+
+GOOD_JSONL = '{"source": "s", "target": "a b c", "target_payload_span": [0, 3]}'
+
+
+@pytest.mark.parametrize("bad", [
+    '{"source": "s"}',
+    '[1, 2]',
+    '{"source": "s", "target": "a b c", "target_payload_span": ["x", 2]}',
+    '{"source": "s", "target": "a b c", "target_payload_span": [true, 2]}',
+    '{"source": "s", "target": "a b c", "target_payload_span": [1, 4]}',
+    '{"source": "s", "target": "a b c", "origin": "weird"}',
+], ids=["no_target", "not_object", "span_str", "span_bool", "span_past_end", "bad_origin"])
+def test_denoise_bad_jsonl_exits_2(tmp_path, capsys, bad):
+    src = tmp_path / "in.jsonl"
+    src.write_text(f"{GOOD_JSONL}\n{bad}\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run(["denoise", "--in", str(src), "--out", str(out)]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bsce_select(tmp_path):
@@ -179,7 +199,7 @@ def test_pipeline_runs_and_is_deterministic(tmp_path):
     report = tmp_path / "report.json"
     assert run(["pipeline", str(cfg_path), "--report", str(report)]) == 0
     first = [p.read_bytes() for p in outputs]
-    assert run(["pipeline", str(cfg_path), "--threads", "4"]) == 0
+    assert run(["pipeline", str(cfg_path)]) == 0
     second = [p.read_bytes() for p in outputs]
     assert first == second
     rep = json.loads(report.read_text())
@@ -198,6 +218,29 @@ def test_pipeline_missing_input_exits_1_before_writes(tmp_path):
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert run(["pipeline", str(path)]) == 1
     assert not (tmp_path / "f.tsv").exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda cfg: cfg["filter"].update(max_wrods=50), "max_wrods"),
+    (lambda cfg: cfg.update(fail_mode="bogus"), "fail_mode"),
+    (lambda cfg: cfg.update(stages=[]), "stages"),
+    (lambda cfg: cfg.update(chatprep=[]), "chatprep"),
+    (lambda cfg: cfg["chatprep"].update(speaker_tags="yes"), "speaker_tags"),
+])
+def test_pipeline_bad_config_exits_1_before_writes(tmp_path, capsys, edit, named):
+    cfg_path, outputs = make_pipeline_config(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    edit(cfg)
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["pipeline", str(cfg_path)]) == 1
+    assert named in capsys.readouterr().err
+    assert not any(p.exists() for p in outputs)
+
+
+def test_pipeline_top_level_array_exits_1(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[]", encoding="utf-8")
+    assert run(["pipeline", str(path)]) == 1
 
 
 def test_atomic_write_no_partial_output(tmp_path):

@@ -42,9 +42,11 @@ def test_parse_rejects_empty_sides():
 
 
 def test_jsonl_origin_roundtrip():
-    pair = BitextPair("guten tag", "good day", origin="synthetic")
-    lines = list(write_bitext([pair], "jsonl"))
-    assert list(parse_bitext(lines, "jsonl")) == [pair]
+    pairs = [BitextPair("guten tag", "good day", origin="synthetic"),
+             BitextPair("hallo", "<agent> hello there", payload_span=(1, 3))]
+    lines = list(write_bitext(pairs, "jsonl"))
+    assert lines[1].endswith('"origin": "genuine", "target_payload_span": [1, 3]}\n')
+    assert list(parse_bitext(lines, "jsonl")) == pairs
 
 
 def test_jsonl_default_origin_and_bad_origin():

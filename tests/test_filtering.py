@@ -8,7 +8,6 @@ from chatmt.filtering import (
     FilterConfig,
     check_length,
     check_ratio,
-    dedup,
     filter_corpus,
     normalize_punctuation,
 )
@@ -81,9 +80,10 @@ class TestRatio:
 
 def test_dedup_examples():
     a, b, c, d = (BitextPair(*p) for p in [("a", "b"), ("a", "b"), ("a", "c"), ("c", "d")])
-    assert list(dedup([a, b])) == [a]
-    assert list(dedup([a, c])) == [a, c]
-    assert list(dedup([a, d, b, d])) == [a, d]
+    for pairs, want, dropped in [([a, b], [a], 1), ([a, c], [a, c], 0), ([a, d, b, d], [a, d], 2)]:
+        kept, report = filter_corpus(pairs)
+        assert kept == want
+        assert report.dropped_by_rule["dedup"] == dropped
 
 
 def test_filter_micro_corpus(micro_corpus):
