@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .corpus import AGENT, BitextPair, ChatRecord, Dialogue, SYNTHETIC
+from .corpus import AGENT, BitextPair, ChatRecord, Dialogue, SYNTHETIC, check_field_types
 
 BT_TAG = "<BT>"
 AGENT_TAG = "<agent>"
@@ -43,12 +43,11 @@ class ContextConfig:
     speaker_tags: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 <= self.n_prev <= 3:
             raise ValueError("n_prev must be in 0..3")
         if self.mode not in MODES:
             raise ValueError(f"unknown context mode {self.mode!r}")
-        if not isinstance(self.speaker_tags, bool):
-            raise ValueError("speaker_tags must be a boolean")
 
 
 def contains_reserved_tag(text: str) -> bool:

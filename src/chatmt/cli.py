@@ -85,8 +85,19 @@ def _atomic_write_json(path: str | Path, obj) -> None:
 
 
 def _read_lines(path: str | Path) -> list[str]:
-    with open(path, encoding="utf-8", errors="strict") as fh:
-        return fh.readlines()
+    try:
+        with open(path, encoding="utf-8", errors="strict") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        # The text reader's error offset is relative to a buffered chunk;
+        # decoding the whole file gives an absolute one.
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"invalid UTF-8: {exc.reason}",
+                              data.count(b"\n", 0, exc.start) + 1) from None
+        raise
 
 
 def _infer_format(path: str, explicit: str | None) -> str:

@@ -8,7 +8,7 @@ separated substring.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 GENUINE = "genuine"
@@ -30,6 +30,26 @@ class CorpusError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+# Config field annotation -> (accepted value types, name in messages).
+# bool is an int subclass, so it is refused for int and float fields.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a boolean"),
+    "str": ((str,), "a string"),
+}
+
+
+def check_field_types(cfg) -> None:
+    """Raise ValueError naming the first field of a config dataclass whose
+    value does not match its annotation."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        types, name = _FIELD_TYPES[f.type]
+        if not isinstance(value, types) or (isinstance(value, bool) and f.type != "bool"):
+            raise ValueError(f"{f.name} must be {name}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import BitextPair
+from .corpus import BitextPair, check_field_types
 from .chatprep import AGENT_TAG, BT_TAG, CONTEXT_TAG, CUSTOMER_TAG
 
 _LEADING_TAGS = (AGENT_TAG, CUSTOMER_TAG, BT_TAG)
@@ -37,6 +37,7 @@ class DenoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.pair_fraction <= 1.0:
             raise ValueError("pair_fraction must be in [0, 1]")
         if not 0.0 <= self.token_replace_prob <= 1.0:

@@ -6,14 +6,20 @@ report always satisfies input_count == kept_count + sum(drops).
 
 All "exceeds" thresholds are strict: a 100-word sentence, a 40-char
 word, and an exact 4:1 ratio are all kept.
+
+Each side is normalized once and split once. Normalization skips the
+character mapping for ASCII text (every mapped character is non-ASCII)
+and the space-run collapse for text with no double space, so the common
+case costs one `strip()`.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .corpus import BitextPair
+from .corpus import BitextPair, check_field_types
 
 RULE_LENGTH = "length"
 RULE_DEDUP = "dedup"
@@ -34,8 +40,11 @@ _SPACE_RUN = re.compile(r" {2,}")
 
 
 def normalize_punctuation(text: str) -> str:
-    text = text.translate(_CHAR_MAP)
-    text = _SPACE_RUN.sub(" ", text)
+    if not text.isascii():
+        text = text.translate(_CHAR_MAP)
+    # After the mapping: NBSP -> space can create a run.
+    if "  " in text:
+        text = _SPACE_RUN.sub(" ", text)
     return text.strip()
 
 
@@ -46,10 +55,12 @@ class FilterConfig:
     max_ratio: float = 4.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.max_sentence_words <= 0 or self.max_word_chars <= 0:
             raise ValueError("length thresholds must be positive")
-        if self.max_ratio < 1:
-            raise ValueError("max_ratio must be >= 1")
+        # NaN compares false with everything and inf never drops a pair.
+        if not math.isfinite(self.max_ratio) or self.max_ratio < 1:
+            raise ValueError(f"max_ratio must be finite and >= 1, got {self.max_ratio!r}")
 
 
 @dataclass
@@ -68,27 +79,32 @@ class FilterReport:
         }
 
 
-def check_length(pair: BitextPair, cfg: FilterConfig) -> str | None:
-    """Return a drop reason or None. Character counts are code points."""
-    for side in (pair.source, pair.target):
-        words = side.split()
+def _length_reason(src_words: list[str], tgt_words: list[str], cfg: FilterConfig) -> str | None:
+    for words in (src_words, tgt_words):
         if len(words) > cfg.max_sentence_words:
             return "sentence_too_long"
-        if any(len(w) > cfg.max_word_chars for w in words):
+        if words and max(map(len, words)) > cfg.max_word_chars:
             return "word_too_long"
     return None
 
 
-def check_ratio(pair: BitextPair, cfg: FilterConfig) -> str | None:
-    """Drop when the word-count ratio strictly exceeds max_ratio (either
-    direction). A zero-word side is dropped instead of dividing by zero."""
-    n_src = len(pair.source.split())
-    n_tgt = len(pair.target.split())
+def _ratio_reason(n_src: int, n_tgt: int, cfg: FilterConfig) -> str | None:
     if n_src == 0 or n_tgt == 0:
         return "empty_side"
     if max(n_src, n_tgt) > cfg.max_ratio * min(n_src, n_tgt):
         return "ratio"
     return None
+
+
+def check_length(pair: BitextPair, cfg: FilterConfig) -> str | None:
+    """Return a drop reason or None. Character counts are code points."""
+    return _length_reason(pair.source.split(), pair.target.split(), cfg)
+
+
+def check_ratio(pair: BitextPair, cfg: FilterConfig) -> str | None:
+    """Drop when the word-count ratio strictly exceeds max_ratio (either
+    direction). A zero-word side is dropped instead of dividing by zero."""
+    return _ratio_reason(len(pair.source.split()), len(pair.target.split()), cfg)
 
 
 def filter_corpus(
@@ -102,22 +118,23 @@ def filter_corpus(
     seen: set[tuple[str, str]] = set()
     for pair in pairs:
         report.input_count += 1
-        pair = BitextPair(
-            source=normalize_punctuation(pair.source),
-            target=normalize_punctuation(pair.target),
-            origin=pair.origin,
-        )
-        if check_length(pair, cfg):
+        # Called through the module global, once per side, so a wrapper
+        # installed on it (the benchmark's tracer) sees every side.
+        source = normalize_punctuation(pair.source)
+        target = normalize_punctuation(pair.target)
+        src_words = source.split()
+        tgt_words = target.split()
+        if _length_reason(src_words, tgt_words, cfg):
             report.dropped_by_rule[RULE_LENGTH] += 1
             continue
-        key = (pair.source, pair.target)
+        key = (source, target)
         if key in seen:
             report.dropped_by_rule[RULE_DEDUP] += 1
             continue
         seen.add(key)
-        if check_ratio(pair, cfg):
+        if _ratio_reason(len(src_words), len(tgt_words), cfg):
             report.dropped_by_rule[RULE_RATIO] += 1
             continue
         report.kept_count += 1
-        kept.append(pair)
+        kept.append(BitextPair(source, target, pair.origin))
     return kept, report

@@ -250,3 +250,49 @@ def test_atomic_write_no_partial_output(tmp_path):
     out = tmp_path / "out.tsv"
     assert run(["filter", "--in", str(src), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
+def test_filter_non_finite_max_ratio_exits_1(tmp_path, capsys, ratio):
+    src = tmp_path / "in.tsv"
+    src.write_text("one\ta b c d e f g h\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    assert run(["filter", "--in", str(src), "--out", str(out), f"--max-ratio={ratio}"]) == 1
+    assert "max_ratio" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, key, value, named", [
+    ("filter", "max_words", "100", "max_sentence_words"),
+    ("filter", "max_word_chars", 40.0, "max_word_chars"),
+    ("filter", "max_ratio", True, "max_ratio"),
+    ("chatprep", "n_prev", "2", "n_prev"),
+    ("chatprep", "mode", 1, "mode"),
+    ("denoise", "seed", 1.5, "seed"),
+    ("denoise", "token_prob", "0.15", "token_replace_prob"),
+])
+def test_pipeline_wrong_typed_option_exits_1(tmp_path, capsys, stage, key, value, named):
+    cfg_path, outputs = make_pipeline_config(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    cfg[stage][key] = value
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["pipeline", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not any(p.exists() for p in outputs)
+
+
+@pytest.mark.parametrize("command, suffix, good", [
+    ("filter", ".tsv", b"a\tb\n"),
+    ("filter", ".jsonl", b'{"source": "a", "target": "b"}\n'),
+    ("denoise", ".tsv", b"a\tb\n"),
+    ("chatprep", ".jsonl", json.dumps(CHAT_LINES[0]).encode() + b"\n"),
+], ids=["filter-tsv", "filter-jsonl", "denoise-tsv", "chatprep-jsonl"])
+@pytest.mark.parametrize("bad_line", [3, 5000])  # inside and past the first read buffer
+def test_invalid_utf8_exits_2_with_line(tmp_path, capsys, command, suffix, good, bad_line):
+    src = tmp_path / f"in{suffix}"
+    src.write_bytes(good * (bad_line - 1) + b"\xff\xfe" + good)
+    out = tmp_path / "out.tsv"
+    assert run([command, "--in", str(src), "--out", str(out)]) == 2
+    assert f"line {bad_line}:" in capsys.readouterr().err
+    assert not out.exists()

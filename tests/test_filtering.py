@@ -1,10 +1,14 @@
 import random
+import re
+import string
 
 import pytest
 from hypothesis import given, strategies as st
 
-from chatmt.corpus import BitextPair
+from chatmt.corpus import ORIGINS, BitextPair
 from chatmt.filtering import (
+    _CHAR_MAP,
+    DROP_RULES,
     FilterConfig,
     check_length,
     check_ratio,
@@ -13,6 +17,11 @@ from chatmt.filtering import (
 )
 
 CFG = FilterConfig()
+
+
+def reference_normalize(text):
+    """normalize_punctuation without its fast path: every pass on every text."""
+    return re.sub(" {2,}", " ", text.translate(_CHAR_MAP)).strip()
 
 
 class TestNormalizePunctuation:
@@ -37,6 +46,12 @@ class TestNormalizePunctuation:
     def test_idempotent(self, s):
         once = normalize_punctuation(s)
         assert normalize_punctuation(once) == once
+
+    # ASCII letters, spaces, tabs and every mapped character, so NBSP next
+    # to a space and all-whitespace text are drawn often.
+    @given(st.text(alphabet=string.ascii_letters + " \t" + "".join(map(chr, _CHAR_MAP))))
+    def test_fast_path_matches_full_passes(self, s):
+        assert normalize_punctuation(s) == reference_normalize(s)
 
 
 class TestLength:
@@ -108,6 +123,85 @@ def test_config_validation():
         FilterConfig(max_sentence_words=0)
     with pytest.raises(ValueError):
         FilterConfig(max_ratio=0.5)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"max_ratio": float("nan")}, "max_ratio"),
+    ({"max_ratio": float("inf")}, "max_ratio"),
+    ({"max_ratio": float("-inf")}, "max_ratio"),
+    ({"max_sentence_words": "100"}, "max_sentence_words"),
+    ({"max_sentence_words": 100.0}, "max_sentence_words"),
+    ({"max_word_chars": True}, "max_word_chars"),
+    ({"max_ratio": "4"}, "max_ratio"),
+    ({"max_ratio": False}, "max_ratio"),
+])
+def test_config_rejects_bad_values(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        FilterConfig(**kwargs)
+
+
+def test_config_accepts_int_ratio():
+    assert FilterConfig(max_ratio=2).max_ratio == 2
+
+
+def reference_filter(pairs, cfg):
+    """filter_corpus as first written: the full normalization passes on
+    every side, and each rule splitting the sides again."""
+    def length_reason(pair):
+        for side in (pair.source, pair.target):
+            words = side.split()
+            if len(words) > cfg.max_sentence_words:
+                return "sentence_too_long"
+            if any(len(w) > cfg.max_word_chars for w in words):
+                return "word_too_long"
+        return None
+
+    def ratio_reason(pair):
+        n_src, n_tgt = len(pair.source.split()), len(pair.target.split())
+        if n_src == 0 or n_tgt == 0:
+            return "empty_side"
+        return "ratio" if max(n_src, n_tgt) > cfg.max_ratio * min(n_src, n_tgt) else None
+
+    kept, dropped, seen = [], dict.fromkeys(DROP_RULES, 0), set()
+    for pair in pairs:
+        pair = BitextPair(reference_normalize(pair.source), reference_normalize(pair.target),
+                          pair.origin)
+        if length_reason(pair):
+            dropped["length"] += 1
+            continue
+        if (pair.source, pair.target) in seen:
+            dropped["dedup"] += 1
+            continue
+        seen.add((pair.source, pair.target))
+        if ratio_reason(pair):
+            dropped["ratio"] += 1
+            continue
+        kept.append(pair)
+    return kept, dropped
+
+
+# Pieces that join into sides with words of 1-6 characters (the ellipsis
+# grows to three), mapped punctuation, runs of spaces and NBSPs, tabs, and
+# sides that normalize to no words at all.
+_PIECES = ["a", "bb", "ccc", "dddd", "eeeee", "“", "”", "–", "…", "\u00a0", " ", "  ", "\t", ""]
+_sides = st.lists(st.sampled_from(_PIECES), max_size=10).map("".join)
+_pairs = st.builds(BitextPair, _sides, _sides, st.sampled_from(ORIGINS),
+                   st.sampled_from([None, (0, 0)]))
+
+
+@given(
+    # Duplicates are appended so the dedup rule sees repeats.
+    st.lists(_pairs, max_size=20).map(lambda ps: ps + ps[::3]),
+    st.builds(FilterConfig, st.integers(1, 6), st.integers(1, 5),
+              st.sampled_from([1, 1.5, 2.0, 4.0])),
+)
+def test_filter_corpus_matches_reference(pairs, cfg):
+    kept, report = filter_corpus(pairs, cfg)
+    want_kept, want_dropped = reference_filter(pairs, cfg)
+    assert kept == want_kept
+    assert report.dropped_by_rule == want_dropped
+    assert report.kept_count == len(kept)
+    assert all(p.payload_span is None for p in kept)
 
 
 def random_corpus(rng: random.Random, max_pairs: int = 30):
