@@ -119,32 +119,3 @@ def talking_heads_attention(
     mixed_scores = np.einsum("hmn,hg->gmn", probs, w_scores)
     return mixed_scores @ v
 
-
-def kernels_selfcheck(seed: int = 0) -> dict[str, float]:
-    """Quick loop-based cross-checks; returns max absolute deviations."""
-    rng = np.random.default_rng(seed)
-    report = {}
-
-    y = rng.normal(size=(6, 5))
-    ffn = FfnParams.identity(5)
-    expected = np.stack([y[: i + 1].mean(axis=0) for i in range(6)])
-    report["aan_prefix_mean"] = float(np.abs(aan_context(y, ffn) - expected).max())
-
-    q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
-    logits = np.array(
-        [[q[i] @ k[j] / np.sqrt(4) for j in range(5)] for i in range(3)]
-    )
-    probs = np.array([np.exp(r - r.max()) / np.exp(r - r.max()).sum() for r in logits])
-    report["standard_attention"] = float(
-        np.abs(standard_attention(q, k, v) - probs @ v).max()
-    )
-
-    hq = rng.normal(size=(2, 3, 4))
-    hk = rng.normal(size=(2, 5, 4))
-    hv = rng.normal(size=(2, 5, 3))
-    eye = np.eye(2)
-    per_head = np.stack([standard_attention(hq[i], hk[i], hv[i]) for i in range(2)])
-    report["talking_heads_identity"] = float(
-        np.abs(talking_heads_attention(hq, hk, hv, eye, eye) - per_head).max()
-    )
-    return report

@@ -1,5 +1,5 @@
-"""Fine-tuning corpus construction: synthetic-data tagging, speaker tags,
-and prompt-style context concatenation.
+"""Fine-tuning corpus construction: speaker tags and prompt-style context
+concatenation.
 
 Output format for an utterance with k preceding contexts:
 
@@ -14,14 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .corpus import AGENT, BitextPair, ChatRecord, Dialogue, SYNTHETIC, check_field_types
+from .corpus import AGENT, BitextPair, ChatRecord, CorpusError, Dialogue, check_field_types
 
+# <BT> marks back-translated text. chatprep never writes it, but a line
+# from outside may lead with it, so it is reserved and parsed like the
+# speaker tags.
 BT_TAG = "<BT>"
 AGENT_TAG = "<agent>"
 CUSTOMER_TAG = "<customer>"
 CONTEXT_TAG = "<context begins>"
 SEP_TAG = "<SEP>"
 RESERVED_TAGS = (BT_TAG, AGENT_TAG, CUSTOMER_TAG, CONTEXT_TAG, SEP_TAG)
+# Tags that can open a line, ahead of its payload.
+LEADING_TAGS = (AGENT_TAG, CUSTOMER_TAG, BT_TAG)
 
 # The agent side of the WMT'22 chat task speaks English; the customer
 # speaks the other language of the pair.
@@ -32,7 +37,7 @@ MIXED_LANGUAGE = "mixed_language"
 MODES = (SAME_LANGUAGE, MIXED_LANGUAGE)
 
 
-class TagError(ValueError):
+class TagError(CorpusError):
     """Misuse of the reserved pseudo-token conventions."""
 
 
@@ -50,24 +55,9 @@ class ContextConfig:
             raise ValueError(f"unknown context mode {self.mode!r}")
 
 
-def contains_reserved_tag(text: str) -> bool:
-    return any(tag in text for tag in RESERVED_TAGS)
-
-
 def check_no_reserved_tags(text: str, where: str = "input") -> None:
-    if contains_reserved_tag(text):
+    if any(tag in text for tag in RESERVED_TAGS):
         raise TagError(f"{where} contains a reserved tag: {text!r}")
-
-
-def tag_synthetic(pair: BitextPair) -> BitextPair:
-    """Prefix the source of a synthetic pair with the pseudo tag."""
-    if pair.origin != SYNTHETIC:
-        raise TagError("tag_synthetic called on a non-synthetic pair")
-    if pair.source.startswith(BT_TAG + " ") or pair.source == BT_TAG:
-        raise TagError(f"source already tagged: {pair.source!r}")
-    return BitextPair(
-        source=f"{BT_TAG} {pair.source}", target=pair.target, origin=pair.origin
-    )
 
 
 def speaker_tag(speaker: str) -> str:
@@ -129,16 +119,22 @@ def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig) -> BitextPai
     )
 
 
+def split_tags(text: str) -> tuple[str, str, str]:
+    """Split a chat line into (leading tag or "", payload, suffix). The
+    suffix runs from the first " <context begins>" to the end, or is ""."""
+    head, sep, tail = text.partition(f" {CONTEXT_TAG}")
+    for tag in LEADING_TAGS:
+        if head.startswith(tag + " "):
+            return tag, head[len(tag) + 1 :], sep + tail
+        if head == tag:
+            return tag, "", sep + tail
+    return "", head, sep + tail
+
+
 def strip_tags(text: str) -> str:
     """Recover the raw payload: drop one leading pseudo tag and anything
     from the context indicator onward."""
-    head, _, _ = text.partition(f" {CONTEXT_TAG}")
-    for tag in (AGENT_TAG, CUSTOMER_TAG, BT_TAG):
-        if head.startswith(tag + " "):
-            return head[len(tag) + 1 :]
-        if head == tag:
-            return ""
-    return head
+    return split_tags(text)[1]
 
 
 def prepare_chat_corpus(

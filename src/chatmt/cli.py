@@ -1,19 +1,20 @@
 """Command-line entry point for all pipeline stages.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (with record
-locus), 3 internal invariant violation. Outputs are written atomically
+locus), 3 internal error. Outputs are written atomically
 (temp file in the destination directory, then rename), so an
 interrupted run never leaves a partial file at the target path.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import tempfile
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -26,17 +27,10 @@ from .corpus import (
     parse_chat,
     write_bitext,
 )
-from .chatprep import (
-    ContextConfig,
-    MIXED_LANGUAGE,
-    SAME_LANGUAGE,
-    TagError,
-    prepare_chat_corpus,
-)
-from .denoise import DenoiseConfig, DenoiseFormatError, denoise_corpus
+from .chatprep import ContextConfig, MIXED_LANGUAGE, SAME_LANGUAGE, prepare_chat_corpus
+from .denoise import DenoiseConfig, denoise_corpus
 from .ensemble import ScoreSet, select_ensemble
 from .filtering import FilterConfig, filter_corpus
-from .attention import kernels_selfcheck
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,10 +38,8 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 FAIL_MODES = ("fail_fast", "skip_and_count")
+# An option's config field is also its CLI flag's dest and its pipeline key.
 _STAGE_CONFIGS = {"filter": FilterConfig, "chatprep": ContextConfig, "denoise": DenoiseConfig}
-# An option is named by its CLI flag's dest, which is also its pipeline
-# config key. These config fields' options go by a shorter name.
-_OPTION_NAMES = {"max_sentence_words": "max_words", "token_replace_prob": "token_prob"}
 # CLI and pipeline spellings of config values, by option.
 _SPELLINGS = {
     "mode": {"same": SAME_LANGUAGE, "mixed": MIXED_LANGUAGE},
@@ -118,26 +110,23 @@ def _require_input(path: str) -> None:
         raise UsageError(f"input path does not exist: {path}")
 
 
-def _options(config_cls) -> dict[str, str]:
-    """Option name -> config field, in field order."""
-    return {_OPTION_NAMES.get(f.name, f.name): f.name for f in fields(config_cls)}
+def _require_output(path: str) -> None:
+    if not os.path.basename(path) or os.path.isdir(path) \
+            or not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"output must be a file in an existing directory: {path}")
 
 
 def _stage_config(config_cls, values: dict):
-    """A stage's config from option values keyed by option name; options
+    """A stage's config from option values keyed by field name; options
     left out keep the config dataclass's default."""
     kwargs = {}
-    for name, field in _options(config_cls).items():
-        if name in values:
-            value = values[name]
+    for f in fields(config_cls):
+        if f.name in values:
+            value = values[f.name]
             if isinstance(value, str):
-                value = _SPELLINGS.get(name, {}).get(value, value)
-            kwargs[field] = value
+                value = _SPELLINGS.get(f.name, {}).get(value, value)
+            kwargs[f.name] = value
     return config_cls(**kwargs)
-
-
-def _config_report(cfg) -> dict:
-    return {name: getattr(cfg, field) for name, field in _options(type(cfg)).items()}
 
 
 # ------------------------------------------------------------ stages
@@ -148,6 +137,7 @@ def _config_report(cfg) -> dict:
 def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | None = None,
                 out_format: str | None = None, fail_mode: str = FAIL_MODES[0]) -> dict:
     started = time.monotonic()
+    _require_output(outfile)
     _require_input(infile)
     stats = ParseStats()
     on_error = "skip" if fail_mode == "skip_and_count" else "raise"
@@ -156,7 +146,7 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | N
     _atomic_write_lines(outfile, write_bitext(kept, _infer_format(outfile, out_format)))
     return {
         "command": "filter",
-        "config": {**_config_report(cfg), "fail_mode": fail_mode},
+        "config": {**asdict(cfg), "fail_mode": fail_mode},
         "parse_skipped": stats.skipped,
         "seconds": round(time.monotonic() - started, 6),
         **report.as_dict(),
@@ -166,13 +156,14 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | N
 def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig,
                   out_format: str | None = None) -> dict:
     started = time.monotonic()
+    _require_output(outfile)
     _require_input(infile)
     dialogues = parse_chat(_read_lines(infile))
     pairs = list(prepare_chat_corpus(dialogues, cfg))
     _atomic_write_lines(outfile, write_bitext(pairs, _infer_format(outfile, out_format)))
     return {
         "command": "chatprep",
-        "config": _config_report(cfg),
+        "config": asdict(cfg),
         "dialogues": len(dialogues),
         "pairs": len(pairs),
         "seconds": round(time.monotonic() - started, 6),
@@ -182,6 +173,7 @@ def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig,
 def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, in_format: str | None = None,
                  out_format: str | None = None) -> dict:
     started = time.monotonic()
+    _require_output(outfile)
     _require_input(infile)
     pairs = list(parse_bitext(_read_lines(infile), _infer_format(infile, in_format)))
     noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
@@ -189,7 +181,7 @@ def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, in_format: str |
     changed = sum(1 for a, b in zip(pairs, noised) if a.target != b.target)
     return {
         "command": "denoise",
-        "config": _config_report(cfg),
+        "config": asdict(cfg),
         "pairs": len(pairs),
         "chosen": len(pairs) and int(cfg.pair_fraction * len(pairs) + 1e-9),
         "changed_targets": changed,
@@ -216,12 +208,14 @@ def _cmd_denoise(args) -> dict:
 
 def _run_bsce(args) -> dict:
     started = time.monotonic()
+    if args.outfile:
+        _require_output(args.outfile)
     _require_input(args.scores)
-    with open(args.scores, encoding="utf-8") as fh:
-        obj = json.load(fh)
     try:
+        with open(args.scores, encoding="utf-8") as fh:
+            obj = json.load(fh)
         score_set = ScoreSet.from_lists(obj["models"], obj["comet"], obj["pairwise"])
-    except (KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CorpusError(f"bad scores file: {exc}") from exc
     if not 1 <= args.ensemble_size <= score_set.n:
         raise UsageError(
@@ -242,18 +236,6 @@ def _run_bsce(args) -> dict:
     }
 
 
-# --------------------------------------------------------- kernels-check
-
-def _run_kernels_check(args) -> dict:
-    deviations = kernels_selfcheck(seed=args.seed)
-    for name, dev in deviations.items():
-        print(f"{name}: max abs deviation {dev:.3e}")
-    worst = max(deviations.values())
-    if worst > 1e-9:
-        raise AssertionError(f"kernel self-check deviation {worst:.3e} > 1e-9")
-    return {"command": "kernels-check", "deviations": deviations}
-
-
 # -------------------------------------------------------------- pipeline
 
 def _config_section(obj, where: str, allowed, required=()) -> dict:
@@ -269,6 +251,25 @@ def _config_section(obj, where: str, allowed, required=()) -> dict:
     return obj
 
 
+def _stage_section(cfg: dict, stage: str) -> dict:
+    """One stage's pipeline section, with its keys, paths and format checked."""
+    section = _config_section(
+        cfg.get(stage, {}), stage,
+        {"input", "output", "format", *(f.name for f in fields(_STAGE_CONFIGS[stage]))},
+        # denoise reads chatprep's output unless given its own input.
+        ("output",) if stage == "denoise" else ("input", "output"),
+    )
+    for key in ("input", "output"):
+        if not isinstance(section.get(key, ""), str):
+            raise UsageError(f"pipeline config: {stage}.{key} must be a string")
+    if section.get("format", BITEXT_FORMATS[0]) not in BITEXT_FORMATS:
+        raise UsageError(
+            f"pipeline config: {stage}.format must be one of {', '.join(BITEXT_FORMATS)}"
+        )
+    _require_output(section["output"])
+    return section
+
+
 def _run_pipeline(args) -> dict:
     _require_input(args.config)
     with open(args.config, encoding="utf-8") as fh:
@@ -280,16 +281,8 @@ def _run_pipeline(args) -> dict:
             f"pipeline config: fail_mode must be one of {', '.join(FAIL_MODES)}, "
             f"got {fail_mode!r}"
         )
-    filt, chat, den = (
-        _config_section(
-            cfg.get(stage, {}), stage,
-            {"input", "output", "format", *_options(_STAGE_CONFIGS[stage])},
-            # denoise reads chatprep's output unless given its own input.
-            ("output",) if stage == "denoise" else ("input", "output"),
-        )
-        for stage in ("filter", "chatprep", "denoise")
-    )
-    # Build every config and check the given inputs before any stage writes.
+    # Check every section and build every config before any stage writes.
+    filt, chat, den = (_stage_section(cfg, stage) for stage in _STAGE_CONFIGS)
     filter_cfg = _stage_config(FilterConfig, filt)
     context_cfg = _stage_config(ContextConfig, chat)
     # The top-level seed is denoise's default seed.
@@ -298,13 +291,20 @@ def _run_pipeline(args) -> dict:
     _require_input(filt["input"])
     _require_input(chat["input"])
 
-    reports = [
-        _run_filter(filt["input"], filt["output"], filter_cfg,
-                    filt.get("format"), filt.get("format"), fail_mode),
-        _run_chatprep(chat["input"], chat["output"], context_cfg, chat.get("format")),
-        _run_denoise(den.get("input", chat["output"]), den["output"], denoise_cfg,
-                     den.get("format"), den.get("format")),
-    ]
+    reports = []
+    try:
+        reports.append(_run_filter(filt["input"], filt["output"], filter_cfg,
+                                   filt.get("format"), filt.get("format"), fail_mode))
+        reports.append(_run_chatprep(chat["input"], chat["output"], context_cfg,
+                                     chat.get("format")))
+        reports.append(_run_denoise(den.get("input", chat["output"]), den["output"],
+                                    denoise_cfg, den.get("format"), den.get("format")))
+    except BaseException:
+        # A failed pipeline leaves none of its outputs behind.
+        for section in (filt, chat, den)[: len(reports)]:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(section["output"])
+        raise
     return {"command": "pipeline", "config_path": args.config, "stages": reports}
 
 
@@ -331,7 +331,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = command("filter", _cmd_filter, "apply the corpus filtering rules")
     files(p, "in", "out")
-    p.add_argument("--max-words", type=int, default=FilterConfig.max_sentence_words)
+    p.add_argument("--max-words", type=int, default=FilterConfig.max_words)
     p.add_argument("--max-word-chars", type=int, default=FilterConfig.max_word_chars)
     p.add_argument("--max-ratio", type=float, default=FilterConfig.max_ratio)
     p.add_argument("--fail-mode", choices=FAIL_MODES, default=FAIL_MODES[0])
@@ -347,15 +347,12 @@ def _build_parser() -> _ArgumentParser:
     files(p, "in", "out")
     p.add_argument("--seed", type=int, default=DenoiseConfig.seed)
     p.add_argument("--pair-fraction", type=float, default=DenoiseConfig.pair_fraction)
-    p.add_argument("--token-prob", type=float, default=DenoiseConfig.token_replace_prob)
+    p.add_argument("--token-prob", type=float, default=DenoiseConfig.token_prob)
 
     p = command("bsce-select", _run_bsce, "greedy diversity-aware ensemble selection")
     p.add_argument("--scores", required=True)
     p.add_argument("--ensemble-size", type=int, required=True)
     p.add_argument("--out", dest="outfile", default=None)
-
-    p = command("kernels-check", _run_kernels_check, "run the attention kernel self-checks")
-    p.add_argument("--seed", type=int, default=0)
 
     p = command("pipeline", _run_pipeline, "run filter, chatprep, denoise in order")
     p.add_argument("config", help="pipeline config (JSON)")
@@ -366,24 +363,26 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.report:
+            _require_output(args.report)
         report = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (ValueError,) as exc:
-        if isinstance(exc, (CorpusError, TagError, DenoiseFormatError)):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+    except CorpusError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except AssertionError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit_report(report, getattr(args, "report", None))
+    _emit_report(report, args.report)
     return EXIT_OK
 
 

@@ -21,6 +21,8 @@ SPEAKERS = (AGENT, CUSTOMER)
 
 BITEXT_FORMATS = ("tsv", "jsonl")
 
+_CHAT_STR_FIELDS = ("dialogue_id", "speaker", "src_text", "tgt_text", "src_lang", "tgt_lang")
+
 
 class CorpusError(ValueError):
     """Malformed record or corpus-level invariant violation."""
@@ -93,6 +95,21 @@ def _check_pair_fields(source: str, target: str, line: int) -> None:
         raise CorpusError("empty target side", line)
 
 
+def _loads(raw: str, line: int):
+    """Decode one JSON line. A \\uD800-\\uDFFF escape is the only way a
+    strictly decoded line can carry a lone surrogate, which UTF-8 cannot
+    encode, so only lines holding one are checked."""
+    try:
+        obj = json.loads(raw)
+        if "\\u" in raw and ("\\ud" in raw or "\\uD" in raw):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CorpusError(f"invalid JSON: {exc}", line) from exc
+    except UnicodeEncodeError as exc:
+        raise CorpusError(f"text is not valid Unicode: {exc.reason}", line) from None
+    return obj
+
+
 def _parse_tsv_line(raw: str, line: int) -> BitextPair:
     if raw.count("\t") != 1:
         raise CorpusError(
@@ -104,10 +121,7 @@ def _parse_tsv_line(raw: str, line: int) -> BitextPair:
 
 
 def _parse_jsonl_line(raw: str, line: int) -> BitextPair:
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"invalid JSON: {exc}", line) from exc
+    obj = _loads(raw, line)
     if not isinstance(obj, dict):
         raise CorpusError("expected a JSON object", line)
     try:
@@ -200,10 +214,7 @@ def parse_chat(lines: Iterable[str]) -> list[Dialogue]:
         raw = raw.strip()
         if not raw:
             continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"invalid JSON: {exc}", lineno) from exc
+        obj = _loads(raw, lineno)
         try:
             rec = ChatRecord(
                 dialogue_id=obj["dialogue_id"],
@@ -216,9 +227,13 @@ def parse_chat(lines: Iterable[str]) -> list[Dialogue]:
             )
         except (KeyError, TypeError) as exc:
             raise CorpusError(f"bad chat record: {exc}", lineno) from exc
+        for name in _CHAT_STR_FIELDS:
+            if not isinstance(getattr(rec, name), str):
+                raise CorpusError(f"{name} must be a string", lineno)
         if rec.speaker not in SPEAKERS:
             raise CorpusError(f"unknown speaker {rec.speaker!r}", lineno)
-        if not isinstance(rec.turn_index, int) or rec.turn_index < 0:
+        # type(), not isinstance(): a JSON true would pass as the int 1.
+        if type(rec.turn_index) is not int or rec.turn_index < 0:
             raise CorpusError(f"bad turn_index {rec.turn_index!r}", lineno)
         key = (rec.dialogue_id, rec.turn_index)
         if key in seen:

@@ -3,7 +3,7 @@
 A fixed fraction of pairs is chosen (exact count, floor(fraction * n),
 sampled without replacement) and, within each chosen pair, every target
 payload token is independently replaced with probability
-token_replace_prob by a token drawn uniformly from the original target
+token_prob by a token drawn uniformly from the original target
 payload (self-replacement allowed). Sources, unchosen pairs, speaker
 tags, and context spans are never touched.
 
@@ -20,28 +20,26 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import BitextPair, check_field_types
-from .chatprep import AGENT_TAG, BT_TAG, CONTEXT_TAG, CUSTOMER_TAG
-
-_LEADING_TAGS = (AGENT_TAG, CUSTOMER_TAG, BT_TAG)
+from .corpus import BitextPair, CorpusError, check_field_types
+from .chatprep import CONTEXT_TAG, split_tags
 
 
-class DenoiseFormatError(ValueError):
+class DenoiseFormatError(CorpusError):
     """Target line cannot be split into tag / payload / context spans."""
 
 
 @dataclass(frozen=True)
 class DenoiseConfig:
     pair_fraction: float = 0.30
-    token_replace_prob: float = 0.15
+    token_prob: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
         check_field_types(self)
         if not 0.0 <= self.pair_fraction <= 1.0:
             raise ValueError("pair_fraction must be in [0, 1]")
-        if not 0.0 <= self.token_replace_prob <= 1.0:
-            raise ValueError("token_replace_prob must be in [0, 1]")
+        if not 0.0 <= self.token_prob <= 1.0:
+            raise ValueError("token_prob must be in [0, 1]")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -79,7 +77,7 @@ def denoise_tokens(
     out = list(tokens)
     draws = rng.random(n)
     for i in range(n):
-        if draws[i] < cfg.token_replace_prob:
+        if draws[i] < cfg.token_prob:
             out[i] = tokens[int(rng.integers(n))]
     return out
 
@@ -105,8 +103,7 @@ def split_target(
     """Locate the mutable payload of a target line.
 
     With an explicit (start, end) token span, the split is positional.
-    Otherwise the chat format is parsed: an optional leading pseudo tag,
-    then the payload, then everything from the context indicator onward.
+    Otherwise the chat line is parsed by `chatprep.split_tags`.
     """
     if payload_span is not None:
         tokens = target.split(" ")
@@ -121,22 +118,14 @@ def split_target(
         suffix = (" " + " ".join(rest)) if rest else ""
         spans = TargetSpans(prefix=prefix, payload=payload, suffix=suffix)
     else:
-        head, sep, tail = target.partition(f" {CONTEXT_TAG}")
-        suffix = sep + tail
-        if CONTEXT_TAG in tail:
+        prefix, payload, suffix = split_tags(target)
+        if suffix.count(CONTEXT_TAG) > 1:
             raise DenoiseFormatError(
                 f"multiple context indicators in target {target!r}"
             )
-        prefix = ""
-        for tag in _LEADING_TAGS:
-            if head == tag:
-                raise DenoiseFormatError(f"empty payload in target {target!r}")
-            if head.startswith(tag + " "):
-                prefix, head = tag, head[len(tag) + 1 :]
-                break
-        if not head:
+        if not payload:
             raise DenoiseFormatError(f"empty payload in target {target!r}")
-        spans = TargetSpans(prefix=prefix, payload=tuple(head.split(" ")), suffix=suffix)
+        spans = TargetSpans(prefix=prefix, payload=tuple(payload.split(" ")), suffix=suffix)
 
     if spans.rebuild(spans.payload) != target:
         raise DenoiseFormatError(f"target {target!r} does not round-trip")

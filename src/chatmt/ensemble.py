@@ -21,6 +21,15 @@ from fractions import Fraction
 from typing import Sequence
 
 
+def _scores(values) -> tuple[float, ...]:
+    values = tuple(values)
+    # float() also takes text and bools, which are not scores.
+    for t in set(map(type, values)):
+        if issubclass(t, (str, bytes, bool)):
+            raise ValueError(f"scores must be numbers, got a {t.__name__}")
+    return tuple(map(float, values))
+
+
 @dataclass(frozen=True)
 class ScoreSet:
     model_ids: tuple[str, ...]
@@ -29,6 +38,8 @@ class ScoreSet:
 
     def __post_init__(self):
         n = len(self.model_ids)
+        if not all(isinstance(m, str) for m in self.model_ids):
+            raise ValueError("model ids must be strings")
         if n < 2:
             raise ValueError("need at least 2 candidate models")
         if len(set(self.model_ids)) != n:
@@ -45,8 +56,8 @@ class ScoreSet:
     def from_lists(cls, model_ids, comet, pairwise) -> "ScoreSet":
         return cls(
             model_ids=tuple(model_ids),
-            comet=tuple(float(c) for c in comet),
-            pairwise=tuple(tuple(float(v) for v in row) for row in pairwise),
+            comet=_scores(comet),
+            pairwise=tuple(_scores(row) for row in pairwise),
         )
 
     @property

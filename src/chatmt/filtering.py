@@ -50,13 +50,13 @@ def normalize_punctuation(text: str) -> str:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    max_sentence_words: int = 100
+    max_words: int = 100
     max_word_chars: int = 40
     max_ratio: float = 4.0
 
     def __post_init__(self):
         check_field_types(self)
-        if self.max_sentence_words <= 0 or self.max_word_chars <= 0:
+        if self.max_words <= 0 or self.max_word_chars <= 0:
             raise ValueError("length thresholds must be positive")
         # NaN compares false with everything and inf never drops a pair.
         if not math.isfinite(self.max_ratio) or self.max_ratio < 1:
@@ -81,7 +81,7 @@ class FilterReport:
 
 def _length_reason(src_words: list[str], tgt_words: list[str], cfg: FilterConfig) -> str | None:
     for words in (src_words, tgt_words):
-        if len(words) > cfg.max_sentence_words:
+        if len(words) > cfg.max_words:
             return "sentence_too_long"
         if words and max(map(len, words)) > cfg.max_word_chars:
             return "word_too_long"

@@ -12,7 +12,6 @@ from chatmt.chatprep import (
     prepare_chat_corpus,
     strip_tags,
     tag_speaker,
-    tag_synthetic,
 )
 from conftest import make_dialogue
 
@@ -39,22 +38,6 @@ def dialogue():
             rec(2, "customer", "Mein Paket fehlt", "My parcel is missing"),
         ),
     )
-
-
-class TestTagSynthetic:
-    def test_tags_source_only(self):
-        pair = BitextPair("guten tag", "good day", origin="synthetic")
-        tagged = tag_synthetic(pair)
-        assert tagged == BitextPair("<BT> guten tag", "good day", origin="synthetic")
-
-    def test_genuine_rejected(self):
-        with pytest.raises(TagError):
-            tag_synthetic(BitextPair("a", "b"))
-
-    def test_double_tag_rejected(self):
-        pair = BitextPair("<BT> x", "y", origin="synthetic")
-        with pytest.raises(TagError):
-            tag_synthetic(pair)
 
 
 class TestTagSpeaker:

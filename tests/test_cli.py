@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from chatmt.cli import main
+from chatmt.cli import _build_parser, main
 from chatmt.corpus import write_bitext
 from conftest import make_micro_corpus
 
@@ -171,11 +174,6 @@ def test_bsce_ensemble_size_zero_exits_1(tmp_path):
     assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", "0"]) == 1
 
 
-def test_kernels_check(capsys):
-    assert run(["kernels-check"]) == 0
-    assert "max abs deviation" in capsys.readouterr().out
-
-
 def make_pipeline_config(tmp_path, seed=11):
     bitext = tmp_path / "bitext.tsv"
     chat = tmp_path / "chat.jsonl"
@@ -263,13 +261,13 @@ def test_filter_non_finite_max_ratio_exits_1(tmp_path, capsys, ratio):
 
 
 @pytest.mark.parametrize("stage, key, value, named", [
-    ("filter", "max_words", "100", "max_sentence_words"),
+    ("filter", "max_words", "100", "max_words"),
     ("filter", "max_word_chars", 40.0, "max_word_chars"),
     ("filter", "max_ratio", True, "max_ratio"),
     ("chatprep", "n_prev", "2", "n_prev"),
     ("chatprep", "mode", 1, "mode"),
     ("denoise", "seed", 1.5, "seed"),
-    ("denoise", "token_prob", "0.15", "token_replace_prob"),
+    ("denoise", "token_prob", "0.15", "token_prob"),
 ])
 def test_pipeline_wrong_typed_option_exits_1(tmp_path, capsys, stage, key, value, named):
     cfg_path, outputs = make_pipeline_config(tmp_path)
@@ -296,3 +294,140 @@ def test_invalid_utf8_exits_2_with_line(tmp_path, capsys, command, suffix, good,
     assert run([command, "--in", str(src), "--out", str(out)]) == 2
     assert f"line {bad_line}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dialogue_id", 1),
+    ("src_text", 5),
+    ("tgt_text", None),
+    ("src_lang", 1),
+    ("tgt_lang", ["en"]),
+    ("turn_index", True),  # beside a genuine turn 0, it would pass as turn 1
+])
+def test_chatprep_wrong_typed_field_exits_2(tmp_path, capsys, field, value):
+    chat = tmp_path / "chat.jsonl"
+    bad = {**CHAT_LINES[0], "turn_index": 1, field: value}
+    chat.write_text(f"{json.dumps(CHAT_LINES[0])}\n{json.dumps(bad)}\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    assert run(["chatprep", "--in", str(chat), "--out", str(out)]) == 2
+    assert "line 2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+GOOD_SCORES = {"models": ["a", "b", "c"], "comet": [0.1, 0.2, 0.3],
+               "pairwise": [[0, 0.5, 0.6], [0.5, 0, 0.7], [0.6, 0.7, 0]]}
+
+
+@pytest.mark.parametrize("text", [
+    '{"models": ["a", "b"], "comet": [0.1,',
+    json.dumps({**GOOD_SCORES, "comet": [0.1, "x", 0.3]}),
+    json.dumps({**GOOD_SCORES, "comet": [0.1, True, 0.3]}),
+    '{"models": ["a", "b"], "comet": [0.1, NaN], "pairwise": [[0, 1], [1, 0]]}',
+    json.dumps({**GOOD_SCORES, "models": ["a", "b", "a"]}),
+    json.dumps({**GOOD_SCORES, "models": ["a", 2, "c"]}),
+    json.dumps({**GOOD_SCORES, "pairwise": [[0, 0.5], [0.5, 0], [0.6, 0.7]]}),
+    json.dumps({"models": ["a"], "comet": [0.1], "pairwise": [[0]]}),
+    "[" * 100_000 + "]" * 100_000,
+], ids=["malformed", "non_numeric", "bool", "nan", "duplicate_ids", "non_string_id",
+        "shape", "one_model", "deep"])
+def test_bsce_bad_scores_file_exits_2(tmp_path, capsys, text):
+    scores = tmp_path / "scores.json"
+    scores.write_text(text, encoding="utf-8")
+    out = tmp_path / "sel.json"
+    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", "1",
+                "--out", str(out)]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("filter", ['{"source": "a", "target": "b"}', '{"source": "a \\ud800", "target": "b"}']),
+    ("denoise", ['{"source": "a", "target": "b"}', '{"source": "a", "target": "\\uDFFF b"}']),
+    ("chatprep", [json.dumps(CHAT_LINES[0]), json.dumps({**CHAT_LINES[1], "tgt_text": "x \udfff"})]),
+])
+def test_lone_surrogate_exits_2_with_line(tmp_path, capsys, command, lines):
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run([command, "--in", str(src), "--out", str(out)]) == 2
+    assert "line 2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_jsonl_escapes_still_parse(tmp_path):
+    src = tmp_path / "in.jsonl"
+    src.write_text('{"source": "caf\\u00e9 \\ud83d\\ude00", "target": "C:\\\\users"}\n',
+                   encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run(["filter", "--in", str(src), "--out", str(out)]) == 0
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    assert (obj["source"], obj["target"]) == ("caf\u00e9 \U0001F600", "C:\\users")
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "--in", "{bad}", "--out", "{missing}/x.tsv"],
+    ["chatprep", "--in", "{bad}", "--out", "{missing}/x.tsv"],
+    ["denoise", "--in", "{bad}", "--out", "{missing}/x.tsv"],
+    ["bsce-select", "--scores", "{bad}", "--ensemble-size", "1", "--out", "{missing}/x.json"],
+    ["filter", "--in", "{bad}", "--out", "{tmp}/o.tsv", "--report", "{missing}/r.json"],
+], ids=["filter", "chatprep", "denoise", "bsce-select", "report"])
+def test_output_in_missing_directory_exits_1_before_reading(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not a record\n", encoding="utf-8")
+    paths = {"bad": bad, "missing": tmp_path / "missing", "tmp": tmp_path}
+    requested = next(arg for arg in argv if "{missing}" in arg).format(**paths)
+    assert run([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert re.search(f"{re.escape(requested)}$", err, re.MULTILINE)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda cfg, tmp: cfg["filter"].update(output=["o"]), "filter.output"),
+    (lambda cfg, tmp: cfg["chatprep"].update(input=5), "chatprep.input"),
+    (lambda cfg, tmp: cfg["denoise"].update(format="xml"), "denoise.format"),
+    (lambda cfg, tmp: cfg["denoise"].update(output=str(tmp / "missing" / "n.tsv")),
+     "missing"),
+])
+def test_pipeline_bad_paths_exit_1_before_writes(tmp_path, capsys, edit, named):
+    cfg_path, outputs = make_pipeline_config(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    edit(cfg, tmp_path)
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["pipeline", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not any(p.exists() for p in outputs)
+
+
+def test_pipeline_failing_stage_leaves_no_outputs(tmp_path, capsys):
+    cfg_path, outputs = make_pipeline_config(tmp_path)
+    chat = json.loads(cfg_path.read_text())["chatprep"]["input"]
+    with open(chat, "a", encoding="utf-8") as fh:
+        fh.write("not a record\n")
+    assert run(["pipeline", str(cfg_path)]) == 2
+    assert "line 4:" in capsys.readouterr().err
+    assert not any(p.exists() for p in outputs)
+
+
+def test_unexpected_exception_exits_3_on_one_line(tmp_path, capsys, monkeypatch):
+    def boom(pairs, cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("chatmt.cli.filter_corpus", boom)
+    src = tmp_path / "in.tsv"
+    write_micro_corpus(src)
+    out = tmp_path / "out.tsv"
+    assert run(["filter", "--in", str(src), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+    assert not out.exists()
+
+
+def test_readme_cli_block_names_every_subcommand():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    named = set(re.findall(r"^chatmt ([\w-]+)", block, re.MULTILINE))
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert named == set(sub.choices)

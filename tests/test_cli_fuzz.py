@@ -1,0 +1,147 @@
+"""Fuzz every subcommand through `main`: random bytes, random JSON and
+near-valid records must each map to exit 0, 1 or 2 with no exception and
+no traceback. A failed run leaves no output or temp file, and a run that
+succeeds leaves only its outputs."""
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from chatmt.chatprep import RESERVED_TAGS
+from chatmt.cli import main
+from test_cli import CHAT_LINES
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# Text that tends to break a line format: tabs, newlines, tags, surrogates.
+nasty_text = st.lists(
+    st.sampled_from(["a", "b c", " ", "  ", "\t", "\n", "\r", "\ud800", "\xe9", "",
+                     *RESERVED_TAGS]),
+    max_size=6,
+).map("".join)
+
+BITEXT_RECORD = {"source": "guten tag", "target": "<agent> good day <context begins> hi",
+                 "origin": "genuine", "target_payload_span": [1, 3]}
+SCORES = {"models": ["a", "b", "c"], "comet": [0.7, 0.8, 0.75],
+          "pairwise": [[0, 1.0, 0.8], [1.0, 0, 0.9], [0.8, 0.9, 0]]}
+PIPELINE = {
+    "seed": 3,
+    "filter": {"input": "bitext.jsonl", "output": "f.jsonl", "max_words": 5},
+    "chatprep": {"input": "chat.jsonl", "output": "p.jsonl", "n_prev": 2, "mode": "mixed"},
+    "denoise": {"output": "n.jsonl", "format": "jsonl", "pair_fraction": 1.0},
+}
+
+
+def near_valid(record: dict):
+    """The record with one field dropped or replaced by JSON or nasty text."""
+    keys = st.sampled_from(sorted(record))
+    return st.one_of(
+        keys.map(lambda k: {f: v for f, v in record.items() if f != k}),
+        st.tuples(keys, json_values | nasty_text).map(lambda kv: {**record, kv[0]: kv[1]}),
+    )
+
+
+def jsonl(records) -> bytes:
+    # ensure_ascii writes a lone surrogate as a \u escape.
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+def jsonl_files(record: dict):
+    """Random bytes, random JSON lines, or valid records with near-valid
+    ones among them."""
+    return st.one_of(
+        st.binary(max_size=200),
+        st.lists(json_values, max_size=4).map(jsonl),
+        st.lists(st.just(record) | near_valid(record), min_size=1, max_size=5).map(jsonl),
+    )
+
+
+tsv_files = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.tuples(nasty_text, nasty_text), max_size=5).map(
+        lambda rows: "".join(f"{s}\t{t}\n" for s, t in rows).encode("utf-8", "surrogatepass")),
+)
+
+
+def run_in(files: dict[str, bytes], argv: list[str], outputs: set[str]) -> None:
+    """Run `argv` in a fresh working directory holding `files`, then check
+    the exit code, stderr and the files left behind."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in files.items():
+            with open(os.path.join(d, name), "wb") as fh:
+                fh.write(data)
+        err = io.StringIO()
+        os.chdir(d)
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        left = set(os.listdir(d))
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert left <= set(files) | (outputs if code == 0 else set()), err.getvalue()
+
+
+@FUZZ
+@given(st.sampled_from(["tsv", "jsonl"]), st.sampled_from(["fail_fast", "skip_and_count"]),
+       st.data())
+def test_fuzz_filter(fmt, mode, data):
+    content = data.draw(tsv_files if fmt == "tsv" else jsonl_files(BITEXT_RECORD))
+    run_in({f"in.{fmt}": content},
+           ["filter", "--in", f"in.{fmt}", "--out", "out.tsv", "--fail-mode", mode],
+           {"out.tsv"})
+
+
+@FUZZ
+@given(jsonl_files(CHAT_LINES[1]), st.sampled_from(["same", "mixed"]))
+def test_fuzz_chatprep(content, mode):
+    run_in({"chat.jsonl": content},
+           ["chatprep", "--in", "chat.jsonl", "--out", "out.tsv", "--mode", mode], {"out.tsv"})
+
+
+@FUZZ
+@given(st.sampled_from(["tsv", "jsonl"]), st.data())
+def test_fuzz_denoise(fmt, data):
+    content = data.draw(tsv_files if fmt == "tsv" else jsonl_files(BITEXT_RECORD))
+    run_in({f"in.{fmt}": content},
+           ["denoise", "--in", f"in.{fmt}", "--out", "out.jsonl",
+            "--pair-fraction", "1.0", "--token-prob", "0.5"], {"out.jsonl"})
+
+
+@FUZZ
+@given(st.one_of(st.binary(max_size=200), json_values.map(json.dumps).map(str.encode),
+                 near_valid(SCORES).map(json.dumps).map(str.encode)),
+       st.integers(0, 4))
+def test_fuzz_bsce_select(content, size):
+    run_in({"scores.json": content},
+           ["bsce-select", "--scores", "scores.json", "--ensemble-size", str(size),
+            "--out", "sel.json"], {"sel.json"})
+
+
+pipeline_configs = st.one_of(
+    st.just(PIPELINE),
+    near_valid(PIPELINE),
+    st.sampled_from(["filter", "chatprep", "denoise"]).flatmap(
+        lambda stage: near_valid(PIPELINE[stage]).map(lambda sec: {**PIPELINE, stage: sec})),
+    json_values,
+)
+
+
+@FUZZ
+@given(jsonl_files(BITEXT_RECORD), jsonl_files(CHAT_LINES[1]), pipeline_configs)
+def test_fuzz_pipeline(bitext, chat, config):
+    sections = config.values() if isinstance(config, dict) else ()
+    outputs = {s["output"] for s in sections if isinstance(s, dict) and isinstance(s.get("output"), str)}
+    run_in({"bitext.jsonl": bitext, "chat.jsonl": chat, "cfg.json": json.dumps(config).encode()},
+           ["pipeline", "cfg.json"], outputs)

@@ -2,11 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from chatmt.chatprep import RESERVED_TAGS, strip_tags
 from chatmt.corpus import BitextPair
 from chatmt.denoise import (
     DenoiseConfig,
     DenoiseFormatError,
+    TargetSpans,
     _record_rng,
     choose_pairs,
     denoise_corpus,
@@ -41,18 +44,18 @@ class TestChoosePairs:
 
 class TestDenoiseTokens:
     def test_identical_tokens_unchanged(self):
-        cfg = DenoiseConfig(token_replace_prob=1.0, seed=5)
+        cfg = DenoiseConfig(token_prob=1.0, seed=5)
         for seed in range(5):
             out = denoise_tokens(["x", "x", "x"], cfg, _record_rng(seed, 0))
             assert out == ["x", "x", "x"]
 
     def test_prob_zero_unchanged(self):
-        cfg = DenoiseConfig(token_replace_prob=0.0, seed=5)
+        cfg = DenoiseConfig(token_prob=0.0, seed=5)
         tokens = ["a", "b", "c"]
         assert denoise_tokens(tokens, cfg, _record_rng(5, 0)) == tokens
 
     def test_prob_one_membership(self):
-        cfg = DenoiseConfig(token_replace_prob=1.0, seed=5)
+        cfg = DenoiseConfig(token_prob=1.0, seed=5)
         rng = random.Random(0)
         for i in range(50):
             tokens = [f"t{rng.randint(0, 9)}" for _ in range(rng.randint(1, 20))]
@@ -115,12 +118,12 @@ class TestDenoiseCorpus:
 
     def test_determinism(self):
         pairs = make_corpus(200)
-        cfg = DenoiseConfig(seed=11, token_replace_prob=0.5)
+        cfg = DenoiseConfig(seed=11, token_prob=0.5)
         assert denoise_corpus(pairs, cfg) == denoise_corpus(pairs, cfg)
 
     def test_sources_and_unchosen_untouched(self):
         pairs = make_corpus(100)
-        cfg = DenoiseConfig(seed=4, token_replace_prob=1.0)
+        cfg = DenoiseConfig(seed=4, token_prob=1.0)
         out = denoise_corpus(pairs, cfg)
         chosen = choose_pairs(100, cfg)
         for i, (a, b) in enumerate(zip(pairs, out)):
@@ -130,7 +133,7 @@ class TestDenoiseCorpus:
 
     def test_length_preserved_and_pool_closure(self):
         pairs = make_corpus(100)
-        cfg = DenoiseConfig(seed=4, token_replace_prob=0.9)
+        cfg = DenoiseConfig(seed=4, token_prob=0.9)
         out = denoise_corpus(pairs, cfg)
         for a, b in zip(pairs, out):
             orig = a.target.split(" ")
@@ -140,7 +143,7 @@ class TestDenoiseCorpus:
 
     def test_structure_immune(self):
         pairs = make_corpus(60, with_structure=True)
-        cfg = DenoiseConfig(seed=8, token_replace_prob=1.0)
+        cfg = DenoiseConfig(seed=8, token_prob=1.0)
         out = denoise_corpus(pairs, cfg)
         for a, b in zip(pairs, out):
             orig_spans = split_target(a.target)
@@ -171,7 +174,7 @@ def test_golden_small_corpus():
     """Frozen outputs pin the seeded generator; a change here means the
     RNG scheme changed and every downstream corpus would silently shift."""
     pairs = make_corpus(10, n_tokens=4)
-    cfg = DenoiseConfig(pair_fraction=0.5, token_replace_prob=0.5, seed=42)
+    cfg = DenoiseConfig(pair_fraction=0.5, token_prob=0.5, seed=42)
     out = denoise_corpus(pairs, cfg)
     golden = {i: out[i].target for i in sorted(choose_pairs(10, cfg))}
     expected = GOLDEN_TARGETS
@@ -186,3 +189,58 @@ GOLDEN_TARGETS = {
     5: "w5_3 w5_0 w5_1 w5_2",
     7: "w7_3 w7_3 w7_2 w7_0",
 }
+
+
+# --- chat-line parsing against the two parsers it replaced ---------------
+# Copies of strip_tags and of split_target's untagged branch as they were
+# when chatprep and denoise each parsed the chat line on their own.
+
+_REF_LEADING = ("<agent>", "<customer>", "<BT>")
+
+
+def _ref_strip_tags(text):
+    head, _, _ = text.partition(" <context begins>")
+    for tag in _REF_LEADING:
+        if head.startswith(tag + " "):
+            return head[len(tag) + 1 :]
+        if head == tag:
+            return ""
+    return head
+
+
+def _ref_split_target(target):
+    head, sep, tail = target.partition(" <context begins>")
+    suffix = sep + tail
+    if "<context begins>" in tail:
+        raise DenoiseFormatError(f"multiple context indicators in target {target!r}")
+    prefix = ""
+    for tag in _REF_LEADING:
+        if head == tag:
+            raise DenoiseFormatError(f"empty payload in target {target!r}")
+        if head.startswith(tag + " "):
+            prefix, head = tag, head[len(tag) + 1 :]
+            break
+    if not head:
+        raise DenoiseFormatError(f"empty payload in target {target!r}")
+    spans = TargetSpans(prefix=prefix, payload=tuple(head.split(" ")), suffix=suffix)
+    if spans.rebuild(spans.payload) != target:
+        raise DenoiseFormatError(f"target {target!r} does not round-trip")
+    return spans
+
+
+def _outcome(fn, text):
+    try:
+        return "ok", fn(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+chat_lines = st.lists(
+    st.sampled_from(["a", "bc", "<x>", " ", "  ", *RESERVED_TAGS]), max_size=12
+).map("".join)
+
+
+@given(chat_lines)
+def test_chat_line_parsing_matches_reference(text):
+    assert strip_tags(text) == _ref_strip_tags(text)
+    assert _outcome(split_target, text) == _outcome(_ref_split_target, text)

@@ -120,7 +120,7 @@ def test_filter_empty_input():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FilterConfig(max_sentence_words=0)
+        FilterConfig(max_words=0)
     with pytest.raises(ValueError):
         FilterConfig(max_ratio=0.5)
 
@@ -129,8 +129,8 @@ def test_config_validation():
     ({"max_ratio": float("nan")}, "max_ratio"),
     ({"max_ratio": float("inf")}, "max_ratio"),
     ({"max_ratio": float("-inf")}, "max_ratio"),
-    ({"max_sentence_words": "100"}, "max_sentence_words"),
-    ({"max_sentence_words": 100.0}, "max_sentence_words"),
+    ({"max_words": "100"}, "max_words"),
+    ({"max_words": 100.0}, "max_words"),
     ({"max_word_chars": True}, "max_word_chars"),
     ({"max_ratio": "4"}, "max_ratio"),
     ({"max_ratio": False}, "max_ratio"),
@@ -150,7 +150,7 @@ def reference_filter(pairs, cfg):
     def length_reason(pair):
         for side in (pair.source, pair.target):
             words = side.split()
-            if len(words) > cfg.max_sentence_words:
+            if len(words) > cfg.max_words:
                 return "sentence_too_long"
             if any(len(w) > cfg.max_word_chars for w in words):
                 return "word_too_long"
