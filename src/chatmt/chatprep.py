@@ -11,6 +11,7 @@ n_prev=m+1 whenever enough history exists.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,6 +28,8 @@ SEP_TAG = "<SEP>"
 RESERVED_TAGS = (BT_TAG, AGENT_TAG, CUSTOMER_TAG, CONTEXT_TAG, SEP_TAG)
 # Tags that can open a line, ahead of its payload.
 LEADING_TAGS = (AGENT_TAG, CUSTOMER_TAG, BT_TAG)
+_RESERVED_TAG = re.compile("|".join(map(re.escape, RESERVED_TAGS)))
+_SEP = f" {SEP_TAG} "
 
 # The agent side of the WMT'22 chat task speaks English; the customer
 # speaks the other language of the pair.
@@ -56,7 +59,7 @@ class ContextConfig:
 
 
 def check_no_reserved_tags(text: str, where: str = "input") -> None:
-    if any(tag in text for tag in RESERVED_TAGS):
+    if _RESERVED_TAG.search(text):
         raise TagError(f"{where} contains a reserved tag: {text!r}")
 
 
@@ -90,32 +93,24 @@ def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig) -> BitextPai
             f"({len(d.turns)} turns)"
         )
     cur = d.turns[turn_index]
+    source, target = cur.src_text, cur.tgt_text
     if cfg.speaker_tags:
-        base = tag_speaker(cur)
-    else:
-        base = BitextPair(source=cur.src_text, target=cur.tgt_text)
+        tag = speaker_tag(cur.speaker)
+        source, target = f"{tag} {source}", f"{tag} {target}"
 
     k = min(cfg.n_prev, turn_index)
     if k == 0:
-        return base
-
-    src_ctx: list[str] = []
-    tgt_ctx: list[str] = []
-    # Most recent context first; stop=None when the window reaches turn 0.
-    stop = turn_index - 1 - k
-    for prev in d.turns[turn_index - 1 : (stop if stop >= 0 else None) : -1]:
-        if cfg.mode == SAME_LANGUAGE:
-            src_ctx.append(prev.src_text)
-            tgt_ctx.append(prev.tgt_text)
-        else:
-            own, translation = _own_language_side(prev)
-            src_ctx.append(own)
-            tgt_ctx.append(translation)
-
-    sep = f" {SEP_TAG} "
+        return BitextPair(source, target)
+    # Most recent context first.
+    prevs = d.turns[turn_index - k : turn_index][::-1]
+    if cfg.mode == SAME_LANGUAGE:
+        src_ctx = [prev.src_text for prev in prevs]
+        tgt_ctx = [prev.tgt_text for prev in prevs]
+    else:
+        src_ctx, tgt_ctx = zip(*map(_own_language_side, prevs))
     return BitextPair(
-        source=f"{base.source} {CONTEXT_TAG} {sep.join(src_ctx)}",
-        target=f"{base.target} {CONTEXT_TAG} {sep.join(tgt_ctx)}",
+        f"{source} {CONTEXT_TAG} {_SEP.join(src_ctx)}",
+        f"{target} {CONTEXT_TAG} {_SEP.join(tgt_ctx)}",
     )
 
 
@@ -143,13 +138,13 @@ def prepare_chat_corpus(
     """Map whole dialogues to training pairs, ordered by (dialogue,
     turn_index). Rejects utterances that already contain reserved tags;
     they would make the tagged lines ambiguous."""
+    search = _RESERVED_TAG.search
     for d in dialogues:
         for rec in d.turns:
-            check_no_reserved_tags(
-                rec.src_text, f"{d.dialogue_id}/{rec.turn_index} src_text"
-            )
-            check_no_reserved_tags(
-                rec.tgt_text, f"{d.dialogue_id}/{rec.turn_index} tgt_text"
-            )
+            # The message is built only for a text that holds a tag.
+            if search(rec.src_text) or search(rec.tgt_text):
+                where = f"{d.dialogue_id}/{rec.turn_index}"
+                check_no_reserved_tags(rec.src_text, f"{where} src_text")
+                check_no_reserved_tags(rec.tgt_text, f"{where} tgt_text")
         for rec in d.turns:
             yield build_context(d, rec.turn_index, cfg)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from .corpus import (
     write_bitext,
 )
 from .chatprep import ContextConfig, MIXED_LANGUAGE, SAME_LANGUAGE, prepare_chat_corpus
-from .denoise import DenoiseConfig, denoise_corpus
+from .denoise import DenoiseConfig, DenoiseFormatError, denoise_corpus
 from .ensemble import ScoreSet, select_ensemble
 from .filtering import FilterConfig, filter_corpus
 
@@ -58,18 +59,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _atomic_write_lines(path: str | Path, lines: Iterable[str]) -> None:
+def _atomic_write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write the lines to path through a temp file; return their count."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    count = 0
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for line in lines:
                 fh.write(line)
+                count += 1
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return count
 
 
 def _atomic_write_json(path: str | Path, obj) -> None:
@@ -159,13 +164,14 @@ def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig,
     _require_output(outfile)
     _require_input(infile)
     dialogues = parse_chat(_read_lines(infile))
-    pairs = list(prepare_chat_corpus(dialogues, cfg))
-    _atomic_write_lines(outfile, write_bitext(pairs, _infer_format(outfile, out_format)))
+    pairs = prepare_chat_corpus(dialogues, cfg)
+    written = _atomic_write_lines(outfile,
+                                  write_bitext(pairs, _infer_format(outfile, out_format)))
     return {
         "command": "chatprep",
         "config": asdict(cfg),
         "dialogues": len(dialogues),
-        "pairs": len(pairs),
+        "pairs": written,
         "seconds": round(time.monotonic() - started, 6),
     }
 
@@ -175,8 +181,13 @@ def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, in_format: str |
     started = time.monotonic()
     _require_output(outfile)
     _require_input(infile)
-    pairs = list(parse_bitext(_read_lines(infile), _infer_format(infile, in_format)))
-    noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
+    stats = ParseStats()
+    pairs = list(parse_bitext(_read_lines(infile), _infer_format(infile, in_format),
+                              stats=stats))
+    try:
+        noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
+    except DenoiseFormatError as exc:
+        raise CorpusError(exc.reason, stats.line_of(exc.record)) from None
     _atomic_write_lines(outfile, write_bitext(noised, _infer_format(outfile, out_format)))
     changed = sum(1 for a, b in zip(pairs, noised) if a.target != b.target)
     return {
@@ -273,8 +284,11 @@ def _stage_section(cfg: dict, stage: str) -> dict:
 def _run_pipeline(args) -> dict:
     _require_input(args.config)
     with open(args.config, encoding="utf-8") as fh:
-        cfg = _config_section(json.load(fh), "the top level",
-                              {"seed", "fail_mode", *_STAGE_CONFIGS})
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("pipeline config: JSON nested too deeply") from None
+    cfg = _config_section(obj, "the top level", {"seed", "fail_mode", *_STAGE_CONFIGS})
     fail_mode = cfg.get("fail_mode", FAIL_MODES[0])
     if fail_mode not in FAIL_MODES:
         raise UsageError(
@@ -360,6 +374,19 @@ def _build_parser() -> _ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # No stage builds reference cycles per record, so the cyclic collector
+    # would only re-scan the corpus held in memory. The caller's setting
+    # is restored for in-process callers.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,7 +8,7 @@ separated substring.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
 GENUINE = "genuine"
@@ -83,9 +83,21 @@ class Dialogue:
 
 @dataclass
 class ParseStats:
-    """Mutable counter filled in by parse_bitext when on_error="skip"."""
+    """Filled in by parse_bitext: `skipped` counts the malformed lines
+    dropped under on_error="skip"; `unpaired_lines` lists every line that
+    yielded no pair, those and empty JSONL lines, in input order."""
 
     skipped: int = 0
+    unpaired_lines: list[int] = field(default_factory=list)
+
+    def line_of(self, index: int) -> int:
+        """1-based input line of the index-th pair parse_bitext yielded."""
+        line = index + 1
+        for unpaired in self.unpaired_lines:
+            if unpaired > line:
+                break
+            line += 1
+        return line
 
 
 def _check_pair_fields(source: str, target: str, line: int) -> None:
@@ -167,6 +179,8 @@ def parse_bitext(
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.rstrip("\n").rstrip("\r")
         if not raw and fmt == "jsonl":
+            if stats is not None:
+                stats.unpaired_lines.append(lineno)
             continue
         try:
             yield parse_line(raw, lineno)
@@ -175,12 +189,14 @@ def parse_bitext(
                 raise
             if stats is not None:
                 stats.skipped += 1
+                stats.unpaired_lines.append(lineno)
 
 
 def write_bitext(pairs: Iterable[BitextPair], fmt: str = "tsv") -> Iterator[str]:
     """Serialize pairs to lines (newline included).
 
-    TSV refuses text containing tabs or newlines so parse(write(x)) == x
+    TSV refuses text containing tabs, newlines or carriage returns (the
+    reader splits lines on both of the latter) so parse(write(x)) == x
     always holds. TSV carries neither the origin flag nor the payload
     span; use JSONL when the corpus mixes genuine and synthetic data or
     marks payload spans.
@@ -190,9 +206,10 @@ def write_bitext(pairs: Iterable[BitextPair], fmt: str = "tsv") -> Iterator[str]
     for pair in pairs:
         if fmt == "tsv":
             for text in (pair.source, pair.target):
-                if "\t" in text or "\n" in text:
+                if "\t" in text or "\n" in text or "\r" in text:
                     raise CorpusError(
-                        f"tab or newline in text {text!r} cannot be written as TSV"
+                        f"tab, newline or carriage return in text {text!r} "
+                        "cannot be written as TSV"
                     )
             yield f"{pair.source}\t{pair.target}\n"
         else:

@@ -16,16 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .corpus import BitextPair, CorpusError, check_field_types
 from .chatprep import CONTEXT_TAG, split_tags
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 class DenoiseFormatError(CorpusError):
-    """Target line cannot be split into tag / payload / context spans."""
+    """Target line cannot be split into tag / payload / context spans.
+    `record` is the 0-based index of the pair in denoise_corpus's input,
+    when the error comes from there."""
+
+    def __init__(self, reason: str, record: int | None = None):
+        super().__init__(reason if record is None else f"record {record}: {reason}")
+        self.reason = reason
+        self.record = record
 
 
 @dataclass(frozen=True)
@@ -44,11 +52,17 @@ class DenoiseConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
+# numpy is imported where random numbers are drawn, so that only a
+# process that draws them loads it.
 def _selection_rng(seed: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def _record_rng(seed: int, index: int) -> np.random.Generator:
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -151,7 +165,7 @@ def denoise_corpus(
         try:
             spans = split_target(pair.target, span)
         except DenoiseFormatError as exc:
-            raise DenoiseFormatError(f"record {i}: {exc}") from exc
+            raise DenoiseFormatError(exc.reason, i) from exc
         noised = denoise_tokens(spans.payload, cfg, _record_rng(cfg.seed, i))
         out.append(replace(pair, target=spans.rebuild(noised)))
     return out

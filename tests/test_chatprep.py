@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chatmt.corpus import BitextPair, ChatRecord, Dialogue
 from chatmt.chatprep import (
@@ -152,3 +154,129 @@ def test_random_dialogue_properties(seed, mode):
             assert longer.source.startswith(shorter.source)
             assert longer.source != shorter.source
             assert longer.target.startswith(shorter.target)
+
+
+# --- chatprep against the version that built each pair twice -------------
+# Copies of check_no_reserved_tags, build_context and prepare_chat_corpus
+# as they were before one compiled pattern found the reserved tags and
+# build_context wrote the speaker tag inline.
+
+_REF_RESERVED = ("<BT>", "<agent>", "<customer>", "<context begins>", "<SEP>")
+
+
+def _ref_check_no_reserved_tags(text, where="input"):
+    if any(tag in text for tag in _REF_RESERVED):
+        raise TagError(f"{where} contains a reserved tag: {text!r}")
+
+
+def _ref_build_context(d, turn_index, cfg):
+    if not 0 <= turn_index < len(d.turns):
+        raise ValueError(
+            f"turn {turn_index} not in dialogue {d.dialogue_id!r} "
+            f"({len(d.turns)} turns)"
+        )
+    cur = d.turns[turn_index]
+    if cfg.speaker_tags:
+        tag = "<agent>" if cur.speaker == "agent" else "<customer>"
+        base = BitextPair(source=f"{tag} {cur.src_text}", target=f"{tag} {cur.tgt_text}")
+    else:
+        base = BitextPair(source=cur.src_text, target=cur.tgt_text)
+    k = min(cfg.n_prev, turn_index)
+    if k == 0:
+        return base
+    src_ctx, tgt_ctx = [], []
+    stop = turn_index - 1 - k
+    for prev in d.turns[turn_index - 1 : (stop if stop >= 0 else None) : -1]:
+        if cfg.mode == "same_language":
+            src_ctx.append(prev.src_text)
+            tgt_ctx.append(prev.tgt_text)
+        else:
+            src_is_own = (prev.src_lang == "en" if prev.speaker == "agent"
+                          else prev.src_lang != "en")
+            own, translation = ((prev.src_text, prev.tgt_text) if src_is_own
+                                else (prev.tgt_text, prev.src_text))
+            src_ctx.append(own)
+            tgt_ctx.append(translation)
+    return BitextPair(
+        source=f"{base.source} <context begins> {' <SEP> '.join(src_ctx)}",
+        target=f"{base.target} <context begins> {' <SEP> '.join(tgt_ctx)}",
+    )
+
+
+def _ref_prepare_chat_corpus(dialogues, cfg):
+    for d in dialogues:
+        for r in d.turns:
+            _ref_check_no_reserved_tags(r.src_text, f"{d.dialogue_id}/{r.turn_index} src_text")
+            _ref_check_no_reserved_tags(r.tgt_text, f"{d.dialogue_id}/{r.turn_index} tgt_text")
+        for r in d.turns:
+            yield _ref_build_context(d, r.turn_index, cfg)
+
+
+def _drain(pairs):
+    """Every pair yielded, then the error that ended the run, if any."""
+    out = []
+    try:
+        for pair in pairs:
+            out.append(pair)
+    except Exception as exc:  # compared by type and message
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+# Texts free of whole tags, which may hold partial ones; a dialogue may
+# get one text that holds a whole tag.
+_clean_texts = st.lists(
+    st.sampled_from(["a", "bc", "ü", " ", "<", ">", "<SEP", "<context begins",
+                     "context begins>", "<agent", "SEP>"]),
+    min_size=1, max_size=6,
+).map("".join)
+_tagged_texts = st.tuples(_clean_texts, st.sampled_from(_REF_RESERVED), _clean_texts).map(
+    "".join)
+
+
+@st.composite
+def _dialogues(draw):
+    dialogues = []
+    for n in range(draw(st.integers(1, 3))):
+        turns = [
+            ChatRecord(
+                dialogue_id=f"d{n}", turn_index=i,
+                speaker=draw(st.sampled_from(["agent", "customer"])),
+                src_text=draw(_clean_texts), tgt_text=draw(_clean_texts),
+                src_lang=draw(st.sampled_from(["en", "de"])),
+                tgt_lang=draw(st.sampled_from(["en", "de"])),
+            )
+            for i in range(draw(st.integers(1, 6)))
+        ]
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(turns) - 1))
+            side = draw(st.sampled_from(["src_text", "tgt_text"]))
+            turns[i] = replace(turns[i], **{side: draw(_tagged_texts)})
+        dialogues.append(Dialogue(f"d{n}", tuple(turns)))
+    return dialogues
+
+
+_CONTEXT_CONFIGS = [
+    ContextConfig(n_prev=n_prev, mode=mode, speaker_tags=tags)
+    for n_prev in range(4)
+    for mode in ("same_language", "mixed_language")
+    for tags in (True, False)
+]
+
+
+@given(_dialogues(), st.integers(-1, 7))
+def test_chatprep_matches_reference(dialogues, turn_index):
+    d = dialogues[0]
+    for cfg in _CONTEXT_CONFIGS:
+        assert _drain(prepare_chat_corpus(dialogues, cfg)) == \
+            _drain(_ref_prepare_chat_corpus(dialogues, cfg))
+        assert _outcome(build_context, d, turn_index, cfg) == \
+            _outcome(_ref_build_context, d, turn_index, cfg)
+

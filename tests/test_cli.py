@@ -1,6 +1,10 @@
 import argparse
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -431,3 +435,123 @@ def test_readme_cli_block_names_every_subcommand():
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert named == set(sub.choices)
+
+
+def test_filter_carriage_return_to_tsv_exits_2(tmp_path, capsys):
+    # The reader splits lines on \r, so a TSV holding one would not read back.
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps({"source": "a\rb", "target": "c"}) + "\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    assert run(["filter", "--in", str(src), "--out", str(out)]) == 2
+    assert "carriage return" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+    out = tmp_path / "out.jsonl"
+    assert run(["filter", "--in", str(src), "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["source"] == "a\rb"
+
+
+def test_pipeline_deeply_nested_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert run(["pipeline", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+BAD_TARGET = "a <context begins> b <context begins> c"
+
+
+@pytest.mark.parametrize("suffix, lines, bad_line", [
+    (".tsv", ["s\ta b", f"s\t{BAD_TARGET}", "s\tc d"], 2),
+    (".jsonl", [json.dumps({"source": "s", "target": "a b"}), "",
+                json.dumps({"source": "s", "target": BAD_TARGET})], 3),
+    (".jsonl", ["", json.dumps({"source": "s", "target": "a b"}), "", "",
+                json.dumps({"source": "s", "target": BAD_TARGET}), ""], 5),
+], ids=["tsv", "jsonl-blank", "jsonl-blanks"])
+def test_denoise_bad_target_names_its_line(tmp_path, capsys, suffix, lines, bad_line):
+    src = tmp_path / f"in{suffix}"
+    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / f"out{suffix}"
+    assert run(["denoise", "--in", str(src), "--out", str(out), "--pair-fraction", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: line {bad_line}: multiple context indicators in target " \
+        f"{BAD_TARGET!r}\n"
+    assert not out.exists()
+
+
+def _stage_argv(tmp_path, stage, n):
+    """argv running stage on an n-record input written to tmp_path."""
+    src = tmp_path / f"{stage}{n}.in"
+    if stage == "chatprep":
+        src.write_text("".join(
+            json.dumps({**CHAT_LINES[i % 2], "dialogue_id": f"d{i // 2}"}) + "\n"
+            for i in range(n)), encoding="utf-8")
+    else:
+        src.write_text("".join(f"src {i} a b\tziel {i} c d\n" for i in range(n)),
+                       encoding="utf-8")
+    return [stage, "--in", str(src), "--out", str(tmp_path / f"{stage}{n}.tsv"),
+            "--report", str(tmp_path / f"{stage}{n}.json")]
+
+
+@pytest.mark.parametrize("stage", ["filter", "chatprep", "denoise"])
+def test_stage_builds_no_per_record_cycles(tmp_path, stage):
+    # main runs with the cyclic collector off; that is safe only while
+    # the garbage a run leaves in cycles does not grow with its input.
+    def cyclic_garbage(n):
+        argv = _stage_argv(tmp_path, stage, n)
+        gc.collect()
+        assert run(argv) == 0
+        return gc.collect()
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cyclic_garbage(10)  # one-time imports and caches
+        small, large = cyclic_garbage(10), cyclic_garbage(1000)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert small == large
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_gc_state(tmp_path, monkeypatch, enabled):
+    src = tmp_path / "in.tsv"
+    write_micro_corpus(src)
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("no tab here\n", encoding="utf-8")
+    out = str(tmp_path / "out.tsv")
+
+    def boom(pairs, cfg):
+        collecting.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    collecting = []
+    cases = [
+        (["filter", "--in", str(src), "--out", out], 0),
+        (["--version"], 0),
+        (["filter", "--no-such-flag"], 1),
+        (["filter", "--in", str(bad), "--out", out], 2),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in cases:
+            assert run(argv) == code
+            assert gc.isenabled() is enabled
+        monkeypatch.setattr("chatmt.cli.filter_corpus", boom)
+        assert run(cases[0][0]) == 3
+        assert gc.isenabled() is enabled
+        assert collecting == [False]  # off while the command ran
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, chatmt.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"

@@ -58,8 +58,12 @@ def test_jsonl_default_origin_and_bad_origin():
 
 def test_write_tsv_simple_and_tab_rejection():
     assert list(write_bitext([BitextPair("a", "b")], "tsv")) == ["a\tb\n"]
-    with pytest.raises(CorpusError):
-        list(write_bitext([BitextPair("a\tx", "b")], "tsv"))
+    # The reader splits lines on \r as well as \n.
+    for char in "\t\n\r":
+        with pytest.raises(CorpusError):
+            list(write_bitext([BitextPair(f"a{char}x", "b")], "tsv"))
+        with pytest.raises(CorpusError):
+            list(write_bitext([BitextPair("a", f"b{char}")], "tsv"))
 
 
 @given(st.lists(st.tuples(text_strategy, text_strategy), min_size=1, max_size=20))
