@@ -92,8 +92,10 @@ def _read_lines(path: str | Path) -> list[str]:
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CorpusError(f"invalid UTF-8: {exc.reason}",
-                              data.count(b"\n", 0, exc.start) + 1) from None
+            # Lines end as the text reader ends them: LF, CR, or CRLF once.
+            ends = (data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
+                    - data.count(b"\r\n", 0, exc.start))
+            raise CorpusError(f"invalid UTF-8: {exc.reason}", ends + 1) from None
         raise
 
 

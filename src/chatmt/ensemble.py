@@ -83,28 +83,26 @@ class EnsembleSelection:
         }
 
 
+def _exact_sum(values) -> Fraction:
+    """Exact sum of finite floats. Each is m / 2**k, so scaling every
+    numerator to the largest denominator sums them as integers."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max([d for _, d in ratios], default=1)
+    return Fraction(sum([m * (den // d) for m, d in ratios]), den)
+
+
 def _avg_self_similarity_exact(s: ScoreSet) -> list[Fraction]:
-    n = s.n
-    return [
-        sum((Fraction(s.pairwise[i][j]) for j in range(n) if j != i),
-            Fraction(0)) / (n - 1)
-        for i in range(n)
-    ]
-
-
-def avg_self_similarity(s: ScoreSet) -> list[float]:
-    """Row-wise mean of pairwise similarities, diagonal excluded."""
-    return [float(v) for v in _avg_self_similarity_exact(s)]
+    return [_exact_sum(row[:i] + row[i + 1:]) / (s.n - 1)
+            for i, row in enumerate(s.pairwise)]
 
 
 def _weighted_scores_exact(
     comet: Sequence[Fraction], self_sim: Sequence[Fraction]
 ) -> list[Fraction]:
+    # score_i = (c_i - min(C)) * (range(S)/range(C)) + (max(S) - s_i).
     # Exact rational arithmetic: the formula cancels algebraically in
     # several configurations (with n=2 the two scores tie identically),
     # and float rounding there would defeat the documented tie-break.
-    if len(comet) != len(self_sim) or len(comet) < 2:
-        raise ValueError("comet and self_sim must have equal length >= 2")
     c_min, c_max = min(comet), max(comet)
     s_min, s_max = min(self_sim), max(self_sim)
     c_range = c_max - c_min
@@ -115,20 +113,9 @@ def _weighted_scores_exact(
     ]
 
 
-def weighted_scores(comet: Sequence[float], self_sim: Sequence[float]) -> list[float]:
-    """score_i = (c_i - min(C)) * (range(S)/range(C)) + (max(S) - s_i).
-
-    A flat C makes the performance term 0; a flat S zeroes both the
-    weight and the diversity term.
-    """
-    exact = _weighted_scores_exact(
-        [Fraction(c) for c in comet], [Fraction(v) for v in self_sim]
-    )
-    return [float(v) for v in exact]
-
-
 def _avg_similarity_to_pool(s: ScoreSet, i: int, pool: Sequence[int]) -> Fraction:
-    return sum((Fraction(s.pairwise[i][j]) for j in pool), Fraction(0)) / len(pool)
+    row = s.pairwise[i]
+    return _exact_sum([row[j] for j in pool]) / len(pool)
 
 
 def select_ensemble(s: ScoreSet, e: int) -> EnsembleSelection:

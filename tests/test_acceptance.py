@@ -12,7 +12,7 @@ from chatmt.cli import main as cli_main
 from chatmt.corpus import BitextPair, write_bitext
 from chatmt.chatprep import CONTEXT_TAG, ContextConfig, SEP_TAG, build_context, strip_tags
 from chatmt.denoise import DenoiseConfig, choose_pairs, denoise_corpus
-from chatmt.ensemble import ScoreSet, select_ensemble, weighted_scores
+from chatmt.ensemble import ScoreSet, select_ensemble
 from chatmt.filtering import filter_corpus, normalize_punctuation
 from chatmt.attention import FfnParams, aan_context, standard_attention, talking_heads_attention
 

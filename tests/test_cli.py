@@ -285,15 +285,22 @@ def test_pipeline_wrong_typed_option_exits_1(tmp_path, capsys, stage, key, value
 
 
 @pytest.mark.parametrize("command, suffix, good", [
-    ("filter", ".tsv", b"a\tb\n"),
-    ("filter", ".jsonl", b'{"source": "a", "target": "b"}\n'),
-    ("denoise", ".tsv", b"a\tb\n"),
-    ("chatprep", ".jsonl", json.dumps(CHAT_LINES[0]).encode() + b"\n"),
-], ids=["filter-tsv", "filter-jsonl", "denoise-tsv", "chatprep-jsonl"])
+    ("filter", ".tsv", [b"a\tb\n"]),
+    ("filter", ".jsonl", [b'{"source": "a", "target": "b"}\n']),
+    ("denoise", ".tsv", [b"a\tb\n"]),
+    ("chatprep", ".jsonl", [json.dumps(CHAT_LINES[0]).encode() + b"\n"]),
+    # The reader also ends a line at a lone CR, and at CRLF once.
+    ("filter", ".tsv", [b"a\tb\r"]),
+    ("filter", ".tsv", [b"a\tb\r\n", b"c\td\r"]),
+    ("chatprep", ".jsonl", [json.dumps(CHAT_LINES[0]).encode() + b"\r\n",
+                            json.dumps(CHAT_LINES[0]).encode() + b"\r"]),
+], ids=["filter-tsv", "filter-jsonl", "denoise-tsv", "chatprep-jsonl",
+        "filter-tsv-cr", "filter-tsv-crlf-cr", "chatprep-jsonl-crlf-cr"])
 @pytest.mark.parametrize("bad_line", [3, 5000])  # inside and past the first read buffer
 def test_invalid_utf8_exits_2_with_line(tmp_path, capsys, command, suffix, good, bad_line):
     src = tmp_path / f"in{suffix}"
-    src.write_bytes(good * (bad_line - 1) + b"\xff\xfe" + good)
+    before = b"".join(good[i % len(good)] for i in range(bad_line - 1))
+    src.write_bytes(before + b"\xff\xfe" + good[0])
     out = tmp_path / "out.tsv"
     assert run([command, "--in", str(src), "--out", str(out)]) == 2
     assert f"line {bad_line}:" in capsys.readouterr().err

@@ -1,15 +1,17 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chatmt.ensemble import (
     EnsembleSelection,
     ScoreSet,
-    avg_self_similarity,
+    _avg_self_similarity_exact,
+    _exact_sum,
     select_ensemble,
-    weighted_scores,
 )
 
 # Three-model worked example used throughout: symmetric similarities
@@ -64,6 +66,15 @@ def brute_force_select(s: ScoreSet, e: int) -> list[str]:
     return [s.model_ids[i] for i in pool]
 
 
+def avg_self_similarity(s: ScoreSet) -> list[float]:
+    return [float(v) for v in _avg_self_similarity_exact(s)]
+
+
+def weighted_scores(comet: list[float], pairwise: list[list[float]]) -> list[float]:
+    ids = [f"m{i}" for i in range(len(comet))]
+    return select_ensemble(ScoreSet.from_lists(ids, comet, pairwise), 1).weighted_scores
+
+
 class TestAvgSelfSimilarity:
     def test_worked_example(self):
         assert avg_self_similarity(WORKED) == pytest.approx([0.90, 0.95, 0.85], abs=1e-12)
@@ -83,19 +94,21 @@ class TestAvgSelfSimilarity:
 
 
 class TestWeightedScores:
+    # WORKED's rows average to the self-similarities [0.90, 0.95, 0.85];
+    # with two models, row i's self-similarity is its one off-diagonal value.
     def test_worked_example(self):
-        scores = weighted_scores([0.70, 0.80, 0.75], [0.90, 0.95, 0.85])
+        scores = weighted_scores([0.70, 0.80, 0.75], WORKED.pairwise)
         assert scores == pytest.approx([0.05, 0.10, 0.15], abs=1e-12)
 
     def test_affine_invariance_of_comet(self):
-        scores = weighted_scores([7.0, 8.0, 7.5], [0.90, 0.95, 0.85])
+        scores = weighted_scores([7.0, 8.0, 7.5], WORKED.pairwise)
         assert scores == pytest.approx([0.05, 0.10, 0.15], abs=1e-12)
 
     def test_degenerate_comet(self):
-        assert weighted_scores([0.5, 0.5], [0.9, 0.8]) == pytest.approx([0.0, 0.1])
+        assert weighted_scores([0.5, 0.5], [[0.0, 0.9], [0.8, 0.0]]) == pytest.approx([0.0, 0.1])
 
     def test_degenerate_similarity(self):
-        assert weighted_scores([0.1, 0.9], [0.5, 0.5]) == [0.0, 0.0]
+        assert weighted_scores([0.1, 0.9], [[0.0, 0.5], [0.5, 0.0]]) == [0.0, 0.0]
 
 
 class TestSelectEnsemble:
@@ -182,3 +195,59 @@ def test_selection_dict_shape():
     assert out["selected"] == ["m3", "m1"]
     assert len(out["step_diagnostics"]) == 1
     assert {d["model"] for d in out["step_diagnostics"][0]} == {"m1", "m2"}
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+edge_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+    1.7976931348623157e308, 1.0, -1.0, 0.1, 3.0e-17,
+])
+
+
+@given(st.lists(st.one_of(finite, edge_floats), max_size=40))
+def test_exact_sum_matches_fraction_sum(xs):
+    assert _exact_sum(xs) == sum(map(Fraction, xs), Fraction(0))
+
+
+def reference_select(s: ScoreSet, e: int) -> EnsembleSelection:
+    """select_ensemble written with one Fraction per similarity term."""
+    n = s.n
+    sims = [sum((Fraction(s.pairwise[i][j]) for j in range(n) if j != i),
+                Fraction(0)) / (n - 1) for i in range(n)]
+    comet = [Fraction(c) for c in s.comet]
+    c_min, c_max = min(comet), max(comet)
+    s_min, s_max = min(sims), max(sims)
+    weight = Fraction(0) if c_max == c_min else (s_max - s_min) / (c_max - c_min)
+    scores = [(c - c_min) * weight + (s_max - v) for c, v in zip(comet, sims)]
+    pool = [min(range(n), key=lambda i: (-scores[i], -s.comet[i], s.model_ids[i]))]
+    diagnostics = []
+    while len(pool) < e:
+        remaining = [i for i in range(n) if i not in pool]
+        avg = {i: sum((Fraction(s.pairwise[i][j]) for j in pool), Fraction(0)) / len(pool)
+               for i in remaining}
+        diagnostics.append([(s.model_ids[i], float(avg[i])) for i in remaining])
+        pool.append(min(remaining, key=lambda i: (avg[i], -s.comet[i], s.model_ids[i])))
+    return EnsembleSelection([s.model_ids[i] for i in pool],
+                             [float(v) for v in scores], diagnostics)
+
+
+@st.composite
+def tie_prone_score_sets(draw) -> ScoreSet:
+    # A few values shared by every cell, so ties and flat rows are common.
+    values = draw(st.lists(st.sampled_from(
+        [0.0, -0.0, 0.1, 0.2, 0.3, 0.7, 1.0, -0.5, 1e-300, 0.1 + 0.2]),
+        min_size=1, max_size=4))
+    n = draw(st.integers(2, 12))
+    cell = st.sampled_from(values)
+    comet = draw(st.lists(cell, min_size=n, max_size=n))
+    pairwise = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    return ScoreSet.from_lists([f"m{i:02d}" for i in range(n)], comet, pairwise)
+
+
+@given(tie_prone_score_sets())
+def test_select_matches_fraction_per_term_reference(s):
+    for e in range(1, s.n + 1):
+        # json.dumps writes each float's shortest round-trip repr (and
+        # the sign of zero), so equal text means bit-equal values.
+        assert json.dumps(select_ensemble(s, e).as_dict()) == \
+            json.dumps(reference_select(s, e).as_dict())
