@@ -67,11 +67,6 @@ def speaker_tag(speaker: str) -> str:
     return AGENT_TAG if speaker == AGENT else CUSTOMER_TAG
 
 
-def tag_speaker(rec: ChatRecord) -> BitextPair:
-    tag = speaker_tag(rec.speaker)
-    return BitextPair(source=f"{tag} {rec.src_text}", target=f"{tag} {rec.tgt_text}")
-
-
 def _own_language_side(rec: ChatRecord) -> tuple[str, str]:
     """(own-language text, translation text) for the turn's speaker."""
     src_is_own = (

@@ -190,7 +190,9 @@ def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, in_format: str |
         noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
     except DenoiseFormatError as exc:
         raise CorpusError(exc.reason, stats.line_of(exc.record)) from None
-    _atomic_write_lines(outfile, write_bitext(noised, _infer_format(outfile, out_format)))
+    # Output pair i is input pair i, so a pair TSV cannot hold names its line.
+    _atomic_write_lines(outfile, write_bitext(noised, _infer_format(outfile, out_format),
+                                              stats.line_of))
     changed = sum(1 for a, b in zip(pairs, noised) if a.target != b.target)
     return {
         "command": "denoise",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 GENUINE = "genuine"
 SYNTHETIC = "synthetic"
@@ -192,24 +192,28 @@ def parse_bitext(
                 stats.unpaired_lines.append(lineno)
 
 
-def write_bitext(pairs: Iterable[BitextPair], fmt: str = "tsv") -> Iterator[str]:
+def write_bitext(
+    pairs: Iterable[BitextPair], fmt: str = "tsv", line_of: Callable[[int], int] | None = None
+) -> Iterator[str]:
     """Serialize pairs to lines (newline included).
 
     TSV refuses text containing tabs, newlines or carriage returns (the
     reader splits lines on both of the latter) so parse(write(x)) == x
-    always holds. TSV carries neither the origin flag nor the payload
-    span; use JSONL when the corpus mixes genuine and synthetic data or
-    marks payload spans.
+    always holds; `line_of`, if given, maps the refused pair's 0-based
+    index to the input line the error names. TSV carries neither the
+    origin flag nor the payload span; use JSONL when the corpus mixes
+    genuine and synthetic data or marks payload spans.
     """
     if fmt not in BITEXT_FORMATS:
         raise ValueError(f"unknown bitext format {fmt!r}")
-    for pair in pairs:
+    for index, pair in enumerate(pairs):
         if fmt == "tsv":
             for text in (pair.source, pair.target):
                 if "\t" in text or "\n" in text or "\r" in text:
                     raise CorpusError(
                         f"tab, newline or carriage return in text {text!r} "
-                        "cannot be written as TSV"
+                        "cannot be written as TSV",
+                        line_of(index) if line_of is not None else None,
                     )
             yield f"{pair.source}\t{pair.target}\n"
         else:

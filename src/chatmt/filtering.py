@@ -80,6 +80,7 @@ class FilterReport:
 
 
 def _length_reason(src_words: list[str], tgt_words: list[str], cfg: FilterConfig) -> str | None:
+    """The length rule's drop reason, or None. Characters are code points."""
     for words in (src_words, tgt_words):
         if len(words) > cfg.max_words:
             return "sentence_too_long"
@@ -89,22 +90,13 @@ def _length_reason(src_words: list[str], tgt_words: list[str], cfg: FilterConfig
 
 
 def _ratio_reason(n_src: int, n_tgt: int, cfg: FilterConfig) -> str | None:
+    """The ratio rule's drop reason, or None. A zero-word side is dropped
+    instead of dividing by zero."""
     if n_src == 0 or n_tgt == 0:
         return "empty_side"
     if max(n_src, n_tgt) > cfg.max_ratio * min(n_src, n_tgt):
         return "ratio"
     return None
-
-
-def check_length(pair: BitextPair, cfg: FilterConfig) -> str | None:
-    """Return a drop reason or None. Character counts are code points."""
-    return _length_reason(pair.source.split(), pair.target.split(), cfg)
-
-
-def check_ratio(pair: BitextPair, cfg: FilterConfig) -> str | None:
-    """Drop when the word-count ratio strictly exceeds max_ratio (either
-    direction). A zero-word side is dropped instead of dividing by zero."""
-    return _ratio_reason(len(pair.source.split()), len(pair.target.split()), cfg)
 
 
 def filter_corpus(

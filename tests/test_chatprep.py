@@ -13,7 +13,6 @@ from chatmt.chatprep import (
     build_context,
     prepare_chat_corpus,
     strip_tags,
-    tag_speaker,
 )
 from conftest import make_dialogue
 
@@ -40,6 +39,11 @@ def dialogue():
             rec(2, "customer", "Mein Paket fehlt", "My parcel is missing"),
         ),
     )
+
+
+def tag_speaker(r):
+    """The pair build_context makes of a lone turn with no context."""
+    return build_context(Dialogue("d1", (r,)), 0, ContextConfig(n_prev=0))
 
 
 class TestTagSpeaker:

@@ -486,6 +486,22 @@ def test_denoise_bad_target_names_its_line(tmp_path, capsys, suffix, lines, bad_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, bad_line", [
+    ([{"source": "s1", "target": "a b"}, {"source": "s2", "target": "c\rd e"}], 2),
+    ([{"source": "s1", "target": "a b"}, None, {"source": "s\t2", "target": "c d"},
+      {"source": "s3", "target": "e f"}], 3),
+], ids=["target-cr", "blank-then-source-tab"])
+def test_denoise_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, lines, bad_line):
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join((json.dumps(obj) if obj else "") + "\n" for obj in lines),
+                   encoding="utf-8")
+    out = tmp_path / "x.tsv"
+    assert run(["denoise", "--in", str(src), "--out", str(out), "--pair-fraction", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: line {bad_line}: tab, newline or carriage return")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
 def _stage_argv(tmp_path, stage, n):
     """argv running stage on an n-record input written to tmp_path."""
     src = tmp_path / f"{stage}{n}.in"

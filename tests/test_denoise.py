@@ -1,8 +1,10 @@
 import random
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chatmt.chatprep import RESERVED_TAGS, strip_tags
 from chatmt.corpus import BitextPair
@@ -11,11 +13,18 @@ from chatmt.denoise import (
     DenoiseFormatError,
     TargetSpans,
     _record_rng,
+    _record_states,
     choose_pairs,
     denoise_corpus,
     denoise_tokens,
     split_target,
 )
+
+
+def numpy_rng(seed, index):
+    """Record index's generator, built as numpy documents it."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 class TestChoosePairs:
@@ -46,25 +55,25 @@ class TestDenoiseTokens:
     def test_identical_tokens_unchanged(self):
         cfg = DenoiseConfig(token_prob=1.0, seed=5)
         for seed in range(5):
-            out = denoise_tokens(["x", "x", "x"], cfg, _record_rng(seed, 0))
+            out = denoise_tokens(["x", "x", "x"], cfg, numpy_rng(seed, 0))
             assert out == ["x", "x", "x"]
 
     def test_prob_zero_unchanged(self):
         cfg = DenoiseConfig(token_prob=0.0, seed=5)
         tokens = ["a", "b", "c"]
-        assert denoise_tokens(tokens, cfg, _record_rng(5, 0)) == tokens
+        assert denoise_tokens(tokens, cfg, numpy_rng(5, 0)) == tokens
 
     def test_prob_one_membership(self):
         cfg = DenoiseConfig(token_prob=1.0, seed=5)
         rng = random.Random(0)
         for i in range(50):
             tokens = [f"t{rng.randint(0, 9)}" for _ in range(rng.randint(1, 20))]
-            out = denoise_tokens(tokens, cfg, _record_rng(5, i))
+            out = denoise_tokens(tokens, cfg, numpy_rng(5, i))
             assert len(out) == len(tokens)
             assert all(tok in tokens for tok in out)
 
     def test_empty(self):
-        assert denoise_tokens([], DenoiseConfig(seed=1), _record_rng(1, 0)) == []
+        assert denoise_tokens([], DenoiseConfig(seed=1), numpy_rng(1, 0)) == []
 
 
 class TestSplitTarget:
@@ -157,9 +166,9 @@ class TestDenoiseCorpus:
         # corpus on the records the two runs share... not literally (the
         # selection depends on n), so check the per-record generator only.
         cfg = DenoiseConfig(seed=21)
-        a = _record_rng(cfg.seed, 5).random(4)
-        b = _record_rng(cfg.seed, 5).random(4)
-        c = _record_rng(cfg.seed, 6).random(4)
+        a = numpy_rng(cfg.seed, 5).random(4)
+        b = numpy_rng(cfg.seed, 5).random(4)
+        c = numpy_rng(cfg.seed, 6).random(4)
         assert np.allclose(a, b)
         assert not np.allclose(a, c)
 
@@ -244,3 +253,109 @@ chat_lines = st.lists(
 def test_chat_line_parsing_matches_reference(text):
     assert strip_tags(text) == _ref_strip_tags(text)
     assert _outcome(split_target, text) == _outcome(_ref_split_target, text)
+
+
+# --- record streams against one SeedSequence per record ------------------
+
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+EDGE_INDICES = [0, 2**32 - 1, 2**32, 2**40]
+
+
+def _examples(test):
+    for seed in EDGE_SEEDS:
+        test = example(seed, EDGE_INDICES)(test)
+    return test
+
+
+@_examples
+@given(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+       st.lists(st.sampled_from(EDGE_INDICES) | st.integers(0, sys.maxsize),
+                min_size=1, max_size=8))
+def test_record_states_match_numpy(seed, indices):
+    states = _record_states(seed, indices)
+    assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for index, row in zip(indices, states):
+        expected = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        s_hi, s_lo, inc_hi, inc_lo = row.tolist()
+        assert {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo} == \
+            expected.state["state"]
+        # Leave a 32-bit word buffered, which a fresh PCG64 does not have.
+        rng.integers(5)
+        assert _record_rng(rng, row).bit_generator.state == expected.state
+
+
+# Copies of denoise_tokens and denoise_corpus as they were when every
+# chosen record built its own SeedSequence, PCG64 and Generator.
+
+def _ref_denoise_tokens(tokens, cfg, rng):
+    n = len(tokens)
+    if n == 0:
+        return []
+    out = list(tokens)
+    draws = rng.random(n)
+    for i in range(n):
+        if draws[i] < cfg.token_prob:
+            out[i] = tokens[int(rng.integers(n))]
+    return out
+
+
+def _ref_denoise_corpus(pairs, cfg, payload_spans=None):
+    if payload_spans is not None and len(payload_spans) != len(pairs):
+        raise ValueError("payload_spans length must match pairs")
+    chosen = choose_pairs(len(pairs), cfg)
+    out = []
+    for i, pair in enumerate(pairs):
+        if i not in chosen:
+            out.append(pair)
+            continue
+        span = payload_spans[i] if payload_spans is not None else None
+        try:
+            spans = split_target(pair.target, span)
+        except DenoiseFormatError as exc:
+            raise DenoiseFormatError(exc.reason, i) from exc
+        noised = _ref_denoise_tokens(spans.payload, cfg, numpy_rng(cfg.seed, i))
+        out.append(replace(pair, target=spans.rebuild(noised)))
+    return out
+
+
+def _denoised(fn, pairs, cfg, spans):
+    try:
+        return "ok", fn(pairs, cfg, spans)
+    except DenoiseFormatError as exc:
+        return type(exc), str(exc), exc.record
+
+
+_targets = st.lists(
+    st.sampled_from(["a", "bc", "a", "", "<agent>", "<customer>", "<context begins>", "<SEP>"]),
+    min_size=1, max_size=6,
+).map(" ".join)
+
+
+@st.composite
+def _corpora(draw):
+    targets = draw(st.lists(_targets, max_size=30))
+    if not draw(st.booleans()):
+        spans = None
+    else:
+        spans = []
+        for target in targets:
+            n = target.count(" ") + 1
+            start = draw(st.integers(0, n))
+            spans.append(draw(st.none() | st.tuples(st.just(start), st.integers(start, n + 1))))
+    pairs = [BitextPair(f"s{i}", target, payload_span=spans[i] if spans else None)
+             for i, target in enumerate(targets)]
+    return pairs, spans
+
+
+_fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@example(([BitextPair("s", "a")], [(0, 1)]), 1.0, 1.0, 0)
+@example(([BitextPair("s", "<agent> a"), BitextPair("s", "b")], None), 1.0, 1.0, 2**64 - 1)
+@given(_corpora(), _fractions, _fractions, st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1))
+def test_denoise_corpus_matches_per_record_seed_sequences(corpus, pair_fraction, token_prob, seed):
+    pairs, spans = corpus
+    cfg = DenoiseConfig(pair_fraction=pair_fraction, token_prob=token_prob, seed=seed)
+    assert _denoised(denoise_corpus, pairs, cfg, spans) == \
+        _denoised(_ref_denoise_corpus, pairs, cfg, spans)

@@ -9,9 +9,11 @@ from chatmt.corpus import ORIGINS, BitextPair
 from chatmt.filtering import (
     _CHAR_MAP,
     DROP_RULES,
+    RULE_LENGTH,
+    RULE_RATIO,
     FilterConfig,
-    check_length,
-    check_ratio,
+    _length_reason,
+    _ratio_reason,
     filter_corpus,
     normalize_punctuation,
 )
@@ -54,43 +56,68 @@ class TestNormalizePunctuation:
         assert normalize_punctuation(s) == reference_normalize(s)
 
 
+def dropped_by(source, target):
+    """The rule filter_corpus drops the pair by, or None if it keeps it."""
+    _, report = filter_corpus([BitextPair(source, target)], CFG)
+    rules = [rule for rule, n in report.dropped_by_rule.items() if n]
+    return rules[0] if rules else None
+
+
+def length_reason(source, target):
+    return _length_reason(source.split(), target.split(), CFG)
+
+
+def ratio_reason(source, target):
+    return _ratio_reason(len(source.split()), len(target.split()), CFG)
+
+
 class TestLength:
     def test_101_words_dropped(self):
-        pair = BitextPair(" ".join("a" * 1 for _ in range(101)), "ok")
-        assert check_length(pair, CFG) == "sentence_too_long"
+        source = " ".join("a" * 1 for _ in range(101))
+        assert dropped_by(source, "ok") == RULE_LENGTH
+        assert length_reason(source, "ok") == "sentence_too_long"
 
     def test_41_char_word_dropped(self):
-        pair = BitextPair("ok", "x" * 41)
-        assert check_length(pair, CFG) == "word_too_long"
+        assert dropped_by("ok", "x" * 41) == RULE_LENGTH
+        assert length_reason("ok", "x" * 41) == "word_too_long"
 
     def test_boundaries_kept(self):
-        assert check_length(BitextPair(" ".join(["w"] * 100), "ok"), CFG) is None
-        assert check_length(BitextPair("ok", "x" * 40), CFG) is None
+        # 100 words against 1 fails the ratio rule, which runs later.
+        for source, target in [(" ".join(["w"] * 100), "ok"), ("ok", "x" * 40)]:
+            assert dropped_by(source, target) in (None, RULE_RATIO)
+            assert length_reason(source, target) is None
 
     def test_unicode_chars_counted_as_code_points(self):
         # 40 two-byte characters must still pass.
-        assert check_length(BitextPair("ok", "ä" * 40), CFG) is None
-        assert check_length(BitextPair("ok", "ä" * 41), CFG) == "word_too_long"
+        assert dropped_by("ok", "ä" * 40) is None
+        assert length_reason("ok", "ä" * 40) is None
+        assert dropped_by("ok", "ä" * 41) == RULE_LENGTH
+        assert length_reason("ok", "ä" * 41) == "word_too_long"
 
 
 class TestRatio:
     def test_5_to_1_dropped(self):
-        assert check_ratio(BitextPair("one", "a b c d e"), CFG) == "ratio"
+        assert dropped_by("one", "a b c d e") == RULE_RATIO
+        assert ratio_reason("one", "a b c d e") == "ratio"
 
     def test_exact_4_to_1_kept(self):
-        assert check_ratio(BitextPair("a b c d", " ".join(["x"] * 16)), CFG) is None
+        target = " ".join(["x"] * 16)
+        assert dropped_by("a b c d", target) is None
+        assert ratio_reason("a b c d", target) is None
 
     def test_balanced_kept(self):
-        assert check_ratio(BitextPair("a b c", "x y z"), CFG) is None
+        assert dropped_by("a b c", "x y z") is None
+        assert ratio_reason("a b c", "x y z") is None
 
     def test_empty_side(self):
-        assert check_ratio(BitextPair(" ", "x"), CFG) == "empty_side"
+        assert dropped_by(" ", "x") == RULE_RATIO
+        assert ratio_reason(" ", "x") == "empty_side"
 
     @given(st.integers(1, 30), st.integers(1, 30))
     def test_symmetric(self, ns, nt):
-        fwd = check_ratio(BitextPair(" ".join(["a"] * ns), " ".join(["b"] * nt)), CFG)
-        rev = check_ratio(BitextPair(" ".join(["b"] * nt), " ".join(["a"] * ns)), CFG)
-        assert (fwd is None) == (rev is None)
+        a, b = " ".join(["a"] * ns), " ".join(["b"] * nt)
+        assert dropped_by(a, b) == dropped_by(b, a)
+        assert (ratio_reason(a, b) is None) == (ratio_reason(b, a) is None)
 
 
 def test_dedup_examples():
