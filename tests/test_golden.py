@@ -1,5 +1,5 @@
-"""Golden output guard: sha256 of the sample pipeline, ensemble selection
-and a span-carrying JSONL denoise run. A refactor must leave every byte
+"""Golden output guard: sha256 of the sample pipeline, ensemble selection,
+a span-carrying JSONL denoise run and a non-ASCII JSONL filter run. A refactor must leave every byte
 of these outputs unchanged; a deliberate change of bytes re-pins here and
 says why."""
 import hashlib
@@ -26,10 +26,15 @@ PINS = {
     "spans.noised.jsonl":
         "11636295221a8836c48715d3f28ec4face076ae2b3f1384ae5692cf6526c7547",
 }
+# Pinned apart from PINS so that those stay as they were first taken.
+FILTERED_JSONL_PIN = "c233d67afdbc6a32fb281dffaa09477534ef92f970530b144221117414568c15"
 
 WORDS = ["hallo", "paket", "bestellung", "größe", "café", "naïve", "über", "straße",
          "morgen", "hilfe", "order", "parcel", "thanks", "déjà", "vu"]
 TAGS = ["<agent>", "<customer>", "<BT>"]
+# Every character normalize_punctuation maps, plus a no-break space run.
+PUNCT = ["\u201c", "\u201d", "\u201e", "\u00ab", "\u00bb", "\u2018", "\u2019", "\u201a",
+         "\u2013", "\u2014", "\u2026", "\u00a0", "\u2009", "\u202f", "\u00a0\u00a0 \u00a0"]
 
 
 def sha256(path: Path) -> str:
@@ -73,6 +78,31 @@ def span_corpus_lines(seed: int, n: int) -> list[str]:
     return lines
 
 
+def punct_corpus_lines(seed: int, n: int) -> list[str]:
+    """JSONL bitext of umlaut words and mapped punctuation (some sides
+    ASCII, some repeated, some over the length or ratio limits), with
+    genuine, synthetic and defaulted origins."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(n):
+        sides = []
+        for _ in range(2):
+            words = rng.choices(WORDS + PUNCT, k=rng.choice([0, 2, 5, 11, 120]))
+            if rng.random() < 0.2:
+                words = [w for w in words if w.isascii()]
+            # One plain word keeps the side from being only whitespace.
+            words.insert(rng.randint(0, len(words)), rng.choice(WORDS[-6:]))
+            sides.append(rng.choice(["", " ", "\u00a0"]).join(words))
+        rec = {"source": sides[0], "target": sides[1]}
+        origin = rng.choice(["genuine", "synthetic", None])
+        if origin is not None:
+            rec["origin"] = origin
+        lines.append(json.dumps(rec, ensure_ascii=rng.random() < 0.3) + "\n")
+        if rng.random() < 0.1:
+            lines.append(rng.choice(lines))
+    return lines
+
+
 def test_sample_data_is_deterministic(tmp_path):
     make_sample(tmp_path / "a")
     make_sample(tmp_path / "b")
@@ -96,3 +126,11 @@ def test_golden_outputs(tmp_path):
                  "--seed", "13", "--pair-fraction", "0.5", "--token-prob", "0.3"]) == 0
 
     assert {name: sha256(tmp_path / name) for name in PINS} == PINS
+
+
+def test_golden_filtered_jsonl(tmp_path):
+    corpus = tmp_path / "punct.jsonl"
+    corpus.write_text("".join(punct_corpus_lines(seed=11, n=400)), encoding="utf-8")
+    out = tmp_path / "punct.filtered.jsonl"
+    assert main(["filter", "--in", str(corpus), "--out", str(out)]) == 0
+    assert sha256(out) == FILTERED_JSONL_PIN
