@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator
 
 GENUINE = "genuine"
@@ -217,10 +218,18 @@ def write_bitext(
                     )
             yield f"{pair.source}\t{pair.target}\n"
         else:
-            obj = {"source": pair.source, "target": pair.target, "origin": pair.origin}
-            if pair.payload_span is not None:
-                obj["target_payload_span"] = pair.payload_span
-            yield json.dumps(obj, ensure_ascii=False) + "\n"
+            # The bytes of json.dumps(obj, ensure_ascii=False) + "\n" for obj =
+            # {"source", "target", "origin"[, "target_payload_span"]}, with
+            # the string encoder json.dumps itself uses but no encoder built
+            # per line.
+            head = (f'{{"source": {encode_basestring(pair.source)}, '
+                    f'"target": {encode_basestring(pair.target)}, '
+                    f'"origin": {encode_basestring(pair.origin)}')
+            span = pair.payload_span
+            if span is None:
+                yield head + "}\n"
+            else:
+                yield f'{head}, "target_payload_span": [{span[0]}, {span[1]}]}}\n'
 
 
 def parse_chat(lines: Iterable[str]) -> list[Dialogue]:

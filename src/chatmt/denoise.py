@@ -193,16 +193,19 @@ def denoise_tokens(
 
 @dataclass(frozen=True)
 class TargetSpans:
-    """A target line split as prefix + payload tokens + suffix; joining
-    the parts back with single spaces must reproduce the line exactly."""
+    """A target line split as prefix + payload tokens + suffix. One space
+    joins the prefix to the payload if the prefix is not empty or
+    `prefix_sep` is set (a positional payload after one empty token), so
+    rebuilding with the original payload gives the line back exactly."""
 
     prefix: str
     payload: tuple[str, ...]
     suffix: str
+    prefix_sep: bool = False
 
     def rebuild(self, payload: Sequence[str]) -> str:
         mid = " ".join(payload)
-        out = f"{self.prefix} {mid}" if self.prefix else mid
+        out = f"{self.prefix} {mid}" if self.prefix or self.prefix_sep else mid
         return out + self.suffix
 
 
@@ -211,8 +214,10 @@ def split_target(
 ) -> TargetSpans:
     """Locate the mutable payload of a target line.
 
-    With an explicit (start, end) token span, the split is positional.
-    Otherwise the chat line is parsed by `chatprep.split_tags`.
+    With an explicit (start, end) token span, the split is positional:
+    tokens are split on single spaces, and an empty payload leaves the
+    line as it is. Otherwise the chat line is parsed by
+    `chatprep.split_tags`. Either split rebuilds the line by construction.
     """
     if payload_span is not None:
         tokens = target.split(" ")
@@ -221,24 +226,19 @@ def split_target(
             raise DenoiseFormatError(
                 f"span {payload_span} out of range for {target!r}"
             )
-        prefix = " ".join(tokens[:start])
-        payload = tuple(tokens[start:end])
+        if start == end:
+            return TargetSpans(prefix="", payload=(), suffix=target)
         rest = tokens[end:]
-        suffix = (" " + " ".join(rest)) if rest else ""
-        spans = TargetSpans(prefix=prefix, payload=payload, suffix=suffix)
-    else:
-        prefix, payload, suffix = split_tags(target)
-        if suffix.count(CONTEXT_TAG) > 1:
-            raise DenoiseFormatError(
-                f"multiple context indicators in target {target!r}"
-            )
-        if not payload:
-            raise DenoiseFormatError(f"empty payload in target {target!r}")
-        spans = TargetSpans(prefix=prefix, payload=tuple(payload.split(" ")), suffix=suffix)
-
-    if spans.rebuild(spans.payload) != target:
-        raise DenoiseFormatError(f"target {target!r} does not round-trip")
-    return spans
+        return TargetSpans(prefix=" ".join(tokens[:start]), payload=tuple(tokens[start:end]),
+                           suffix=(" " + " ".join(rest)) if rest else "", prefix_sep=start > 0)
+    prefix, payload, suffix = split_tags(target)
+    if suffix.count(CONTEXT_TAG) > 1:
+        raise DenoiseFormatError(
+            f"multiple context indicators in target {target!r}"
+        )
+    if not payload:
+        raise DenoiseFormatError(f"empty payload in target {target!r}")
+    return TargetSpans(prefix=prefix, payload=tuple(payload.split(" ")), suffix=suffix)
 
 
 def denoise_corpus(

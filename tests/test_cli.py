@@ -135,6 +135,23 @@ def test_denoise_jsonl_span_passthrough(tmp_path):
     assert obj["target_payload_span"] == [1, 6]
 
 
+# Spans the reader accepts whose prefix or suffix tokens join ambiguously:
+# an empty payload between two tokens, and a payload after an empty token.
+@pytest.mark.parametrize("first, kept", [
+    ({"source": "s", "target": "a b", "target_payload_span": [1, 1]}, "a b"),
+    ({"source": "s", "target": " x", "target_payload_span": [1, 2]}, " x"),
+], ids=["empty-payload", "after-empty-token"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_denoise_in_range_span_succeeds_for_every_seed(tmp_path, first, kept, seed):
+    src = tmp_path / "in.jsonl"
+    second = {"source": "s2", "target": "c d", "target_payload_span": [0, 2]}
+    src.write_text(f"{json.dumps(first)}\n{json.dumps(second)}\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run(["denoise", "--in", str(src), "--out", str(out), "--seed", str(seed),
+                "--pair-fraction", "0.5", "--token-prob", "1.0"]) == 0
+    assert json.loads(out.read_text().splitlines()[0])["target"] == kept
+
+
 GOOD_JSONL = '{"source": "s", "target": "a b c", "target_payload_span": [0, 3]}'
 
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,6 +83,48 @@ def test_tsv_roundtrip_identity(raw):
 )
 def test_jsonl_roundtrip_identity(raw):
     pairs = [BitextPair(s, t, o) for s, t, o in raw]
+    assert list(parse_bitext(write_bitext(pairs, "jsonl"), "jsonl")) == pairs
+
+
+# Characters JSON must escape (quotes, backslashes, controls) or that
+# ensure_ascii=False writes raw (U+2028/U+2029, non-BMP), and lone surrogates.
+_JSON_SPECIAL = '"\\/\x00\x08\x0c\x1f\x7f\x80\u2028\u2029\u00e4\ufeff\U0001F600\U0010FFFF'
+_json_chars = st.characters(blacklist_categories=("Cs",)) | st.sampled_from(_JSON_SPECIAL)
+_surrogates = st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff"])
+_origins = st.sampled_from(["genuine", "synthetic"])
+
+
+def _dumps_line(pair):
+    """A JSONL bitext line as json.dumps writes it."""
+    obj = {"source": pair.source, "target": pair.target, "origin": pair.origin}
+    if pair.payload_span is not None:
+        obj["target_payload_span"] = pair.payload_span
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+@given(st.lists(st.builds(
+    BitextPair, st.text(_json_chars | _surrogates), st.text(_json_chars | _surrogates), _origins,
+    st.none() | st.tuples(st.integers(0, 2**80), st.integers(0, 2**80)),
+), max_size=10))
+def test_jsonl_lines_equal_json_dumps(pairs):
+    assert list(write_bitext(pairs, "jsonl")) == [_dumps_line(pair) for pair in pairs]
+
+
+@st.composite
+def _readable_pairs(draw):
+    """Pairs parse_bitext can yield: non-blank sides, spans in range."""
+    side = st.text(_json_chars).filter(str.strip)
+    target = draw(side)
+    n = target.count(" ") + 1
+    span = None
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n))
+        span = (start, draw(st.integers(start, n)))
+    return BitextPair(draw(side), target, draw(_origins), span)
+
+
+@given(st.lists(_readable_pairs(), min_size=1, max_size=10))
+def test_jsonl_written_lines_parse_back(pairs):
     assert list(parse_bitext(write_bitext(pairs, "jsonl"), "jsonl")) == pairs
 
 

@@ -338,6 +338,9 @@ def _corpora(draw):
     if not draw(st.booleans()):
         spans = None
     else:
+        # Leading, trailing and doubled spaces put empty tokens next to spans.
+        pads = st.sampled_from(["", " ", "  "])
+        targets = [draw(pads) + target + draw(pads) for target in targets]
         spans = []
         for target in targets:
             n = target.count(" ") + 1
@@ -349,6 +352,18 @@ def _corpora(draw):
 
 
 _fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@given(_corpora(), _fractions, st.integers(0, 2**64 - 1))
+def test_every_in_range_span_denoises(corpus, token_prob, seed):
+    pairs, _ = corpus
+    pairs = [p for p in pairs if p.payload_span and p.payload_span[1] <= p.target.count(" ") + 1]
+    cfg = DenoiseConfig(pair_fraction=1.0, token_prob=token_prob, seed=seed)
+    for pair, noised in zip(pairs, denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])):
+        start, end = pair.payload_span
+        before, after = pair.target.split(" "), noised.target.split(" ")
+        assert len(after) == len(before)
+        assert after[:start] == before[:start] and after[end:] == before[end:]
 
 
 @example(([BitextPair("s", "a")], [(0, 1)]), 1.0, 1.0, 0)

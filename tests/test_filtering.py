@@ -55,6 +55,16 @@ class TestNormalizePunctuation:
     def test_fast_path_matches_full_passes(self, s):
         assert normalize_punctuation(s) == reference_normalize(s)
 
+    @given(st.text())
+    def test_matches_full_passes_on_any_text(self, s):
+        assert normalize_punctuation(s) == reference_normalize(s)
+
+    # Non-ASCII text with some mapped characters present and others absent.
+    @given(st.text(alphabet=st.sampled_from(list(_CHAR_MAP)).map(chr)
+                   | st.sampled_from("ab \u00e4\u00f6\u00fc\u00df\u4e2d\u6587\U0001F600\U00020000")))
+    def test_matches_full_passes_on_mixed_non_ascii(self, s):
+        assert normalize_punctuation(s) == reference_normalize(s)
+
 
 def dropped_by(source, target):
     """The rule filter_corpus drops the pair by, or None if it keeps it."""
