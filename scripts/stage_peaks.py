@@ -2,18 +2,19 @@
 """Wall time and own peak RSS of each stage of a benchmark workload.
 
     python3 scripts/stage_peaks.py --workload mixed-jsonl --seed 1
-    python3 scripts/stage_peaks.py --workload chat-tsv --seed 1 --runs 3
 
 Writes the workload's inputs with perfbench/gen.py into a temporary
-directory, then runs each stage of perfbench/workloads.py's workload as
-`python -m chatmt <args>` (the attention stage as `perfbench/kernels.py
-<args>`) with PYTHONPATH=src, one after another, and prints each stage's
-wall time and `ru_maxrss` as `os.wait4` reports them.
+directory, then runs each stage of perfbench/workloads.py's workload
+once, one after another, with perfbench/run.py's stage command and
+environment, and prints each stage's wall time and `ru_maxrss` as
+`os.wait4` reports them. Repeat a reading by running the script again.
 
 Linux carries a parent's peak RSS into a child it forks, so a stage's
 `ru_maxrss` is its own peak only if its parent stays smaller. This
-script never imports chatmt or loads an input, and it generates the
-inputs in a child process, so it stays at the size of a bare interpreter.
+script never imports chatmt or numpy (perfbench's run, gen and
+workloads modules use only the standard library) and it generates the
+inputs in a child process, so it stays near 21 MB (Python 3.11), below
+every stage's peak.
 perfbench's `peak_rss_mb` cannot read a stage's own peak where the
 benchmark process has loaded outputs before it starts the next stage.
 Nothing under perfbench/ is written: its modules are imported without
@@ -26,48 +27,16 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+STAGE_TIMEOUT_S = 600
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(PERFBENCH))
+from run import child_env, run_process, stage_cmd  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
-
-
-def stage_env() -> dict[str, str]:
-    """The stage environment perfbench/run.py uses: chatmt from ./src,
-    a fixed hash seed, BLAS/OpenMP threads pinned to the usable CPUs."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env["PYTHONHASHSEED"] = "0"
-    for var in THREAD_VARS:
-        env[var] = str(len(os.sched_getaffinity(0)))
-    return env
-
-
-def stage_cmd(stage, seed: int) -> list[str]:
-    if stage.name == "attention":
-        return [sys.executable, str(PERFBENCH / "kernels.py"), *stage.argv(seed)]
-    return [sys.executable, "-m", "chatmt", *stage.argv(seed)]
-
-
-def run_stage(cmd: list[str], cwd: str, env: dict) -> tuple[float, float, int, bytes]:
-    """(wall seconds, peak RSS in MB, exit code, stderr) of one process."""
-    with tempfile.TemporaryFile() as err:
-        started = time.perf_counter()
-        proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdin=subprocess.DEVNULL,
-                                stdout=subprocess.DEVNULL, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - started
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        err.seek(0)
-        return wall, usage.ru_maxrss / 1024.0, proc.returncode, err.read()
 
 
 def main() -> int:
@@ -75,29 +44,27 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--runs", type=int, default=1, help="passes over the stages")
     parser.add_argument("--smoke", action="store_true", help="the smoke run's tiny inputs")
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
 
-    env = stage_env()
-    with tempfile.TemporaryDirectory(prefix="stage_peaks.") as work:
+    env = child_env()
+    with tempfile.TemporaryDirectory(prefix="stage_peaks.") as tmp:
+        work = Path(tmp)
         gen = [sys.executable, str(PERFBENCH / "gen.py"), "--workload", args.workload,
-               "--seed", str(args.seed), "--out", work] + (["--smoke"] if args.smoke else [])
+               "--seed", str(args.seed), "--out", str(work)] + (["--smoke"] if args.smoke else [])
         subprocess.run(gen, check=True, stdout=subprocess.DEVNULL,
                        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
         print(f"{args.workload} seed {args.seed}{' (smoke)' if args.smoke else ''}: "
               f"{sys.version.split()[0]}, {len(os.sched_getaffinity(0))} usable CPUs")
-        print(f"{'stage':<12} {'run':>3} {'wall_s':>8} {'peak_rss_mb':>12} {'exit':>4}")
-        for run in range(1, args.runs + 1):
-            for stage in WORKLOADS[args.workload].stages:
-                wall, peak, code, err = run_stage(stage_cmd(stage, args.seed), work, env)
-                print(f"{stage.name:<12} {run:>3} {wall:>8.3f} {peak:>12.1f} {code:>4}",
-                      flush=True)
-                if code != 0:
-                    sys.stderr.write(err.decode("utf-8", "replace"))
-                    return 1
+        print(f"{'stage':<12} {'wall_s':>8} {'peak_rss_mb':>12} {'exit':>4}")
+        for stage in WORKLOADS[args.workload].stages:
+            stderr_path = work / f"{stage.name}.stderr"
+            wall, peak, code = run_process(stage_cmd(stage, args.seed, False), work, env,
+                                           STAGE_TIMEOUT_S, stderr_path)
+            print(f"{stage.name:<12} {wall:>8.3f} {peak:>12.1f} {code:>4}", flush=True)
+            if code != 0:
+                sys.stderr.write(stderr_path.read_text("utf-8", "replace"))
+                return 1
     return 0
 
 
