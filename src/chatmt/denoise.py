@@ -12,16 +12,17 @@ SeedSequence(seed); record i draws from the stream of
 PCG64(SeedSequence(seed, spawn_key=(i,))), so output is a pure function
 of (corpus, config) regardless of processing order. Building those
 numpy objects for every chosen record would cost more than the noising,
-so `_record_states` reproduces numpy's SeedSequence hash and PCG64
-seeding for all chosen records in one vectorized pass, and one generator
-is set to each record's state in turn. A test checks the states against
-numpy's own construction.
+so `_record_states` copies the SeedSequence words PCG64 is seeded from
+(`generate_state(4, np.uint64)`) for all chosen records in one
+vectorized pass; `_record_rng` runs PCG64's seeding, two 128-bit LCG
+steps, in Python ints and sets one shared generator to the result. A
+test checks both against numpy's own construction.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .corpus import BitextPair, CorpusError, check_field_types
 from .chatprep import CONTEXT_TAG, split_tags
@@ -68,7 +69,6 @@ def _selection_rng(seed: int) -> np.random.Generator:
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 # and PCG64's 128-bit LCG multiplier.
 _MASK32 = 0xFFFFFFFF
-_MASK64 = 2**64 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -88,27 +88,9 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _mul128(hi, lo, const: int):
-    """(hi, lo) * const mod 2**128 on uint64 arrays of 128-bit halves."""
-    c_hi, c_lo = const >> 64, const & _MASK64
-    a1, a0 = lo >> 32, lo & _MASK32
-    b1, b0 = c_lo >> 32, c_lo & _MASK32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    out_lo = mid << 32 | p00 & _MASK32
-    out_hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + hi * c_lo + lo * c_hi
-    return out_hi, out_lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
 def _record_states(seed: int, indices: Sequence[int]) -> np.ndarray:
-    """The PCG64 state of PCG64(SeedSequence(seed, spawn_key=(i,))) for
-    each i in indices, as a uint64 array of rows (state >> 64, state
-    mod 2**64, inc >> 64, inc mod 2**64)."""
+    """SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4,
+    np.uint64) for each i in indices, one uint64 row per index."""
     import numpy as np
 
     # With a spawn key, SeedSequence pads the seed's 32-bit words with
@@ -134,28 +116,27 @@ def _record_states(seed: int, indices: Sequence[int]) -> np.ndarray:
             pools[dst] = np.where(used, _mix(pools[dst], hashed), pools[dst])
 
     # generate_state(4, uint64): 8 words cycling over the pool, paired
-    # little-endian into the seed (words 0, 1) and the stream (2, 3).
+    # little-endian into 4 uint64 words.
     const = _INIT_B
     out = []
     for j in range(8):
         hashed, const = _hashmix(pools[j % 4], const, _MULT_B)
         out.append(hashed.astype(np.uint64))
-    s_hi, s_lo, seq_hi, seq_lo = (out[2 * k] | out[2 * k + 1] << 32 for k in range(4))
-
-    # PCG64's set_seed: inc = 2 * seq + 1; from state 0, one LCG step
-    # (state * mult + inc) gives inc; add s; one more LCG step.
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    state = _add128(*_mul128(*_add128(inc_hi, inc_lo, s_hi, s_lo), _PCG_MULT), inc_hi, inc_lo)
-    return np.stack([*state, inc_hi, inc_lo], axis=1)
+    return np.stack([out[2 * k] | out[2 * k + 1] << 32 for k in range(4)], axis=1)
 
 
-def _record_rng(rng: np.random.Generator, state: np.ndarray) -> np.random.Generator:
-    """Set rng's PCG64 to one row of _record_states and return it: the
-    stream of a fresh PCG64 built from that record's SeedSequence."""
-    s_hi, s_lo, inc_hi, inc_lo = state.tolist()
+def _record_rng(rng: np.random.Generator, words: np.ndarray) -> np.random.Generator:
+    """Set rng's PCG64 as PCG64 seeds itself from one row of
+    _record_states and return it: the stream of a fresh PCG64 built from
+    that record's SeedSequence."""
+    w0, w1, w2, w3 = words.tolist()
+    # PCG64's set_seed: inc = 2 * (w2, w3) + 1; from state 0, one LCG step
+    # (state * mult + inc) gives inc; add (w0, w1); one more LCG step.
+    inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
+    state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) % 2**128
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
-        "state": {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo},
+        "state": {"state": state, "inc": inc},
         "has_uint32": 0,
         "uinteger": 0,
     }
@@ -191,22 +172,13 @@ def denoise_tokens(
     return out
 
 
-@dataclass(frozen=True)
-class TargetSpans:
-    """A target line split as prefix + payload tokens + suffix. One space
-    joins the prefix to the payload if the prefix is not empty or
-    `prefix_sep` is set (a positional payload after one empty token), so
-    rebuilding with the original payload gives the line back exactly."""
+class TargetSpans(NamedTuple):
+    """A target line as head + " ".join(payload) + tail. The spaces that
+    join the payload to its neighbours belong to head and tail."""
 
-    prefix: str
+    head: str
     payload: tuple[str, ...]
-    suffix: str
-    prefix_sep: bool = False
-
-    def rebuild(self, payload: Sequence[str]) -> str:
-        mid = " ".join(payload)
-        out = f"{self.prefix} {mid}" if self.prefix or self.prefix_sep else mid
-        return out + self.suffix
+    tail: str
 
 
 def split_target(
@@ -227,18 +199,15 @@ def split_target(
                 f"span {payload_span} out of range for {target!r}"
             )
         if start == end:
-            return TargetSpans(prefix="", payload=(), suffix=target)
-        rest = tokens[end:]
-        return TargetSpans(prefix=" ".join(tokens[:start]), payload=tuple(tokens[start:end]),
-                           suffix=(" " + " ".join(rest)) if rest else "", prefix_sep=start > 0)
-    prefix, payload, suffix = split_tags(target)
-    if suffix.count(CONTEXT_TAG) > 1:
-        raise DenoiseFormatError(
-            f"multiple context indicators in target {target!r}"
-        )
+            return TargetSpans(target, (), "")
+        return TargetSpans("".join(t + " " for t in tokens[:start]), tuple(tokens[start:end]),
+                           "".join(" " + t for t in tokens[end:]))
+    tag, payload, tail = split_tags(target)
+    if tail.count(CONTEXT_TAG) > 1:
+        raise DenoiseFormatError(f"multiple context indicators in target {target!r}")
     if not payload:
         raise DenoiseFormatError(f"empty payload in target {target!r}")
-    return TargetSpans(prefix=prefix, payload=tuple(payload.split(" ")), suffix=suffix)
+    return TargetSpans(f"{tag} " if tag else "", tuple(payload.split(" ")), tail)
 
 
 def denoise_corpus(
@@ -259,14 +228,14 @@ def denoise_corpus(
     order = sorted(chosen)
     # Its seed does not matter: _record_rng sets the whole state per record.
     rng = np.random.Generator(np.random.PCG64(0))
-    for i, state in zip(order, _record_states(cfg.seed, order)):
+    for i, words in zip(order, _record_states(cfg.seed, order)):
         pair = pairs[i]
         span = payload_spans[i] if payload_spans is not None else None
         try:
             spans = split_target(pair.target, span)
         except DenoiseFormatError as exc:
             raise DenoiseFormatError(exc.reason, i) from exc
-        noised = denoise_tokens(spans.payload, cfg, _record_rng(rng, state))
-        out[i] = BitextPair(source=pair.source, target=spans.rebuild(noised),
+        noised = denoise_tokens(spans.payload, cfg, _record_rng(rng, words))
+        out[i] = BitextPair(source=pair.source, target=spans.head + " ".join(noised) + spans.tail,
                             origin=pair.origin, payload_span=pair.payload_span)
     return out

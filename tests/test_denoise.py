@@ -1,6 +1,6 @@
 import random
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from chatmt.corpus import BitextPair
 from chatmt.denoise import (
     DenoiseConfig,
     DenoiseFormatError,
-    TargetSpans,
     _record_rng,
     _record_states,
     choose_pairs,
@@ -78,21 +77,16 @@ class TestDenoiseTokens:
 
 class TestSplitTarget:
     def test_plain_payload(self):
-        spans = split_target("ein zwei drei")
-        assert spans.payload == ("ein", "zwei", "drei")
-        assert spans.prefix == "" and spans.suffix == ""
+        assert split_target("ein zwei drei") == ("", ("ein", "zwei", "drei"), "")
 
     def test_tag_and_context(self):
         spans = split_target("<agent> Guten Tag <context begins> Hallo <SEP> x")
-        assert spans.prefix == "<agent>"
+        assert spans.head == "<agent> "
         assert spans.payload == ("Guten", "Tag")
-        assert spans.suffix == " <context begins> Hallo <SEP> x"
-        assert spans.rebuild(spans.payload) == "<agent> Guten Tag <context begins> Hallo <SEP> x"
+        assert spans.tail == " <context begins> Hallo <SEP> x"
 
     def test_explicit_span(self):
-        spans = split_target("a b c d", payload_span=(1, 3))
-        assert spans.payload == ("b", "c")
-        assert spans.rebuild(["X", "Y"]) == "a X Y d"
+        assert split_target("a b c d", payload_span=(1, 3)) == ("a ", ("b", "c"), " d")
 
     def test_bad_span(self):
         with pytest.raises(DenoiseFormatError):
@@ -157,8 +151,8 @@ class TestDenoiseCorpus:
         for a, b in zip(pairs, out):
             orig_spans = split_target(a.target)
             new_spans = split_target(b.target)
-            assert new_spans.prefix == orig_spans.prefix
-            assert new_spans.suffix == orig_spans.suffix
+            assert new_spans.head == orig_spans.head
+            assert new_spans.tail == orig_spans.tail
             assert len(new_spans.payload) == len(orig_spans.payload)
 
     def test_order_independent_substreams(self):
@@ -200,9 +194,11 @@ GOLDEN_TARGETS = {
 }
 
 
-# --- chat-line parsing against the two parsers it replaced ---------------
+# --- target splits against the parsers they replaced ----------------------
 # Copies of strip_tags and of split_target's untagged branch as they were
-# when chatprep and denoise each parsed the chat line on their own.
+# when chatprep and denoise each parsed the chat line on their own, and of
+# split_target's positional branch and TargetSpans as they were when a flag
+# placed the space after the prefix.
 
 _REF_LEADING = ("<agent>", "<customer>", "<BT>")
 
@@ -217,7 +213,31 @@ def _ref_strip_tags(text):
     return head
 
 
-def _ref_split_target(target):
+@dataclass(frozen=True)
+class _RefTargetSpans:
+    prefix: str
+    payload: tuple
+    suffix: str
+    prefix_sep: bool = False
+
+    def rebuild(self, payload):
+        mid = " ".join(payload)
+        out = f"{self.prefix} {mid}" if self.prefix or self.prefix_sep else mid
+        return out + self.suffix
+
+
+def _ref_split_target(target, payload_span=None):
+    if payload_span is not None:
+        tokens = target.split(" ")
+        start, end = payload_span
+        if not 0 <= start <= end <= len(tokens):
+            raise DenoiseFormatError(f"span {payload_span} out of range for {target!r}")
+        if start == end:
+            return _RefTargetSpans(prefix="", payload=(), suffix=target)
+        rest = tokens[end:]
+        return _RefTargetSpans(prefix=" ".join(tokens[:start]), payload=tuple(tokens[start:end]),
+                               suffix=(" " + " ".join(rest)) if rest else "",
+                               prefix_sep=start > 0)
     head, sep, tail = target.partition(" <context begins>")
     suffix = sep + tail
     if "<context begins>" in tail:
@@ -231,17 +251,27 @@ def _ref_split_target(target):
             break
     if not head:
         raise DenoiseFormatError(f"empty payload in target {target!r}")
-    spans = TargetSpans(prefix=prefix, payload=tuple(head.split(" ")), suffix=suffix)
+    spans = _RefTargetSpans(prefix=prefix, payload=tuple(head.split(" ")), suffix=suffix)
     if spans.rebuild(spans.payload) != target:
         raise DenoiseFormatError(f"target {target!r} does not round-trip")
     return spans
 
 
-def _outcome(fn, text):
+def _rebuild(spans, payload):
+    if isinstance(spans, _RefTargetSpans):
+        return spans.rebuild(payload)
+    return spans.head + " ".join(payload) + spans.tail
+
+
+def _split_outcome(split, target, span=None):
+    """The payload, the line rebuilt from it and from as many Zs; or the
+    error, by type and message."""
     try:
-        return "ok", fn(text)
-    except Exception as exc:  # compared by type and message
+        spans = split(target, span)
+    except Exception as exc:
         return type(exc), str(exc)
+    zs = ("Z",) * len(spans.payload)
+    return "ok", spans.payload, _rebuild(spans, spans.payload), _rebuild(spans, zs)
 
 
 chat_lines = st.lists(
@@ -252,7 +282,35 @@ chat_lines = st.lists(
 @given(chat_lines)
 def test_chat_line_parsing_matches_reference(text):
     assert strip_tags(text) == _ref_strip_tags(text)
-    assert _outcome(split_target, text) == _outcome(_ref_split_target, text)
+    assert _split_outcome(split_target, text) == _split_outcome(_ref_split_target, text)
+
+
+_targets = st.lists(
+    st.sampled_from(["a", "bc", "a", "", "<agent>", "<customer>", "<context begins>", "<SEP>"]),
+    min_size=1, max_size=6,
+).map(" ".join)
+# Leading, trailing and doubled spaces put empty tokens next to spans.
+_pads = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def _spanned_targets(draw):
+    target = draw(_pads) + draw(_targets) + draw(_pads)
+    n = target.count(" ") + 1
+    start = draw(st.integers(0, n))
+    return target, (start, draw(st.integers(start, n + 1)))
+
+
+@example(("a b", (1, 1)))
+@example((" x", (1, 2)))
+@example(("<agent> a <context begins> b", None))
+@given(st.tuples(chat_lines, st.none()) | _spanned_targets())
+def test_split_target_rebuilds_to_target_with_parent_payload(case):
+    target, span = case
+    outcome = _split_outcome(split_target, target, span)
+    assert outcome == _split_outcome(_ref_split_target, target, span)
+    if outcome[0] == "ok":
+        assert outcome[2] == target
 
 
 # --- record streams against one SeedSequence per record ------------------
@@ -276,17 +334,16 @@ def test_record_states_match_numpy(seed, indices):
     assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
     rng = np.random.Generator(np.random.PCG64(0))
     for index, row in zip(indices, states):
-        expected = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        s_hi, s_lo, inc_hi, inc_lo = row.tolist()
-        assert {"state": s_hi << 64 | s_lo, "inc": inc_hi << 64 | inc_lo} == \
-            expected.state["state"]
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
         # Leave a 32-bit word buffered, which a fresh PCG64 does not have.
         rng.integers(5)
-        assert _record_rng(rng, row).bit_generator.state == expected.state
+        assert _record_rng(rng, row).bit_generator.state == np.random.PCG64(seq).state
 
 
 # Copies of denoise_tokens and denoise_corpus as they were when every
-# chosen record built its own SeedSequence, PCG64 and Generator.
+# chosen record built its own SeedSequence, PCG64 and Generator, splitting
+# targets with _ref_split_target.
 
 def _ref_denoise_tokens(tokens, cfg, rng):
     n = len(tokens)
@@ -311,7 +368,7 @@ def _ref_denoise_corpus(pairs, cfg, payload_spans=None):
             continue
         span = payload_spans[i] if payload_spans is not None else None
         try:
-            spans = split_target(pair.target, span)
+            spans = _ref_split_target(pair.target, span)
         except DenoiseFormatError as exc:
             raise DenoiseFormatError(exc.reason, i) from exc
         noised = _ref_denoise_tokens(spans.payload, cfg, numpy_rng(cfg.seed, i))
@@ -326,21 +383,13 @@ def _denoised(fn, pairs, cfg, spans):
         return type(exc), str(exc), exc.record
 
 
-_targets = st.lists(
-    st.sampled_from(["a", "bc", "a", "", "<agent>", "<customer>", "<context begins>", "<SEP>"]),
-    min_size=1, max_size=6,
-).map(" ".join)
-
-
 @st.composite
 def _corpora(draw):
     targets = draw(st.lists(_targets, max_size=30))
     if not draw(st.booleans()):
         spans = None
     else:
-        # Leading, trailing and doubled spaces put empty tokens next to spans.
-        pads = st.sampled_from(["", " ", "  "])
-        targets = [draw(pads) + target + draw(pads) for target in targets]
+        targets = [draw(_pads) + target + draw(_pads) for target in targets]
         spans = []
         for target in targets:
             n = target.count(" ") + 1
