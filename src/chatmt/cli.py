@@ -29,7 +29,7 @@ from .corpus import (
     write_bitext,
 )
 from .chatprep import ContextConfig, MIXED_LANGUAGE, SAME_LANGUAGE, prepare_chat_corpus
-from .denoise import DenoiseConfig, DenoiseFormatError, denoise_corpus
+from .denoise import DenoiseConfig, DenoiseFormatError, chosen_count, denoise_corpus
 from .ensemble import ScoreSet, select_ensemble
 from .filtering import FilterConfig, filter_corpus
 
@@ -198,7 +198,7 @@ def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, in_format: str |
         "command": "denoise",
         "config": asdict(cfg),
         "pairs": len(pairs),
-        "chosen": len(pairs) and int(cfg.pair_fraction * len(pairs) + 1e-9),
+        "chosen": chosen_count(len(pairs), cfg),
         "changed_targets": changed,
         "seconds": round(time.monotonic() - started, 6),
     }

@@ -235,8 +235,9 @@ def write_bitext(
 def parse_chat(lines: Iterable[str]) -> list[Dialogue]:
     """Parse chat JSONL into dialogues ordered by first appearance.
 
-    Validates speaker values, (dialogue_id, turn_index) uniqueness, and
-    that turn indices are contiguous from 0 within each dialogue.
+    Validates field types, non-blank texts, speaker values,
+    (dialogue_id, turn_index) uniqueness, and that turn indices are
+    contiguous from 0 within each dialogue.
     """
     by_dialogue: dict[str, list[ChatRecord]] = {}
     seen: set[tuple[str, int]] = set()
@@ -260,6 +261,10 @@ def parse_chat(lines: Iterable[str]) -> list[Dialogue]:
         for name in _CHAT_STR_FIELDS:
             if not isinstance(getattr(rec, name), str):
                 raise CorpusError(f"{name} must be a string", lineno)
+        # A blank text would make a pair side that parse_bitext refuses.
+        for name in ("src_text", "tgt_text"):
+            if not getattr(rec, name).strip():
+                raise CorpusError(f"empty {name}", lineno)
         if rec.speaker not in SPEAKERS:
             raise CorpusError(f"unknown speaker {rec.speaker!r}", lineno)
         # type(), not isinstance(): a JSON true would pass as the int 1.

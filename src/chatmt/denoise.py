@@ -69,6 +69,7 @@ def _selection_rng(seed: int) -> np.random.Generator:
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 # and PCG64's 128-bit LCG multiplier.
 _MASK32 = 0xFFFFFFFF
+_MASK128 = 2**128 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -132,8 +133,8 @@ def _record_rng(rng: np.random.Generator, words: np.ndarray) -> np.random.Genera
     w0, w1, w2, w3 = words.tolist()
     # PCG64's set_seed: inc = 2 * (w2, w3) + 1; from state 0, one LCG step
     # (state * mult + inc) gives inc; add (w0, w1); one more LCG step.
-    inc = ((w2 << 64 | w3) << 1 | 1) % 2**128
-    state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) % 2**128
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state, "inc": inc},
@@ -143,14 +144,18 @@ def _record_rng(rng: np.random.Generator, words: np.ndarray) -> np.random.Genera
     return rng
 
 
-def choose_pairs(n: int, cfg: DenoiseConfig) -> set[int]:
-    """Exactly floor(pair_fraction * n) distinct indices, seed-determined."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def chosen_count(n: int, cfg: DenoiseConfig) -> int:
+    """floor(pair_fraction * n): how many of n pairs choose_pairs picks."""
     # Tiny nudge so exact-integer products (0.3 * 10000) are not floored
     # away by binary rounding of pair_fraction.
-    k = math.floor(cfg.pair_fraction * n + 1e-9)
-    k = min(k, n)
+    return min(math.floor(cfg.pair_fraction * n + 1e-9), n)
+
+
+def choose_pairs(n: int, cfg: DenoiseConfig) -> set[int]:
+    """Exactly chosen_count(n, cfg) distinct indices, seed-determined."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    k = chosen_count(n, cfg)
     if k == 0:
         return set()
     rng = _selection_rng(cfg.seed)
@@ -181,6 +186,17 @@ class TargetSpans(NamedTuple):
     tail: str
 
 
+def _split_chat_line(target: str) -> tuple[str, str, str]:
+    """chatprep.split_tags, refusing a second context indicator after the
+    payload and an empty payload."""
+    tag, payload, tail = split_tags(target)
+    if tail.count(CONTEXT_TAG) > 1:
+        raise DenoiseFormatError(f"multiple context indicators in target {target!r}")
+    if not payload:
+        raise DenoiseFormatError(f"empty payload in target {target!r}")
+    return tag, payload, tail
+
+
 def split_target(
     target: str, payload_span: tuple[int, int] | None = None
 ) -> TargetSpans:
@@ -200,13 +216,10 @@ def split_target(
             )
         if start == end:
             return TargetSpans(target, (), "")
-        return TargetSpans("".join(t + " " for t in tokens[:start]), tuple(tokens[start:end]),
-                           "".join(" " + t for t in tokens[end:]))
-    tag, payload, tail = split_tags(target)
-    if tail.count(CONTEXT_TAG) > 1:
-        raise DenoiseFormatError(f"multiple context indicators in target {target!r}")
-    if not payload:
-        raise DenoiseFormatError(f"empty payload in target {target!r}")
+        return TargetSpans(" ".join(tokens[:start]) + " " if start else "",
+                           tuple(tokens[start:end]),
+                           " " + " ".join(tokens[end:]) if end < len(tokens) else "")
+    tag, payload, tail = _split_chat_line(target)
     return TargetSpans(f"{tag} " if tag else "", tuple(payload.split(" ")), tail)
 
 
@@ -219,23 +232,29 @@ def denoise_corpus(
     byte-identical to the input."""
     if payload_spans is not None and len(payload_spans) != len(pairs):
         raise ValueError("payload_spans length must match pairs")
-    chosen = choose_pairs(len(pairs), cfg)
-    out = list(pairs)
-    if not chosen:
-        return out
-    import numpy as np
+    # A split that fails names the record i it was splitting.
+    try:
+        # Chosen or not, so that the seed cannot decide what is accepted.
+        for i, pair in enumerate(pairs):
+            if payload_spans is None or payload_spans[i] is None:
+                _split_chat_line(pair.target)
+        chosen = choose_pairs(len(pairs), cfg)
+        out = list(pairs)
+        if not chosen:
+            return out
+        import numpy as np
 
-    order = sorted(chosen)
-    # Its seed does not matter: _record_rng sets the whole state per record.
-    rng = np.random.Generator(np.random.PCG64(0))
-    for i, words in zip(order, _record_states(cfg.seed, order)):
-        pair = pairs[i]
-        span = payload_spans[i] if payload_spans is not None else None
-        try:
-            spans = split_target(pair.target, span)
-        except DenoiseFormatError as exc:
-            raise DenoiseFormatError(exc.reason, i) from exc
-        noised = denoise_tokens(spans.payload, cfg, _record_rng(rng, words))
-        out[i] = BitextPair(source=pair.source, target=spans.head + " ".join(noised) + spans.tail,
-                            origin=pair.origin, payload_span=pair.payload_span)
+        order = sorted(chosen)
+        # Its seed does not matter: _record_rng sets the whole state per record.
+        rng = np.random.Generator(np.random.PCG64(0))
+        for i, words in zip(order, _record_states(cfg.seed, order)):
+            pair = pairs[i]
+            spans = split_target(pair.target, payload_spans[i] if payload_spans else None)
+            noised = denoise_tokens(spans.payload, cfg, _record_rng(rng, words))
+            target = spans.head + " ".join(noised) + spans.tail
+            # A target the bitext reader would refuse as empty keeps its input.
+            if target.strip():
+                out[i] = BitextPair(pair.source, target, pair.origin, pair.payload_span)
+    except DenoiseFormatError as exc:
+        raise DenoiseFormatError(exc.reason, i) from exc
     return out

@@ -503,6 +503,54 @@ def test_denoise_bad_target_names_its_line(tmp_path, capsys, suffix, lines, bad_
     assert not out.exists()
 
 
+# Lines 2 and 3 hold targets denoise cannot split; which of them a seed
+# chose used to decide the exit code.
+UNSPLITTABLE_TSV = ("s1\t<agent> hallo\n"
+                    "s2\t<agent> <context begins> x\n"
+                    "s3\t<customer> a <context begins> b <context begins> c\n"
+                    "s4\td e\n")
+
+
+@pytest.mark.parametrize("pair_fraction", ["0", "0.5", "1"])
+@pytest.mark.parametrize("seed", range(16))
+def test_denoise_first_unsplittable_target_exits_2_for_every_seed(tmp_path, capsys,
+                                                                 pair_fraction, seed):
+    src = tmp_path / "in.tsv"
+    src.write_text(UNSPLITTABLE_TSV, encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    assert run(["denoise", "--in", str(src), "--out", str(out), "--seed", str(seed),
+                "--pair-fraction", pair_fraction]) == 2
+    assert capsys.readouterr().err == \
+        "data error: line 2: empty payload in target '<agent> <context begins> x'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_denoise_output_reads_back_for_every_seed(tmp_path, seed):
+    # Seed 12 noises " x" to " ", which the reader refuses as an empty side.
+    src = tmp_path / "in.tsv"
+    src.write_text("s\t x\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    args = ["--seed", str(seed), "--pair-fraction", "1", "--token-prob", "1"]
+    assert run(["denoise", "--in", str(src), "--out", str(out), *args]) == 0
+    assert run(["denoise", "--in", str(out), "--out", str(tmp_path / "again.tsv"), *args]) == 0
+    if seed == 12:
+        assert out.read_text(encoding="utf-8") == "s\t x\n"
+
+
+@pytest.mark.parametrize("field", ["src_text", "tgt_text"])
+@pytest.mark.parametrize("blank", ["", "  ", "\t"])
+def test_chatprep_blank_text_exits_2(tmp_path, capsys, field, blank):
+    chat = tmp_path / "chat.jsonl"
+    bad = {**CHAT_LINES[0], "turn_index": 1, field: blank}
+    chat.write_text(f"{json.dumps(CHAT_LINES[0])}\n{json.dumps(bad)}\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    assert run(["chatprep", "--in", str(chat), "--out", str(out),
+                "--speaker-tags", "off", "--n-prev", "0"]) == 2
+    assert capsys.readouterr().err == f"data error: line 2: empty {field}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lines, bad_line", [
     ([{"source": "s1", "target": "a b"}, {"source": "s2", "target": "c\rd e"}], 2),
     ([{"source": "s1", "target": "a b"}, None, {"source": "s\t2", "target": "c d"},

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from chatmt.chatprep import RESERVED_TAGS, strip_tags
-from chatmt.corpus import BitextPair
+from chatmt.corpus import BITEXT_FORMATS, BitextPair, parse_bitext, write_bitext
 from chatmt.denoise import (
     DenoiseConfig,
     DenoiseFormatError,
     _record_rng,
     _record_states,
     choose_pairs,
+    chosen_count,
     denoise_corpus,
     denoise_tokens,
     split_target,
@@ -48,6 +49,14 @@ class TestChoosePairs:
         chosen = choose_pairs(20, DenoiseConfig(pair_fraction=0.5, seed=3))
         assert len(chosen) == 10
         assert all(0 <= i < 20 for i in chosen)
+
+
+@given(st.integers(0, 300), st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0))
+def test_chosen_count_is_the_reports_count(n, pair_fraction):
+    cfg = DenoiseConfig(pair_fraction=pair_fraction, seed=1)
+    # The formula the CLI report used before it called chosen_count.
+    assert chosen_count(n, cfg) == (n and int(pair_fraction * n + 1e-9)) == \
+        len(choose_pairs(n, cfg))
 
 
 class TestDenoiseTokens:
@@ -171,6 +180,23 @@ class TestDenoiseCorpus:
         cfg = DenoiseConfig(pair_fraction=1.0, seed=0)
         with pytest.raises(DenoiseFormatError, match="record 0"):
             denoise_corpus(pairs, cfg)
+
+    @pytest.mark.parametrize("pair_fraction", [0.0, 0.5, 1.0])
+    def test_first_unparseable_record_whether_chosen_or_not(self, pair_fraction):
+        pairs = make_corpus(8, with_structure=True)
+        pairs[5] = BitextPair("s", "<agent> <context begins> x")
+        pairs[6] = BitextPair("s", "a <context begins> b <context begins> c")
+        for seed in range(8):
+            cfg = DenoiseConfig(pair_fraction=pair_fraction, seed=seed)
+            with pytest.raises(DenoiseFormatError, match="record 5: empty payload"):
+                denoise_corpus(pairs, cfg)
+
+    def test_blank_noised_target_keeps_its_input(self):
+        # Seed 12 draws the empty token for both tokens of " x".
+        cfg = DenoiseConfig(pair_fraction=1.0, token_prob=1.0, seed=12)
+        assert denoise_tokens(["", "x"], cfg, numpy_rng(12, 0)) == ["", ""]
+        pairs = [BitextPair("s", " x")]
+        assert denoise_corpus(pairs, cfg) == pairs
 
 
 def test_golden_small_corpus():
@@ -343,7 +369,9 @@ def test_record_states_match_numpy(seed, indices):
 
 # Copies of denoise_tokens and denoise_corpus as they were when every
 # chosen record built its own SeedSequence, PCG64 and Generator, splitting
-# targets with _ref_split_target.
+# targets with _ref_split_target; denoise_corpus with two rules added since:
+# every target without a span is split before choosing, and a noised
+# target left blank keeps its input.
 
 def _ref_denoise_tokens(tokens, cfg, rng):
     n = len(tokens)
@@ -360,6 +388,12 @@ def _ref_denoise_tokens(tokens, cfg, rng):
 def _ref_denoise_corpus(pairs, cfg, payload_spans=None):
     if payload_spans is not None and len(payload_spans) != len(pairs):
         raise ValueError("payload_spans length must match pairs")
+    for i, pair in enumerate(pairs):
+        if payload_spans is None or payload_spans[i] is None:
+            try:
+                _ref_split_target(pair.target)
+            except DenoiseFormatError as exc:
+                raise DenoiseFormatError(exc.reason, i) from exc
     chosen = choose_pairs(len(pairs), cfg)
     out = []
     for i, pair in enumerate(pairs):
@@ -372,7 +406,8 @@ def _ref_denoise_corpus(pairs, cfg, payload_spans=None):
         except DenoiseFormatError as exc:
             raise DenoiseFormatError(exc.reason, i) from exc
         noised = _ref_denoise_tokens(spans.payload, cfg, numpy_rng(cfg.seed, i))
-        out.append(replace(pair, target=spans.rebuild(noised)))
+        target = spans.rebuild(noised)
+        out.append(replace(pair, target=target) if target.strip() else pair)
     return out
 
 
@@ -417,9 +452,30 @@ def test_every_in_range_span_denoises(corpus, token_prob, seed):
 
 @example(([BitextPair("s", "a")], [(0, 1)]), 1.0, 1.0, 0)
 @example(([BitextPair("s", "<agent> a"), BitextPair("s", "b")], None), 1.0, 1.0, 2**64 - 1)
+@example(([BitextPair("s", " x")], None), 1.0, 1.0, 12)
 @given(_corpora(), _fractions, _fractions, st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1))
 def test_denoise_corpus_matches_per_record_seed_sequences(corpus, pair_fraction, token_prob, seed):
     pairs, spans = corpus
     cfg = DenoiseConfig(pair_fraction=pair_fraction, token_prob=token_prob, seed=seed)
     assert _denoised(denoise_corpus, pairs, cfg, spans) == \
         _denoised(_ref_denoise_corpus, pairs, cfg, spans)
+
+
+def _denoise_accepts(pair):
+    try:
+        split_target(pair.target, pair.payload_span)
+    except DenoiseFormatError:
+        return False
+    return True
+
+
+@example(([BitextPair("s", " x")], None), "tsv", 1.0, 1.0, 12)
+@given(_corpora(), st.sampled_from(BITEXT_FORMATS), _fractions, _fractions,
+       st.integers(0, 2**64 - 1))
+def test_denoised_output_parses_back(corpus, fmt, pair_fraction, token_prob, seed):
+    pairs = [p if fmt == "jsonl" else replace(p, payload_span=None) for p in corpus[0]]
+    # Only inputs the reader yields and denoise accepts.
+    pairs = [p for p in pairs if p.target.strip() and _denoise_accepts(p)]
+    cfg = DenoiseConfig(pair_fraction=pair_fraction, token_prob=token_prob, seed=seed)
+    noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
+    assert list(parse_bitext(write_bitext(noised, fmt), fmt)) == noised
