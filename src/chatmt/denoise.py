@@ -229,7 +229,8 @@ def denoise_corpus(
     payload_spans: Sequence[tuple[int, int] | None] | None = None,
 ) -> list[BitextPair]:
     """Noise the chosen pairs' target payloads; everything else is
-    byte-identical to the input."""
+    byte-identical to the input. A noised target left blank keeps its
+    input, and every target without a span must split, chosen or not."""
     if payload_spans is not None and len(payload_spans) != len(pairs):
         raise ValueError("payload_spans length must match pairs")
     # A split that fails names the record i it was splitting.
@@ -252,7 +253,7 @@ def denoise_corpus(
             spans = split_target(pair.target, payload_spans[i] if payload_spans else None)
             noised = denoise_tokens(spans.payload, cfg, _record_rng(rng, words))
             target = spans.head + " ".join(noised) + spans.tail
-            # A target the bitext reader would refuse as empty keeps its input.
+            # The bitext reader would refuse a blank target as empty.
             if target.strip():
                 out[i] = BitextPair(pair.source, target, pair.origin, pair.payload_span)
     except DenoiseFormatError as exc:
