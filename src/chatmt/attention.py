@@ -3,7 +3,10 @@ model diversity: cumulative-average context (AAN-style) and
 talking-heads attention, plus the standard scaled dot-product baseline.
 
 Dense numpy, no masking, no gradients; these exist so the formulas are
-executable and testable, not for training.
+executable and testable, not for training. Each kernel works in place
+only on temporaries it allocated itself (never on an argument: for a
+float64 input, np.asarray returns the caller's own array), and mixes
+heads through BLAS.
 """
 from __future__ import annotations
 
@@ -64,14 +67,18 @@ def aan_context(y: np.ndarray, ffn: FfnParams) -> np.ndarray:
     if y.ndim != 2 or y.shape[0] < 1:
         raise ValueError("y must be a (t, d) matrix with t >= 1")
     t = y.shape[0]
-    cum_mean = np.cumsum(y, axis=0) / np.arange(1, t + 1)[:, None]
+    cum_mean = np.cumsum(y, axis=0)
+    cum_mean /= np.arange(1, t + 1)[:, None]
     return ffn.apply(cum_mean)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    """Row-stabilized softmax over the last axis, computed in x itself
+    and returned: callers pass a temporary they own."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def standard_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -83,7 +90,8 @@ def standard_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarra
         raise ValueError("q and k widths differ")
     if k.shape[0] != v.shape[0]:
         raise ValueError("k and v row counts differ")
-    logits = q @ k.T / np.sqrt(q.shape[1])
+    logits = q @ k.T
+    logits /= np.sqrt(q.shape[1])
     return _softmax_rows(logits) @ v
 
 
@@ -113,9 +121,10 @@ def talking_heads_attention(
         raise ValueError("per-head shapes incompatible")
     if w_logits.shape != (h, h) or w_scores.shape != (h, h):
         raise ValueError(f"head-mixing matrices must be {h}x{h}")
-    logits = q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[2])
-    mixed_logits = np.einsum("hmn,hg->gmn", logits, w_logits)
-    probs = _softmax_rows(mixed_logits)
-    mixed_scores = np.einsum("hmn,hg->gmn", probs, w_scores)
+    logits = q @ k.transpose(0, 2, 1)
+    logits /= np.sqrt(q.shape[2])
+    # optimize=True contracts the head axis through BLAS, not einsum's loop.
+    probs = _softmax_rows(np.einsum("hmn,hg->gmn", logits, w_logits, optimize=True))
+    mixed_scores = np.einsum("hmn,hg->gmn", probs, w_scores, optimize=True)
     return mixed_scores @ v
 

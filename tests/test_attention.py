@@ -182,3 +182,109 @@ class TestTalkingHeads:
         v = np.zeros((2, 5, 3))
         with pytest.raises(ValueError):
             talking_heads_attention(q, k, v, np.eye(3), np.eye(2))
+
+
+# ------------------------------------------- the out-of-place formulas
+# The kernels compute in temporaries they own; these are the formulas
+# they replaced, one fresh array per step, kept as the references.
+
+HEADS, SEQ, HEAD_DIM = 8, 512, 64  # perfbench/kernels.py's shapes
+AAN_DIM, AAN_FF = 512, 1024
+
+
+def _ref_softmax_rows(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def _ref_aan(y, ffn):
+    y = np.asarray(y, dtype=float)
+    return ffn.apply(np.cumsum(y, axis=0) / np.arange(1, y.shape[0] + 1)[:, None])
+
+
+def _ref_standard(q, k, v):
+    q, k, v = (np.asarray(a, dtype=float) for a in (q, k, v))
+    return _ref_softmax_rows(q @ k.T / np.sqrt(q.shape[1])) @ v
+
+
+def _ref_talking_heads(q, k, v, wl, ws):
+    q, k, v, wl, ws = (np.asarray(a, dtype=float) for a in (q, k, v, wl, ws))
+    logits = q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[2])
+    probs = _ref_softmax_rows(np.einsum("hmn,hg->gmn", logits, wl))
+    return np.einsum("hmn,hg->gmn", probs, ws) @ v
+
+
+def _bench_inputs(seed):
+    rng = np.random.default_rng(seed)
+    ffn = FfnParams(
+        w1=rng.normal(size=(AAN_DIM, AAN_FF)) / np.sqrt(AAN_DIM),
+        b1=rng.normal(size=AAN_FF),
+        w2=rng.normal(size=(AAN_FF, AAN_DIM)) / np.sqrt(AAN_FF),
+        b2=rng.normal(size=AAN_DIM),
+    )
+    q, k, v = (rng.normal(size=(HEADS, SEQ, HEAD_DIM)) for _ in range(3))
+    wl, ws = (rng.normal(size=(HEADS, HEADS)) / HEADS for _ in range(2))
+    return rng.normal(size=(SEQ, AAN_DIM)), ffn, q, k, v, wl, ws
+
+
+def _unchanged_after(kernel, *args):
+    before = [np.array(a, copy=True) for a in args]
+    out = kernel(*args)
+    for a, b in zip(args, before):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+    return out
+
+
+class TestInPlaceKernels:
+    def test_no_argument_changes(self):
+        rng = np.random.default_rng(10)
+        h, m, n, d = 3, 6, 7, 5
+        q = rng.normal(size=(h, m, d))
+        k = rng.normal(size=(h, n, d))
+        v = rng.normal(size=(h, n, 4))
+        k_t = np.ascontiguousarray(k.transpose(0, 2, 1)).transpose(0, 2, 1)
+        w = rng.normal(size=(h, h))
+        assert not k_t.flags.c_contiguous
+        for kk in (k, k_t):
+            _unchanged_after(talking_heads_attention, q, kk, v, w, w.T)
+            for i in range(h):
+                # q[i] is a view into q, kk[i] a transposed view for k_t.
+                _unchanged_after(standard_attention, q[i], kk[i], v[i])
+        ffn = FfnParams(w1=rng.normal(size=(d, 8)), b1=rng.normal(size=8),
+                        w2=rng.normal(size=(8, d)), b2=rng.normal(size=d))
+        weights = [np.array(a, copy=True) for a in (ffn.w1, ffn.b1, ffn.w2, ffn.b2)]
+        for y in (q[0], k_t[0], q[0][::-1]):
+            _unchanged_after(lambda y: aan_context(y, ffn), y)
+        for a, b in zip((ffn.w1, ffn.b1, ffn.w2, ffn.b2), weights):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equal_to_out_of_place_formulas(self, seed):
+        y, ffn, q, k, v, wl, ws = _bench_inputs(seed)
+        assert np.array_equal(_unchanged_after(lambda y: aan_context(y, ffn), y),
+                              _ref_aan(y, ffn))
+        for h in range(HEADS):
+            assert np.array_equal(_unchanged_after(standard_attention, q[h], k[h], v[h]),
+                                  _ref_standard(q[h], k[h], v[h]))
+        out = _unchanged_after(talking_heads_attention, q, k, v, wl, ws)
+        assert np.abs(out - _ref_talking_heads(q, k, v, wl, ws)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+    def test_int_and_float32_inputs_give_float64(self, dtype):
+        rng = np.random.default_rng(11)
+        h, m, n, d = 4, 9, 11, 6
+        q, k, v = (rng.integers(-3, 4, size=(h, rows, d)).astype(dtype)
+                   for rows in (m, n, n))
+        wl, ws = (rng.integers(-2, 3, size=(h, h)).astype(dtype) for _ in range(2))
+        y = rng.integers(-5, 6, size=(m, d)).astype(dtype)
+        ffn = FfnParams(w1=rng.normal(size=(d, 8)), b1=rng.normal(size=8),
+                        w2=rng.normal(size=(8, d)), b2=rng.normal(size=d))
+        out = _unchanged_after(lambda y: aan_context(y, ffn), y)
+        assert out.dtype == np.float64 and np.array_equal(out, _ref_aan(y, ffn))
+        out = _unchanged_after(standard_attention, q[0], k[0], v[0])
+        assert out.dtype == np.float64
+        assert np.array_equal(out, _ref_standard(q[0], k[0], v[0]))
+        out = _unchanged_after(talking_heads_attention, q, k, v, wl, ws)
+        assert out.dtype == np.float64
+        assert np.abs(out - _ref_talking_heads(q, k, v, wl, ws)).max() <= 1e-12
