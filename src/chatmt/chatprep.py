@@ -30,6 +30,10 @@ RESERVED_TAGS = (BT_TAG, AGENT_TAG, CUSTOMER_TAG, CONTEXT_TAG, SEP_TAG)
 LEADING_TAGS = (AGENT_TAG, CUSTOMER_TAG, BT_TAG)
 _RESERVED_TAG = re.compile("|".join(map(re.escape, RESERVED_TAGS)))
 _SEP = f" {SEP_TAG} "
+# What split_tags looks for: the context indicator after the payload, and
+# each leading tag with the space that ends it.
+_CONTEXT_START = f" {CONTEXT_TAG}"
+_LEADING_WITH_SPACE = tuple((tag, tag + " ") for tag in LEADING_TAGS)
 
 # The agent side of the WMT'22 chat task speaks English; the customer
 # speaks the other language of the pair.
@@ -112,10 +116,10 @@ def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig) -> BitextPai
 def split_tags(text: str) -> tuple[str, str, str]:
     """Split a chat line into (leading tag or "", payload, suffix). The
     suffix runs from the first " <context begins>" to the end, or is ""."""
-    head, sep, tail = text.partition(f" {CONTEXT_TAG}")
-    for tag in LEADING_TAGS:
-        if head.startswith(tag + " "):
-            return tag, head[len(tag) + 1 :], sep + tail
+    head, sep, tail = text.partition(_CONTEXT_START)
+    for tag, opener in _LEADING_WITH_SPACE:
+        if head.startswith(opener):
+            return tag, head[len(opener) :], sep + tail
         if head == tag:
             return tag, "", sep + tail
     return "", head, sep + tail

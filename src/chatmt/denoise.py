@@ -197,6 +197,13 @@ def _split_chat_line(target: str) -> tuple[str, str, str]:
     return tag, payload, tail
 
 
+def _check_span(target: str, span: tuple[int, int]) -> None:
+    """Refuse a (start, end) span outside the target's single-space tokens."""
+    start, end = span
+    if not 0 <= start <= end <= target.count(" ") + 1:
+        raise DenoiseFormatError(f"span {span} out of range for {target!r}")
+
+
 def split_target(
     target: str, payload_span: tuple[int, int] | None = None
 ) -> TargetSpans:
@@ -208,12 +215,9 @@ def split_target(
     `chatprep.split_tags`. Either split rebuilds the line by construction.
     """
     if payload_span is not None:
+        _check_span(target, payload_span)
         tokens = target.split(" ")
         start, end = payload_span
-        if not 0 <= start <= end <= len(tokens):
-            raise DenoiseFormatError(
-                f"span {payload_span} out of range for {target!r}"
-            )
         if start == end:
             return TargetSpans(target, (), "")
         return TargetSpans(" ".join(tokens[:start]) + " " if start else "",
@@ -230,28 +234,32 @@ def denoise_corpus(
 ) -> list[BitextPair]:
     """Noise the chosen pairs' target payloads; everything else is
     byte-identical to the input. A noised target left blank keeps its
-    input, and every target without a span must split, chosen or not."""
+    input. Every record is checked as if chosen, in input order, so that
+    the seed cannot decide what is accepted: a span must be in range and
+    a target without one must split."""
     if payload_spans is not None and len(payload_spans) != len(pairs):
         raise ValueError("payload_spans length must match pairs")
-    # A split that fails names the record i it was splitting.
-    try:
-        # Chosen or not, so that the seed cannot decide what is accepted.
-        for i, pair in enumerate(pairs):
-            if payload_spans is None or payload_spans[i] is None:
-                _split_chat_line(pair.target)
-        chosen = choose_pairs(len(pairs), cfg)
-        out = list(pairs)
-        if not chosen:
-            return out
+    chosen = choose_pairs(len(pairs), cfg)
+    out = list(pairs)
+    if chosen:
         import numpy as np
 
-        order = sorted(chosen)
         # Its seed does not matter: _record_rng sets the whole state per record.
         rng = np.random.Generator(np.random.PCG64(0))
-        for i, words in zip(order, _record_states(cfg.seed, order)):
-            pair = pairs[i]
-            spans = split_target(pair.target, payload_spans[i] if payload_spans else None)
-            noised = denoise_tokens(spans.payload, cfg, _record_rng(rng, words))
+        # One row per chosen record, taken in input order.
+        states = iter(_record_states(cfg.seed, sorted(chosen)))
+    # A check or split that fails names the record i it was on.
+    try:
+        for i, pair in enumerate(pairs):
+            span = payload_spans[i] if payload_spans else None
+            if i not in chosen:
+                if span is None:
+                    _split_chat_line(pair.target)
+                else:
+                    _check_span(pair.target, span)
+                continue
+            spans = split_target(pair.target, span)
+            noised = denoise_tokens(spans.payload, cfg, _record_rng(rng, next(states)))
             target = spans.head + " ".join(noised) + spans.tail
             # The bitext reader would refuse a blank target as empty.
             if target.strip():

@@ -29,6 +29,9 @@ RULE_DEDUP = "dedup"
 RULE_RATIO = "ratio"
 # Rules that can drop a pair, in application order.
 DROP_RULES = (RULE_LENGTH, RULE_DEDUP, RULE_RATIO)
+# Why the length rule (the first two) or the ratio rule (the last two)
+# dropped a pair, as _length_reason and _ratio_reason return it.
+DROP_REASONS = ("sentence_too_long", "word_too_long", "empty_side", "ratio")
 
 # Pinned normalization mapping: curly quotes, guillemets, dashes,
 # ellipsis, and exotic spaces, applied bit-exact and idempotent.
@@ -76,12 +79,17 @@ class FilterReport:
     dropped_by_rule: dict = field(
         default_factory=lambda: {r: 0 for r in DROP_RULES}
     )
+    # Sums to the length and ratio drops of dropped_by_rule.
+    dropped_by_reason: dict = field(
+        default_factory=lambda: {r: 0 for r in DROP_REASONS}
+    )
 
     def as_dict(self) -> dict:
         return {
             "input_count": self.input_count,
             "kept_count": self.kept_count,
             "dropped_by_rule": dict(self.dropped_by_rule),
+            "dropped_by_reason": dict(self.dropped_by_reason),
         }
 
 
@@ -122,16 +130,20 @@ def filter_corpus(
         target = normalize_punctuation(pair.target)
         src_words = source.split()
         tgt_words = target.split()
-        if _length_reason(src_words, tgt_words, cfg):
+        reason = _length_reason(src_words, tgt_words, cfg)
+        if reason:
             report.dropped_by_rule[RULE_LENGTH] += 1
+            report.dropped_by_reason[reason] += 1
             continue
         key = (source, target)
         if key in seen:
             report.dropped_by_rule[RULE_DEDUP] += 1
             continue
         seen.add(key)
-        if _ratio_reason(len(src_words), len(tgt_words), cfg):
+        reason = _ratio_reason(len(src_words), len(tgt_words), cfg)
+        if reason:
             report.dropped_by_rule[RULE_RATIO] += 1
+            report.dropped_by_reason[reason] += 1
             continue
         report.kept_count += 1
         kept.append(BitextPair(source, target, pair.origin))

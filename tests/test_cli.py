@@ -70,6 +70,25 @@ def test_filter_micro_corpus(tmp_path):
     assert len(out.read_text().splitlines()) == 7
 
 
+# empty_side has no case here: the bitext readers refuse a blank side, and
+# normalization never blanks a side that is not blank already.
+@pytest.mark.parametrize("line, reason", [
+    (" ".join(["w"] * 101) + "\tok", "sentence_too_long"),
+    ("ok\t" + "x" * 41, "word_too_long"),
+    ("one\ta b c d e", "ratio"),
+])
+def test_filter_reports_drop_sub_reason(tmp_path, line, reason):
+    src = tmp_path / "in.tsv"
+    src.write_text(f"kept pair\tbehalten\n{line}\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert run(["filter", "--in", str(src), "--out", str(tmp_path / "o.tsv"),
+                "--report", str(report)]) == 0
+    rep = json.loads(report.read_text())
+    want = {"sentence_too_long": 0, "word_too_long": 0, "empty_side": 0, "ratio": 0}
+    assert rep["dropped_by_reason"] == {**want, reason: 1}
+    assert rep["dropped_by_rule"]["length"] + rep["dropped_by_rule"]["ratio"] == 1
+
+
 def test_filter_missing_input_exits_1(tmp_path):
     assert run(["filter", "--in", str(tmp_path / "nope.tsv"),
                 "--out", str(tmp_path / "o.tsv")]) == 1

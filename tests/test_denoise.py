@@ -191,6 +191,23 @@ class TestDenoiseCorpus:
             with pytest.raises(DenoiseFormatError, match="record 5: empty payload"):
                 denoise_corpus(pairs, cfg)
 
+    @pytest.mark.parametrize("pair_fraction", [0.0, 0.5, 1.0])
+    def test_first_out_of_range_span_whether_chosen_or_not(self, pair_fraction):
+        pairs = [BitextPair("s", "a b", payload_span=(0, 5))]
+        for seed in range(4):
+            cfg = DenoiseConfig(pair_fraction=pair_fraction, seed=seed)
+            with pytest.raises(DenoiseFormatError, match=r"record 0: span \(0, 5\) out of range"):
+                denoise_corpus(pairs, cfg, [(0, 5)])
+        # A bad span ahead of an unsplittable target is the one reported.
+        pairs = make_corpus(8, with_structure=True)
+        pairs[6] = BitextPair("s", "<agent> <context begins> x")
+        spans = [None] * 8
+        spans[3] = (1, pairs[3].target.count(" ") + 2)
+        for seed in range(8):
+            cfg = DenoiseConfig(pair_fraction=pair_fraction, seed=seed)
+            with pytest.raises(DenoiseFormatError, match=r"record 3: span"):
+                denoise_corpus(pairs, cfg, spans)
+
     def test_blank_noised_target_keeps_its_input(self):
         # Seed 12 draws the empty token for both tokens of " x".
         cfg = DenoiseConfig(pair_fraction=1.0, token_prob=1.0, seed=12)
@@ -369,9 +386,10 @@ def test_record_states_match_numpy(seed, indices):
 
 # Copies of denoise_tokens and denoise_corpus as they were when every
 # chosen record built its own SeedSequence, PCG64 and Generator, splitting
-# targets with _ref_split_target; denoise_corpus with two rules added since:
-# every target without a span is split before choosing, and a noised
-# target left blank keeps its input.
+# targets with _ref_split_target; denoise_corpus with three rules added
+# since: every target without a span is split before choosing, so is
+# every target with one (its span range-checked), and a noised target
+# left blank keeps its input.
 
 def _ref_denoise_tokens(tokens, cfg, rng):
     n = len(tokens)
@@ -389,11 +407,10 @@ def _ref_denoise_corpus(pairs, cfg, payload_spans=None):
     if payload_spans is not None and len(payload_spans) != len(pairs):
         raise ValueError("payload_spans length must match pairs")
     for i, pair in enumerate(pairs):
-        if payload_spans is None or payload_spans[i] is None:
-            try:
-                _ref_split_target(pair.target)
-            except DenoiseFormatError as exc:
-                raise DenoiseFormatError(exc.reason, i) from exc
+        try:
+            _ref_split_target(pair.target, payload_spans[i] if payload_spans is not None else None)
+        except DenoiseFormatError as exc:
+            raise DenoiseFormatError(exc.reason, i) from exc
     chosen = choose_pairs(len(pairs), cfg)
     out = []
     for i, pair in enumerate(pairs):
@@ -451,6 +468,7 @@ def test_every_in_range_span_denoises(corpus, token_prob, seed):
 
 
 @example(([BitextPair("s", "a")], [(0, 1)]), 1.0, 1.0, 0)
+@example(([BitextPair("s", "a b", payload_span=(0, 5))], [(0, 5)]), 0.0, 1.0, 0)
 @example(([BitextPair("s", "<agent> a"), BitextPair("s", "b")], None), 1.0, 1.0, 2**64 - 1)
 @example(([BitextPair("s", " x")], None), 1.0, 1.0, 12)
 @given(_corpora(), _fractions, _fractions, st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1))

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from chatmt.corpus import ORIGINS, BitextPair
 from chatmt.filtering import (
     _CHAR_MAP,
+    DROP_REASONS,
     DROP_RULES,
     RULE_LENGTH,
     RULE_RATIO,
@@ -122,6 +123,9 @@ class TestRatio:
     def test_empty_side(self):
         assert dropped_by(" ", "x") == RULE_RATIO
         assert ratio_reason(" ", "x") == "empty_side"
+        # The bitext readers refuse a blank side, so only this API sees one.
+        _, report = filter_corpus([BitextPair(" ", "x"), BitextPair("y", "\u00a0")], CFG)
+        assert report.dropped_by_reason == {**dict.fromkeys(DROP_REASONS, 0), "empty_side": 2}
 
     @given(st.integers(1, 30), st.integers(1, 30))
     def test_symmetric(self, ns, nt):
@@ -200,21 +204,24 @@ def reference_filter(pairs, cfg):
         return "ratio" if max(n_src, n_tgt) > cfg.max_ratio * min(n_src, n_tgt) else None
 
     kept, dropped, seen = [], dict.fromkeys(DROP_RULES, 0), set()
+    reasons = dict.fromkeys(DROP_REASONS, 0)
     for pair in pairs:
         pair = BitextPair(reference_normalize(pair.source), reference_normalize(pair.target),
                           pair.origin)
-        if length_reason(pair):
+        if reason := length_reason(pair):
             dropped["length"] += 1
+            reasons[reason] += 1
             continue
         if (pair.source, pair.target) in seen:
             dropped["dedup"] += 1
             continue
         seen.add((pair.source, pair.target))
-        if ratio_reason(pair):
+        if reason := ratio_reason(pair):
             dropped["ratio"] += 1
+            reasons[reason] += 1
             continue
         kept.append(pair)
-    return kept, dropped
+    return kept, dropped, reasons
 
 
 # Pieces that join into sides with words of 1-6 characters (the ellipsis
@@ -234,9 +241,11 @@ _pairs = st.builds(BitextPair, _sides, _sides, st.sampled_from(ORIGINS),
 )
 def test_filter_corpus_matches_reference(pairs, cfg):
     kept, report = filter_corpus(pairs, cfg)
-    want_kept, want_dropped = reference_filter(pairs, cfg)
+    want_kept, want_dropped, want_reasons = reference_filter(pairs, cfg)
     assert kept == want_kept
     assert report.dropped_by_rule == want_dropped
+    assert report.dropped_by_reason == want_reasons
+    assert report.as_dict()["dropped_by_reason"] == want_reasons
     assert report.kept_count == len(kept)
     assert all(p.payload_span is None for p in kept)
 
