@@ -130,8 +130,7 @@ def filter_corpus(
         target = normalize_punctuation(pair.target)
         src_words = source.split()
         tgt_words = target.split()
-        reason = _length_reason(src_words, tgt_words, cfg)
-        if reason:
+        if reason := _length_reason(src_words, tgt_words, cfg):
             report.dropped_by_rule[RULE_LENGTH] += 1
             report.dropped_by_reason[reason] += 1
             continue
@@ -140,8 +139,7 @@ def filter_corpus(
             report.dropped_by_rule[RULE_DEDUP] += 1
             continue
         seen.add(key)
-        reason = _ratio_reason(len(src_words), len(tgt_words), cfg)
-        if reason:
+        if reason := _ratio_reason(len(src_words), len(tgt_words), cfg):
             report.dropped_by_rule[RULE_RATIO] += 1
             report.dropped_by_reason[reason] += 1
             continue
