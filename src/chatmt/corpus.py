@@ -55,7 +55,11 @@ def check_field_types(cfg) -> None:
             raise ValueError(f"{f.name} must be {name}, got {value!r}")
 
 
-@dataclass(frozen=True)
+# BitextPair and ChatRecord are slotted and mutable: the stages build one
+# per line, and a frozen dataclass, whose __init__ sets each field through
+# object.__setattr__, costs about 3x as much to build. No stage writes into
+# a record it is given (tests/test_records.py).
+@dataclass(slots=True)
 class BitextPair:
     source: str
     target: str
@@ -65,7 +69,7 @@ class BitextPair:
     payload_span: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChatRecord:
     dialogue_id: str
     turn_index: int
