@@ -123,6 +123,15 @@ def _require_output(path: str) -> None:
         raise UsageError(f"output must be a file in an existing directory: {path}")
 
 
+def _require_distinct_report(report: str | None, paths: Iterable[str | None]) -> None:
+    """Refuse a report path that resolves to a file the command reads or
+    writes: the report, written last, would replace it."""
+    if report:
+        for path in paths:
+            if path and os.path.realpath(path) == os.path.realpath(report):
+                raise UsageError(f"--report {report} is the same file as {path}")
+
+
 def _stage_config(config_cls, values: dict):
     """A stage's config from option values keyed by field name; options
     left out keep the config dataclass's default."""
@@ -306,6 +315,8 @@ def _run_pipeline(args) -> dict:
     # The top-level seed is denoise's default seed.
     den_options = {"seed": cfg["seed"], **den} if "seed" in cfg else den
     denoise_cfg = _stage_config(DenoiseConfig, den_options)
+    _require_distinct_report(args.report, (section.get(key) for section in (filt, chat, den)
+                                           for key in ("input", "output")))
     _require_input(filt["input"])
     _require_input(chat["input"])
 
@@ -396,6 +407,10 @@ def _main(argv) -> int:
         args = parser.parse_args(argv)
         if args.report:
             _require_output(args.report)
+            # The paths each command names on its command line; pipeline
+            # checks its stages' paths once it has read its config.
+            _require_distinct_report(args.report, [
+                getattr(args, name, None) for name in ("infile", "outfile", "scores", "config")])
         report = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -662,3 +662,49 @@ def test_cli_import_leaves_numpy_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def _files(root):
+    return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (["filter", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"], "out.tsv"),
+    (["filter", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"], "bitext.tsv"),
+    (["chatprep", "--in", "{tmp}/chat.jsonl", "--out", "{tmp}/out.tsv"], "out.tsv"),
+    (["chatprep", "--in", "{tmp}/chat.jsonl", "--out", "{tmp}/out.tsv"], "chat.jsonl"),
+    (["denoise", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"], "out.tsv"),
+    (["denoise", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"], "bitext.tsv"),
+    (["bsce-select", "--scores", "{tmp}/scores.json", "--ensemble-size", "1",
+      "--out", "{tmp}/sel.json"], "sel.json"),
+    (["bsce-select", "--scores", "{tmp}/scores.json", "--ensemble-size", "1"], "scores.json"),
+    (["pipeline", "{tmp}/pipeline.json"], "pipeline.json"),
+    (["pipeline", "{tmp}/pipeline.json"], "bitext.tsv"),
+    (["pipeline", "{tmp}/pipeline.json"], "chat.jsonl"),
+    (["pipeline", "{tmp}/pipeline.json"], "filtered.tsv"),
+    (["pipeline", "{tmp}/pipeline.json"], "prepped.tsv"),
+    (["pipeline", "{tmp}/pipeline.json"], "noised.tsv"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_report_on_a_path_the_command_uses_exits_1_before_reading(tmp_path, capsys, argv, clash):
+    make_pipeline_config(tmp_path)
+    (tmp_path / "out.tsv").write_text("keep me\n", encoding="utf-8")
+    (tmp_path / "scores.json").write_text(json.dumps({
+        "models": ["a", "b"], "comet": [0.1, 0.2], "pairwise": [[0, 0.5], [0.5, 0]],
+    }), encoding="utf-8")
+    before = _files(tmp_path)
+    report = str(tmp_path / clash)
+    assert run([arg.format(tmp=tmp_path) for arg in argv] + ["--report", report]) == 1
+    assert f"--report {report} is the same file as {report}" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+def test_report_through_a_symlink_to_the_input_exits_1(tmp_path, capsys):
+    src = tmp_path / "in.tsv"
+    write_micro_corpus(src)
+    link = tmp_path / "link.json"
+    link.symlink_to(src)
+    before = src.read_bytes()
+    out = tmp_path / "out.tsv"
+    assert run(["filter", "--in", str(src), "--out", str(out), "--report", str(link)]) == 1
+    assert f"--report {link} is the same file as {src}" in capsys.readouterr().err
+    assert src.read_bytes() == before and not out.exists()
