@@ -67,10 +67,6 @@ def check_no_reserved_tags(text: str, where: str = "input") -> None:
         raise TagError(f"{where} contains a reserved tag: {text!r}")
 
 
-def speaker_tag(speaker: str) -> str:
-    return AGENT_TAG if speaker == AGENT else CUSTOMER_TAG
-
-
 def _own_language_side(rec: ChatRecord) -> tuple[str, str]:
     """(own-language text, translation text) for the turn's speaker."""
     src_is_own = (
@@ -94,10 +90,10 @@ def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig) -> BitextPai
     cur = d.turns[turn_index]
     source, target = cur.src_text, cur.tgt_text
     if cfg.speaker_tags:
-        tag = speaker_tag(cur.speaker)
+        tag = AGENT_TAG if cur.speaker == AGENT else CUSTOMER_TAG
         source, target = f"{tag} {source}", f"{tag} {target}"
 
-    k = min(cfg.n_prev, turn_index)
+    k = cfg.n_prev if cfg.n_prev < turn_index else turn_index
     if k == 0:
         return BitextPair(source, target)
     # Most recent context first.
@@ -140,10 +136,12 @@ def prepare_chat_corpus(
     search = _RESERVED_TAG.search
     for d in dialogues:
         for rec in d.turns:
-            # The message is built only for a text that holds a tag.
-            if search(rec.src_text) or search(rec.tgt_text):
+            # Every reserved tag starts with "<"; the message is built
+            # only for a text that holds a tag.
+            src, tgt = rec.src_text, rec.tgt_text
+            if ("<" in src and search(src)) or ("<" in tgt and search(tgt)):
                 where = f"{d.dialogue_id}/{rec.turn_index}"
-                check_no_reserved_tags(rec.src_text, f"{where} src_text")
-                check_no_reserved_tags(rec.tgt_text, f"{where} tgt_text")
+                check_no_reserved_tags(src, f"{where} src_text")
+                check_no_reserved_tags(tgt, f"{where} tgt_text")
         for rec in d.turns:
             yield build_context(d, rec.turn_index, cfg)

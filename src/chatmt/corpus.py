@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 GENUINE = "genuine"
@@ -23,6 +24,8 @@ SPEAKERS = (AGENT, CUSTOMER)
 BITEXT_FORMATS = ("tsv", "jsonl")
 
 _CHAT_STR_FIELDS = ("dialogue_id", "speaker", "src_text", "tgt_text", "src_lang", "tgt_lang")
+# The C scanner behind json.loads, without its wrapper's per-call checks.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class CorpusError(ValueError):
@@ -80,6 +83,11 @@ class ChatRecord:
     tgt_lang: str
 
 
+# A chat line's values in ChatRecord's field order; a missing key raises
+# KeyError naming the first one missing.
+_chat_fields = itemgetter(*(f.name for f in fields(ChatRecord)))
+
+
 @dataclass(frozen=True)
 class Dialogue:
     dialogue_id: str
@@ -105,19 +113,30 @@ class ParseStats:
         return line
 
 
+# `not s or s.isspace()` is `not s.strip()` without the copy.
 def _check_pair_fields(source: str, target: str, line: int) -> None:
-    if not source.strip():
+    if not source or source.isspace():
         raise CorpusError("empty source side", line)
-    if not target.strip():
+    if not target or target.isspace():
         raise CorpusError("empty target side", line)
 
 
 def _loads(raw: str, line: int):
     """Decode one JSON line. A \\uD800-\\uDFFF escape is the only way a
     strictly decoded line can carry a lone surrogate, which UTF-8 cannot
-    encode, so only lines holding one are checked."""
+    encode, so only lines holding one are checked.
+
+    A line that is one JSON value and nothing else goes straight to the
+    decoder; any other line (whitespace or data around the value, a BOM, an
+    error) goes through json.loads, so the objects accepted and the errors
+    raised are json.loads's own."""
     try:
-        obj = json.loads(raw)
+        try:
+            obj, end = _raw_decode(raw)
+        except (ValueError, RecursionError):
+            end = None
+        if end != len(raw):
+            obj = json.loads(raw)
         if "\\u" in raw and ("\\ud" in raw or "\\uD" in raw):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -128,13 +147,12 @@ def _loads(raw: str, line: int):
 
 
 def _parse_tsv_line(raw: str, line: int) -> BitextPair:
-    if raw.count("\t") != 1:
-        raise CorpusError(
-            f"expected exactly one tab, found {raw.count(chr(9))}", line
-        )
-    source, target = raw.split("\t")
+    sides = raw.split("\t")
+    if len(sides) != 2:
+        raise CorpusError(f"expected exactly one tab, found {len(sides) - 1}", line)
+    source, target = sides
     _check_pair_fields(source, target, line)
-    return BitextPair(source=source, target=target)
+    return BitextPair(source, target)
 
 
 def _parse_jsonl_line(raw: str, line: int) -> BitextPair:
@@ -243,55 +261,46 @@ def parse_chat(lines: Iterable[str]) -> list[Dialogue]:
     (dialogue_id, turn_index) uniqueness, and that turn indices are
     contiguous from 0 within each dialogue.
     """
-    by_dialogue: dict[str, list[ChatRecord]] = {}
-    seen: set[tuple[str, int]] = set()
+    by_dialogue: dict[str, dict[int, ChatRecord]] = {}
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
             continue
         obj = _loads(raw, lineno)
+        if type(obj) is not dict:
+            raise CorpusError("expected a JSON object", lineno)
         try:
-            rec = ChatRecord(
-                dialogue_id=obj["dialogue_id"],
-                turn_index=obj["turn_index"],
-                speaker=obj["speaker"],
-                src_text=obj["src_text"],
-                tgt_text=obj["tgt_text"],
-                src_lang=obj["src_lang"],
-                tgt_lang=obj["tgt_lang"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise CorpusError(f"bad chat record: {exc}", lineno) from exc
-        for name in _CHAT_STR_FIELDS:
-            if not isinstance(getattr(rec, name), str):
-                raise CorpusError(f"{name} must be a string", lineno)
+            did, turn, speaker, src_text, tgt_text, src_lang, tgt_lang = _chat_fields(obj)
+        except KeyError as exc:
+            raise CorpusError(f"missing field {exc}", lineno) from None
+        if not (type(did) is str and type(speaker) is str and type(src_text) is str
+                and type(tgt_text) is str and type(src_lang) is str and type(tgt_lang) is str):
+            name = next(name for name in _CHAT_STR_FIELDS if type(obj[name]) is not str)
+            raise CorpusError(f"{name} must be a string", lineno)
         # A blank text would make a pair side that parse_bitext refuses.
-        for name in ("src_text", "tgt_text"):
-            if not getattr(rec, name).strip():
-                raise CorpusError(f"empty {name}", lineno)
-        if rec.speaker not in SPEAKERS:
-            raise CorpusError(f"unknown speaker {rec.speaker!r}", lineno)
+        if not src_text or src_text.isspace():
+            raise CorpusError("empty src_text", lineno)
+        if not tgt_text or tgt_text.isspace():
+            raise CorpusError("empty tgt_text", lineno)
+        if speaker not in SPEAKERS:
+            raise CorpusError(f"unknown speaker {speaker!r}", lineno)
         # type(), not isinstance(): a JSON true would pass as the int 1.
-        if type(rec.turn_index) is not int or rec.turn_index < 0:
-            raise CorpusError(f"bad turn_index {rec.turn_index!r}", lineno)
-        key = (rec.dialogue_id, rec.turn_index)
-        if key in seen:
-            raise CorpusError(
-                f"duplicate turn {rec.turn_index} in dialogue {rec.dialogue_id!r}",
-                lineno,
-            )
-        seen.add(key)
-        by_dialogue.setdefault(rec.dialogue_id, []).append(rec)
+        if type(turn) is not int or turn < 0:
+            raise CorpusError(f"bad turn_index {turn!r}", lineno)
+        turns = by_dialogue.setdefault(did, {})
+        if turn in turns:
+            raise CorpusError(f"duplicate turn {turn} in dialogue {did!r}", lineno)
+        turns[turn] = ChatRecord(did, turn, speaker, src_text, tgt_text, src_lang, tgt_lang)
 
     dialogues = []
-    for did, recs in by_dialogue.items():
-        recs.sort(key=lambda r: r.turn_index)
-        for expected, rec in enumerate(recs):
-            if rec.turn_index != expected:
-                raise CorpusError(
-                    f"dialogue {did!r}: turn indices not contiguous "
-                    f"(expected {expected}, found {rec.turn_index})"
-                )
-        dialogues.append(Dialogue(dialogue_id=did, turns=tuple(recs)))
+    for did, turns in by_dialogue.items():
+        # Distinct indices >= 0 are 0..n-1 exactly when the largest is n-1.
+        if max(turns) != len(turns) - 1:
+            for expected, index in enumerate(sorted(turns)):
+                if index != expected:
+                    raise CorpusError(
+                        f"dialogue {did!r}: turn indices not contiguous "
+                        f"(expected {expected}, found {index})"
+                    )
+        dialogues.append(Dialogue(did, tuple(map(turns.__getitem__, range(len(turns))))))
     return dialogues
-

@@ -1,12 +1,16 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chatmt.corpus import (
+    SPEAKERS,
     BitextPair,
+    ChatRecord,
     CorpusError,
+    Dialogue,
     ParseStats,
+    _loads,
     parse_bitext,
     parse_chat,
     write_bitext,
@@ -155,3 +159,208 @@ def test_parse_chat_duplicate_turn_error():
 def test_parse_chat_unknown_speaker_error():
     with pytest.raises(CorpusError, match="speaker"):
         parse_chat([_chat_line("d1", 0, speaker="robot")])
+
+
+# ------------------------------------------------ reference parsers
+# The straightforward versions the parse layer replaced: json.loads, one
+# ChatRecord built by keyword, a global set of (dialogue, turn) keys and a
+# sort per dialogue. The tests below hold the fast versions to them.
+
+def _ref_loads(raw, line):
+    try:
+        obj = json.loads(raw)
+        if "\\u" in raw and ("\\ud" in raw or "\\uD" in raw):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CorpusError(f"invalid JSON: {exc}", line) from exc
+    except UnicodeEncodeError as exc:
+        raise CorpusError(f"text is not valid Unicode: {exc.reason}", line) from None
+    return obj
+
+
+def _ref_parse_chat(lines):
+    by_dialogue = {}
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        obj = _ref_loads(raw, lineno)
+        try:
+            rec = ChatRecord(
+                dialogue_id=obj["dialogue_id"], turn_index=obj["turn_index"],
+                speaker=obj["speaker"], src_text=obj["src_text"], tgt_text=obj["tgt_text"],
+                src_lang=obj["src_lang"], tgt_lang=obj["tgt_lang"],
+            )
+        except (KeyError, TypeError) as exc:
+            raise CorpusError(f"bad chat record: {exc}", lineno) from exc
+        for name in ("dialogue_id", "speaker", "src_text", "tgt_text", "src_lang", "tgt_lang"):
+            if not isinstance(getattr(rec, name), str):
+                raise CorpusError(f"{name} must be a string", lineno)
+        for name in ("src_text", "tgt_text"):
+            if not getattr(rec, name).strip():
+                raise CorpusError(f"empty {name}", lineno)
+        if rec.speaker not in SPEAKERS:
+            raise CorpusError(f"unknown speaker {rec.speaker!r}", lineno)
+        if type(rec.turn_index) is not int or rec.turn_index < 0:
+            raise CorpusError(f"bad turn_index {rec.turn_index!r}", lineno)
+        key = (rec.dialogue_id, rec.turn_index)
+        if key in seen:
+            raise CorpusError(
+                f"duplicate turn {rec.turn_index} in dialogue {rec.dialogue_id!r}", lineno)
+        seen.add(key)
+        by_dialogue.setdefault(rec.dialogue_id, []).append(rec)
+    dialogues = []
+    for did, recs in by_dialogue.items():
+        recs.sort(key=lambda r: r.turn_index)
+        for expected, rec in enumerate(recs):
+            if rec.turn_index != expected:
+                raise CorpusError(
+                    f"dialogue {did!r}: turn indices not contiguous "
+                    f"(expected {expected}, found {rec.turn_index})")
+        dialogues.append(Dialogue(dialogue_id=did, turns=tuple(recs)))
+    return dialogues
+
+
+def _outcome(parse, *args):
+    """What parse returns, or its exception's type, message and line."""
+    try:
+        return parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+_CHAT_KEYS = ("dialogue_id", "turn_index", "speaker", "src_text", "tgt_text",
+              "src_lang", "tgt_lang")
+# Per field: wrong types, blank texts ("\x1c" is whitespace to str.strip),
+# unknown speakers, turn indices that are bools, floats, negative or
+# strings, and turn indices or dialogue ids that make a gap or a duplicate.
+_TEXT_ODDITIES = ["", " ", "\x1c", " \t", 5, None, "x"]
+_ODD_VALUES = {
+    "dialogue_id": st.sampled_from([1, None, "d0", "d1", "d9"]),
+    "turn_index": st.sampled_from([True, False, 1.0, -1, "1", None, 0, 1, 2, 5, 9]),
+    "speaker": st.sampled_from(["robot", "", "Agent", 3, None]),
+    "src_text": st.sampled_from(_TEXT_ODDITIES),
+    "tgt_text": st.sampled_from(_TEXT_ODDITIES),
+    "src_lang": st.sampled_from([None, 1, ["en"], "fr"]),
+    "tgt_lang": st.sampled_from([None, 1, ["en"], "fr"]),
+}
+_NON_OBJECTS = st.sampled_from(["[1, 2]", '"text"', "3", "null", "true", "{", "[]"])
+_BLANK_LINES = st.sampled_from(["", "\n", "  \n", "\t\n"])
+
+
+@st.composite
+def _chat_corpora(draw):
+    """Lines of a few dialogues in shuffled order, most often well formed,
+    with up to three faults: a field set to an odd value or dropped, a
+    missing line, a duplicated line, a non-object line and blank lines."""
+    records = []
+    for d in range(draw(st.integers(1, 3))):
+        for turn in range(draw(st.integers(1, 4))):
+            records.append({
+                "dialogue_id": f"d{d}", "turn_index": turn,
+                "speaker": draw(st.sampled_from(SPEAKERS)),
+                "src_text": draw(st.sampled_from(["hallo", "wie geht's", "ä b"])),
+                "tgt_text": draw(st.sampled_from(["hello", "how are you", "a b"])),
+                "src_lang": "de", "tgt_lang": "en",
+            })
+    records = draw(st.permutations(records))
+    lines = [json.dumps(rec) + "\n" for rec in records]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fault = draw(st.sampled_from(
+            ["value", "drop", "gap", "duplicate", "non_object", "blank"]))
+        if fault in ("value", "drop"):
+            rec = dict(records[draw(st.integers(0, len(records) - 1))])
+            # Faults in more fields than one put the checks' order to the test.
+            for key in draw(st.lists(st.sampled_from(_CHAT_KEYS), min_size=1, max_size=3,
+                                     unique=True)):
+                if fault == "value":
+                    rec[key] = draw(_ODD_VALUES[key])
+                else:
+                    del rec[key]
+            lines[i] = json.dumps(rec) + "\n"
+        elif fault == "gap":
+            if len(lines) > 1:
+                del lines[i]
+        elif fault == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif fault == "non_object":
+            lines.insert(i, draw(_NON_OBJECTS) + "\n")
+        else:
+            lines.insert(i, draw(_BLANK_LINES))
+    return lines
+
+
+def _worded_as_now(outcome):
+    """The reference's outcome with its two old messages for a record that
+    is not an object or lacks a field, worded as the bitext reader words
+    them."""
+    if not isinstance(outcome, tuple):
+        return outcome
+    kind, message, line = outcome
+    old = message.removeprefix(f"line {line}: bad chat record: ")
+    if old == message:
+        return outcome
+    # A KeyError's message is the missing key's repr; any other is a TypeError.
+    if old in map(repr, _CHAT_KEYS):
+        return kind, f"line {line}: missing field {old}", line
+    return kind, f"line {line}: expected a JSON object", line
+
+
+# One fault in a few hundred corpora is a blank text or an odd language
+# with no earlier fault to mask it; the default 100 examples miss some.
+def _odd_chat_line(**fields):
+    return json.dumps({**json.loads(_chat_line("d0", 0)), **fields})
+
+
+@settings(max_examples=600)
+@given(_chat_corpora())
+@example([_odd_chat_line(src_text="\x1c")])
+@example([_odd_chat_line(tgt_text=" ")])
+@example([_odd_chat_line(speaker="robot", tgt_text="")])
+@example([_odd_chat_line(turn_index=True, src_lang=1)])
+@example([_chat_line("d0", 1), _chat_line("d1", 0), _chat_line("d0", 0), _chat_line("d0", 1)])
+def test_parse_chat_matches_reference(lines):
+    assert _outcome(parse_chat, lines) == _worded_as_now(_outcome(_ref_parse_chat, lines))
+
+
+def test_parse_chat_reference_messages_are_mapped():
+    record = json.loads(_chat_line("d1", 0))
+    del record["speaker"]
+    for line, now in [("[1, 2]", "expected a JSON object"), ('"text"', "expected a JSON object"),
+                      ("3", "expected a JSON object"), ("null", "expected a JSON object"),
+                      (json.dumps(record), "missing field 'speaker'")]:
+        expected = (CorpusError, f"line 1: {now}", 1)
+        assert _outcome(parse_chat, [line]) == expected
+        assert _worded_as_now(_outcome(_ref_parse_chat, [line])) == expected
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(_json_chars | _surrogates),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(_json_chars, max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+_JSON_ODD_LINES = st.sampled_from([
+    "NaN", "-Infinity", '{"a": Infinity}', '"\\ud800"', '["x \\uDFFF"]',
+    '"\\ud83d\\ude00"', "[" * 100_000 + "]" * 100_000, "", "{", "[1,]", '{"a" 1}',
+    "1 2", "tru", "\ufeff{}", "{} {}",
+])
+
+
+@st.composite
+def _json_lines(draw):
+    raw = json.dumps(draw(_json_values), ensure_ascii=draw(st.booleans()))
+    around = st.sampled_from(["", " ", "\t", " \t "])
+    head = draw(around | st.just("\ufeff"))
+    tail = draw(around | st.sampled_from([" 1", "x", "}", "]", ","]))
+    return head + raw + tail
+
+
+@given(_json_lines() | _JSON_ODD_LINES, st.integers(1, 10**6))
+def test_loads_matches_json_loads(raw, line):
+    # repr tells NaN from NaN and -0.0 from 0.0, where == cannot.
+    now, ref = _outcome(_loads, raw, line), _outcome(_ref_loads, raw, line)
+    assert (now if isinstance(now, tuple) else repr(now)) == \
+        (ref if isinstance(ref, tuple) else repr(ref))
