@@ -123,13 +123,20 @@ def _require_output(path: str) -> None:
         raise UsageError(f"output must be a file in an existing directory: {path}")
 
 
-def _require_distinct_report(report: str | None, paths: Iterable[str | None]) -> None:
-    """Refuse a report path that resolves to a file the command reads or
-    writes: the report, written last, would replace it."""
-    if report:
-        for path in paths:
-            if path and os.path.realpath(path) == os.path.realpath(report):
-                raise UsageError(f"--report {report} is the same file as {path}")
+def _require_distinct_outputs(outputs: Iterable[tuple[str, str | None]],
+                              used: Iterable[tuple[str, str | None]]) -> None:
+    """Refuse an output that resolves (os.path.realpath) to a path in `used`
+    or to an output listed before it: writing it would replace or, on a
+    failed run, delete that file. Both hold (name, path) pairs, and a None
+    path is left out."""
+    seen = [(name, path, os.path.realpath(path)) for name, path in used if path]
+    for name, path in outputs:
+        if path:
+            real = os.path.realpath(path)
+            for other_name, other, other_real in seen:
+                if real == other_real:
+                    raise UsageError(f"{name} {path} is the same file as {other} ({other_name})")
+            seen.append((name, path, real))
 
 
 def _stage_config(config_cls, values: dict):
@@ -315,8 +322,15 @@ def _run_pipeline(args) -> dict:
     # The top-level seed is denoise's default seed.
     den_options = {"seed": cfg["seed"], **den} if "seed" in cfg else den
     denoise_cfg = _stage_config(DenoiseConfig, den_options)
-    _require_distinct_report(args.report, (section.get(key) for section in (filt, chat, den)
-                                           for key in ("input", "output")))
+    den_input = den.get("input", chat["output"])
+    inputs = [("config", args.config), ("filter.input", filt["input"]),
+              ("chatprep.input", chat["input"])]
+    # denoise reading chatprep's output is the pipeline's designed flow.
+    if os.path.realpath(den_input) != os.path.realpath(chat["output"]):
+        inputs.append(("denoise.input", den_input))
+    _require_distinct_outputs([(f"{stage}.output", section["output"]) for stage, section
+                               in zip(_STAGE_CONFIGS, (filt, chat, den))]
+                              + [("--report", args.report)], inputs)
     _require_input(filt["input"])
     _require_input(chat["input"])
 
@@ -326,7 +340,7 @@ def _run_pipeline(args) -> dict:
                                    filt.get("format"), filt.get("format"), fail_mode))
         reports.append(_run_chatprep(chat["input"], chat["output"], context_cfg,
                                      chat.get("format")))
-        reports.append(_run_denoise(den.get("input", chat["output"]), den["output"],
+        reports.append(_run_denoise(den_input, den["output"],
                                     denoise_cfg, den.get("format"), den.get("format")))
     except BaseException:
         # A failed pipeline leaves none of its outputs behind.
@@ -409,8 +423,10 @@ def _main(argv) -> int:
             _require_output(args.report)
             # The paths each command names on its command line; pipeline
             # checks its stages' paths once it has read its config.
-            _require_distinct_report(args.report, [
-                getattr(args, name, None) for name in ("infile", "outfile", "scores", "config")])
+            _require_distinct_outputs([("--report", args.report)], [
+                (flag, getattr(args, dest, None)) for flag, dest in
+                (("--in", "infile"), ("--out", "outfile"), ("--scores", "scores"),
+                 ("config", "config"))])
         report = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -708,3 +708,68 @@ def test_report_through_a_symlink_to_the_input_exits_1(tmp_path, capsys):
     assert run(["filter", "--in", str(src), "--out", str(out), "--report", str(link)]) == 1
     assert f"--report {link} is the same file as {src}" in capsys.readouterr().err
     assert src.read_bytes() == before and not out.exists()
+
+
+
+def _edit_pipeline_paths(tmp_path, stages):
+    """make_pipeline_config's config with stage paths set to files in tmp_path."""
+    cfg_path, _ = make_pipeline_config(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    for stage, section in stages.items():
+        cfg[stage].update({key: str(tmp_path / name) for key, name in section.items()})
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    return cfg_path
+
+
+@pytest.mark.parametrize("stages, output, other", [
+    # filter replaces its own input, and chatprep's data error used to
+    # make the cleanup unlink it.
+    ({"filter": {"output": "bitext.tsv"}}, "filter.output", "filter.input"),
+    # filter replaces the chat file before chatprep reads it.
+    ({"filter": {"output": "chat.jsonl"}}, "filter.output", "chatprep.input"),
+    # chatprep replaces filter's output (exit 0 before).
+    ({"chatprep": {"output": "filtered.tsv"}}, "chatprep.output", "filter.output"),
+    ({"denoise": {"output": "prepped.tsv"}}, "denoise.output", "chatprep.output"),
+    ({"denoise": {"input": "filtered.tsv"}}, "filter.output", "denoise.input"),
+], ids=["filter_in_place", "filter_over_chat", "chatprep_over_filter",
+        "denoise_over_chatprep", "filter_over_denoise_input"])
+def test_pipeline_path_clash_exits_1_before_reading(tmp_path, capsys, stages, output, other):
+    cfg_path = _edit_pipeline_paths(tmp_path, stages)
+    # A turn gap: without the check, chatprep would fail after filter wrote.
+    with open(tmp_path / "chat.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({**CHAT_LINES[2], "turn_index": 5}) + "\n")
+    before = _files(tmp_path)
+    assert run(["pipeline", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"{output} \S+ is the same file as \S+ \({other}\)", err), err
+    assert _files(tmp_path) == before
+
+
+def test_pipeline_denoise_may_name_chatprep_output_as_input(tmp_path):
+    cfg_path = _edit_pipeline_paths(tmp_path, {"denoise": {"input": "prepped.tsv"}})
+    assert run(["pipeline", str(cfg_path)]) == 0
+    assert (tmp_path / "noised.tsv").exists()
+
+
+def test_single_stage_may_rewrite_its_input_in_place(tmp_path):
+    src = tmp_path / "in.tsv"
+    write_micro_corpus(src)
+    expected = tmp_path / "expected.tsv"
+    assert run(["filter", "--in", str(src), "--out", str(expected)]) == 0
+    assert run(["filter", "--in", str(src), "--out", str(src)]) == 0
+    assert src.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "line 2: expected a JSON object"),
+    ('"text"', "line 2: expected a JSON object"),
+    (json.dumps({k: v for k, v in CHAT_LINES[1].items() if k != "speaker"}),
+     "line 2: missing field 'speaker'"),
+], ids=["array", "string", "missing_speaker"])
+def test_chatprep_bad_record_exits_2_in_bitext_reader_words(tmp_path, capsys, line, message):
+    chat = tmp_path / "chat.jsonl"
+    chat.write_text(f"{json.dumps(CHAT_LINES[0])}\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    assert run(["chatprep", "--in", str(chat), "--out", str(out)]) == 2
+    assert f"data error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
