@@ -710,7 +710,6 @@ def test_report_through_a_symlink_to_the_input_exits_1(tmp_path, capsys):
     assert src.read_bytes() == before and not out.exists()
 
 
-
 def _edit_pipeline_paths(tmp_path, stages):
     """make_pipeline_config's config with stage paths set to files in tmp_path."""
     cfg_path, _ = make_pipeline_config(tmp_path)

@@ -308,12 +308,12 @@ def _worded_as_now(outcome):
     return kind, f"line {line}: expected a JSON object", line
 
 
-# One fault in a few hundred corpora is a blank text or an odd language
-# with no earlier fault to mask it; the default 100 examples miss some.
 def _odd_chat_line(**fields):
     return json.dumps({**json.loads(_chat_line("d0", 0)), **fields})
 
 
+# One fault in a few hundred corpora is a blank text or an odd language
+# with no earlier fault to mask it; the default 100 examples miss some.
 @settings(max_examples=600)
 @given(_chat_corpora())
 @example([_odd_chat_line(src_text="\x1c")])
@@ -360,7 +360,7 @@ def _json_lines(draw):
 
 @given(_json_lines() | _JSON_ODD_LINES, st.integers(1, 10**6))
 def test_loads_matches_json_loads(raw, line):
-    # repr tells NaN from NaN and -0.0 from 0.0, where == cannot.
+    # Compared by repr: NaN != NaN, and -0.0 == 0.0.
     now, ref = _outcome(_loads, raw, line), _outcome(_ref_loads, raw, line)
     assert (now if isinstance(now, tuple) else repr(now)) == \
         (ref if isinstance(ref, tuple) else repr(ref))
