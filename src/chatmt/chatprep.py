@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import AGENT, BitextPair, ChatRecord, CorpusError, Dialogue, check_field_types
 
@@ -79,9 +79,22 @@ def _own_language_side(rec: ChatRecord) -> tuple[str, str]:
     return rec.tgt_text, rec.src_text
 
 
-def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig) -> BitextPair:
+def context_sides(turns: Sequence[ChatRecord], mode: str) -> tuple[list[str], list[str]]:
+    """Each turn's text as a context on the source side and on the target
+    side: its source and target text in same_language mode, its speaker's
+    own-language text and its translation in mixed_language mode."""
+    if mode == SAME_LANGUAGE:
+        return [rec.src_text for rec in turns], [rec.tgt_text for rec in turns]
+    own, other = zip(*map(_own_language_side, turns))
+    return list(own), list(other)
+
+
+def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig,
+                  sides: tuple[list[str], list[str]] | None = None) -> BitextPair:
     """Build one training pair for the given turn with up to n_prev
-    preceding utterances appended after the context indicator."""
+    preceding utterances appended after the context indicator. `sides`
+    is context_sides(d.turns, cfg.mode), for a caller that builds every
+    turn of d."""
     if not 0 <= turn_index < len(d.turns):
         raise ValueError(
             f"turn {turn_index} not in dialogue {d.dialogue_id!r} "
@@ -96,16 +109,12 @@ def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig) -> BitextPai
     k = cfg.n_prev if cfg.n_prev < turn_index else turn_index
     if k == 0:
         return BitextPair(source, target)
-    # Most recent context first.
-    prevs = d.turns[turn_index - k : turn_index][::-1]
-    if cfg.mode == SAME_LANGUAGE:
-        src_ctx = [prev.src_text for prev in prevs]
-        tgt_ctx = [prev.tgt_text for prev in prevs]
-    else:
-        src_ctx, tgt_ctx = zip(*map(_own_language_side, prevs))
+    src_ctx, tgt_ctx = sides or context_sides(d.turns, cfg.mode)
+    # Most recent context first: turns turn_index - 1 down to turn_index - k.
+    stop = turn_index - k - 1 if k < turn_index else None
     return BitextPair(
-        f"{source} {CONTEXT_TAG} {_SEP.join(src_ctx)}",
-        f"{target} {CONTEXT_TAG} {_SEP.join(tgt_ctx)}",
+        f"{source} {CONTEXT_TAG} {_SEP.join(src_ctx[turn_index - 1 : stop : -1])}",
+        f"{target} {CONTEXT_TAG} {_SEP.join(tgt_ctx[turn_index - 1 : stop : -1])}",
     )
 
 
@@ -132,7 +141,8 @@ def prepare_chat_corpus(
 ) -> Iterator[BitextPair]:
     """Map whole dialogues to training pairs, ordered by (dialogue,
     turn_index). Rejects utterances that already contain reserved tags;
-    they would make the tagged lines ambiguous."""
+    they would make the tagged lines ambiguous. Each dialogue's context
+    texts are taken once, by context_sides, for all its turns."""
     search = _RESERVED_TAG.search
     for d in dialogues:
         for rec in d.turns:
@@ -143,5 +153,6 @@ def prepare_chat_corpus(
                 where = f"{d.dialogue_id}/{rec.turn_index}"
                 check_no_reserved_tags(src, f"{where} src_text")
                 check_no_reserved_tags(tgt, f"{where} tgt_text")
-        for rec in d.turns:
-            yield build_context(d, rec.turn_index, cfg)
+        sides = context_sides(d.turns, cfg.mode) if cfg.n_prev else None
+        for turn_index in range(len(d.turns)):
+            yield build_context(d, turn_index, cfg, sides)

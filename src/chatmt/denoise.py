@@ -12,11 +12,20 @@ SeedSequence(seed); record i draws from the stream of
 PCG64(SeedSequence(seed, spawn_key=(i,))), so output is a pure function
 of (corpus, config) regardless of processing order. Building those
 numpy objects for every chosen record would cost more than the noising,
-so `_record_states` copies the SeedSequence words PCG64 is seeded from
-(`generate_state(4, np.uint64)`) for all chosen records in one
-vectorized pass; `_record_rng` runs PCG64's seeding, two 128-bit LCG
-steps, in Python ints and sets one shared generator to the result. A
-test checks both against numpy's own construction.
+so denoise computes the same draws in numpy, for one block of chosen
+records at a time, in input order (a block holds about _BLOCK_TOKENS
+payload tokens, which bounds its arrays):
+- `_record_states` copies the SeedSequence words PCG64 is seeded from
+  (`generate_state(4, np.uint64)`) for every record of the block;
+- `_pcg_draws` runs PCG64's seeding and its 128-bit LCG on uint64
+  halves, jumping straight to any draw, and emits its XSL-RR output;
+- `_record_draws` marks a hit where the draw's double falls below
+  token_prob, and `_picks` takes numpy's Lemire step for each hit's
+  `integers(n)`, so only records with hits are touched in Python.
+A record whose pick falls in Lemire's rejection zone, where numpy draws
+again, or that has 2**32 tokens or more, runs `denoise_tokens` itself on
+the stream `_record_rng` sets a generator to. Tests check each step
+against numpy's own construction.
 """
 from __future__ import annotations
 
@@ -69,11 +78,14 @@ def _selection_rng(seed: int) -> np.random.Generator:
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 # and PCG64's 128-bit LCG multiplier.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = 2**64 - 1
 _MASK128 = 2**128 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Powers of _PCG_MULT are taken mod this, see _pcg_draws.
+_POWER_MOD = (_PCG_MULT - 1) << 128
 
 
 def _hashmix(value, const: int, mult: int):
@@ -142,6 +154,101 @@ def _record_rng(rng: np.random.Generator, words: np.ndarray) -> np.random.Genera
         "uinteger": 0,
     }
     return rng
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products of two uint64 arrays, from
+    their 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    lo_hi, hi_lo = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    return a1 * b1 + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """Products mod 2**128 of 128-bit numbers held as uint64 halves."""
+    return _mulhi64(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The high and the low 64 bits of 128-bit ints, as uint64 arrays."""
+    import numpy as np
+
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+def _pcg_draws(words: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The 64-bit output of draw draws[e] (1-based) of the PCG64 that
+    _record_rng seeds from words[e], for each e."""
+    import numpy as np
+
+    # t LCG steps take state s to M**t * s + S_t * inc, with M the
+    # multiplier and S_t = 1 + M + ... + M**(t-1) = (M**t - 1) / (M - 1).
+    # set_seed's last step starts from w + inc, so draw j is j + 1 steps
+    # from there: M**(j+1) * (w + inc) + S_(j+1) * inc, which is
+    # M**(j+1) * w + S_(j+2) * inc. Powers are taken mod (M - 1) * 2**128,
+    # which keeps the division by M - 1 exact.
+    steps, where = np.unique(draws, return_inverse=True)
+    powers = [pow(_PCG_MULT, j + 1, _POWER_MOD) for j in steps.tolist()]
+    mult_hi, mult_lo = _halves([p & _MASK128 for p in powers])
+    sum_hi, sum_lo = _halves([(p * _PCG_MULT - 1) % _POWER_MOD // (_PCG_MULT - 1)
+                              for p in powers])
+    w0, w1, w2, w3 = words.T
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    a_hi, a_lo = _mul128(mult_hi[where], mult_lo[where], w0, w1)
+    b_hi, b_lo = _mul128(sum_hi[where], sum_lo[where], inc_hi, inc_lo)
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < a_lo)
+    # XSL-RR: the halves xor-ed, rotated right by the top 6 bits.
+    x = hi ^ lo
+    rot = hi >> 58
+    return x >> rot | x << (-rot & 63)
+
+
+def _picks(words: np.ndarray, lengths: np.ndarray, ranks: np.ndarray):
+    """Generator.integers(n) for hit k = ranks[e] of a record with n =
+    lengths[e] < 2**32 tokens, seeded from words[e], after denoise_tokens'
+    n doubles and k earlier picks that drew once each. Returns the picked
+    token indices and whether each draw fell in Lemire's rejection zone,
+    where numpy draws again and every later draw of the record moves."""
+    import numpy as np
+
+    n = lengths.astype(np.uint64)
+    k = ranks.astype(np.uint64)
+    # A pick draws 32 bits: the low, then the high half of one 64-bit draw.
+    half = _pcg_draws(words, n + (k >> 1) + 1) >> ((k & 1) << 5) & _MASK32
+    m = half * n
+    return m >> 32, (m & _MASK32) < (2**32 - n) % n
+
+
+def _record_draws(words: np.ndarray, lengths: np.ndarray, token_prob: float):
+    """What denoise_tokens draws for each record i of a block, with
+    lengths[i] tokens, from the stream of _record_rng(rng, words[i]).
+
+    Returns (exact, record, position, pick): the records that need
+    denoise_tokens itself (a pick in the rejection zone, or 2**32 tokens
+    or more), and, for every other record, its hits in order as token
+    `position` of `record` replaced by token `pick`."""
+    import numpy as np
+
+    exact = lengths >= 2**32
+    n = np.where(exact, 0, lengths)
+    record = np.repeat(np.arange(len(n)), n)
+    # Token t of a record is its draw t + 1, a hit where the double
+    # (x >> 11) * 2**-53 falls below token_prob.
+    draw = np.arange(len(record)) - (np.cumsum(n) - n)[record] + 1
+    hit = np.flatnonzero(_pcg_draws(words[record], draw) >> 11
+                         < math.ceil(token_prob * 2**53))
+    record, position = record[hit], draw[hit] - 1
+    # A hit's rank among its record's hits; searchsorted finds each
+    # record's first hit, as hits come in record order.
+    rank = np.arange(len(hit)) - np.searchsorted(record, record)
+    pick, rejected = _picks(words[record], n[record], rank)
+    exact[record[rejected]] = True
+    keep = ~exact[record]
+    return exact, record[keep], position[keep], pick[keep]
 
 
 def chosen_count(n: int, cfg: DenoiseConfig) -> int:
@@ -227,6 +334,42 @@ def split_target(
     return TargetSpans(f"{tag} " if tag else "", tuple(payload.split(" ")), tail)
 
 
+# Payload tokens of the chosen records that one _noise_block draws for:
+# enough to make its numpy calls cheap per token, few enough to bound its
+# arrays.
+_BLOCK_TOKENS = 1 << 14
+
+
+def _noise_block(out: list[BitextPair], block: list[tuple[int, TargetSpans]],
+                 cfg: DenoiseConfig) -> None:
+    """Noise the chosen records of a block, given as (index, split
+    target) in input order, into out."""
+    import numpy as np
+
+    words = _record_states(cfg.seed, [i for i, _ in block])
+    lengths = np.array([len(spans.payload) for _, spans in block], dtype=np.int64)
+    exact, records, positions, picks = _record_draws(words, lengths, cfg.token_prob)
+    noised: dict[int, list[str]] = {}
+    for r, position, pick in zip(records.tolist(), positions.tolist(), picks.tolist()):
+        payload = block[r][1].payload
+        tokens = noised.get(r)
+        if tokens is None:
+            tokens = noised[r] = list(payload)
+        tokens[position] = payload[pick]
+    if exact.any():
+        # Its seed does not matter: _record_rng sets the whole state.
+        rng = np.random.Generator(np.random.PCG64(0))
+        for r in np.flatnonzero(exact).tolist():
+            noised[r] = denoise_tokens(block[r][1].payload, cfg, _record_rng(rng, words[r]))
+    for r, tokens in noised.items():
+        i, spans = block[r]
+        target = spans.head + " ".join(tokens) + spans.tail
+        # The bitext reader would refuse a blank target as empty.
+        if target.strip():
+            pair = out[i]
+            out[i] = BitextPair(pair.source, target, pair.origin, pair.payload_span)
+
+
 def denoise_corpus(
     pairs: Sequence[BitextPair],
     cfg: DenoiseConfig,
@@ -241,13 +384,8 @@ def denoise_corpus(
         raise ValueError("payload_spans length must match pairs")
     chosen = choose_pairs(len(pairs), cfg)
     out = list(pairs)
-    if chosen:
-        import numpy as np
-
-        # Its seed does not matter: _record_rng sets the whole state per record.
-        rng = np.random.Generator(np.random.PCG64(0))
-        # One row per chosen record, taken in input order.
-        states = iter(_record_states(cfg.seed, sorted(chosen)))
+    block: list[tuple[int, TargetSpans]] = []
+    block_tokens = 0
     # A check or split that fails names the record i it was on.
     try:
         for i, pair in enumerate(pairs):
@@ -259,11 +397,13 @@ def denoise_corpus(
                     _check_span(pair.target, span)
                 continue
             spans = split_target(pair.target, span)
-            noised = denoise_tokens(spans.payload, cfg, _record_rng(rng, next(states)))
-            target = spans.head + " ".join(noised) + spans.tail
-            # The bitext reader would refuse a blank target as empty.
-            if target.strip():
-                out[i] = BitextPair(pair.source, target, pair.origin, pair.payload_span)
+            block.append((i, spans))
+            block_tokens += len(spans.payload)
+            if block_tokens >= _BLOCK_TOKENS:
+                _noise_block(out, block, cfg)
+                block, block_tokens = [], 0
     except DenoiseFormatError as exc:
         raise DenoiseFormatError(exc.reason, i) from exc
+    if block:
+        _noise_block(out, block, cfg)
     return out

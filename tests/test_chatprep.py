@@ -1,10 +1,12 @@
+import json
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from chatmt.corpus import BitextPair, ChatRecord, Dialogue
+from chatmt.cli import main
+from chatmt.corpus import BitextPair, ChatRecord, Dialogue, write_bitext
 from chatmt.chatprep import (
     CONTEXT_TAG,
     ContextConfig,
@@ -284,3 +286,22 @@ def test_chatprep_matches_reference(dialogues, turn_index):
         assert _outcome(build_context, d, turn_index, cfg) == \
             _outcome(_ref_build_context, d, turn_index, cfg)
 
+
+
+@pytest.mark.parametrize("mode", ["same", "mixed"])
+@pytest.mark.parametrize("tags", ["on", "off"])
+def test_chatprep_command_matches_reference(tmp_path, mode, tags):
+    # Long dialogues whose turns switch languages, so that every context
+    # length and both sides of the mixed mode occur.
+    rng = random.Random(17)
+    dialogues = [make_dialogue(rng, f"d{n}", rng.randint(1, 30), *rng.sample(["de", "en"], 2))
+                 for n in range(40)]
+    dialogues = [replace(d, turns=tuple(
+        replace(r, src_lang=r.tgt_lang, tgt_lang=r.src_lang) if rng.random() < 0.3 else r
+        for r in d.turns)) for d in dialogues]
+    chat, out = tmp_path / "chat.jsonl", tmp_path / "out.tsv"
+    chat.write_text("".join(json.dumps(asdict(r)) + "\n" for d in dialogues for r in d.turns))
+    assert main(["chatprep", "--in", str(chat), "--out", str(out), "--n-prev", "3",
+                 "--mode", mode, "--speaker-tags", tags]) == 0
+    cfg = ContextConfig(n_prev=3, mode=f"{mode}_language", speaker_tags=tags == "on")
+    assert out.read_text() == "".join(write_bitext(_ref_prepare_chat_corpus(dialogues, cfg), "tsv"))

@@ -8,9 +8,12 @@ from hypothesis import example, given, strategies as st
 
 from chatmt.chatprep import RESERVED_TAGS, strip_tags
 from chatmt.corpus import BITEXT_FORMATS, BitextPair, parse_bitext, write_bitext
+from chatmt import denoise
 from chatmt.denoise import (
     DenoiseConfig,
     DenoiseFormatError,
+    _picks,
+    _record_draws,
     _record_rng,
     _record_states,
     choose_pairs,
@@ -497,3 +500,124 @@ def test_denoised_output_parses_back(corpus, fmt, pair_fraction, token_prob, see
     cfg = DenoiseConfig(pair_fraction=pair_fraction, token_prob=token_prob, seed=seed)
     noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
     assert list(parse_bitext(write_bitext(noised, fmt), fmt)) == noised
+
+
+# --- vectorized draws against numpy's own generators -----------------------
+
+def _numpy_draws(seed, index, n, token_prob):
+    """denoise_tokens' draws for a record of n tokens, taken from numpy's
+    generator: its hits as (position, pick), and whether a pick's 32-bit
+    draw fell in Lemire's rejection zone, where numpy draws again."""
+    rng = numpy_rng(seed, index)
+    hits = [t for t, x in enumerate(rng.random(n).tolist()) if x < token_prob]
+    rejected = False
+    for _ in hits:
+        # integers(2**32) returns one 32-bit draw as it is.
+        m = int(rng.integers(2**32, dtype=np.uint64)) * n
+        rejected |= m & 0xFFFFFFFF < (2**32 - n) % n
+    cfg = DenoiseConfig(token_prob=token_prob)
+    noised = denoise_tokens(list(range(n)), cfg, numpy_rng(seed, index))
+    return [(t, noised[t]) for t in hits], rejected
+
+
+_lengths = st.lists(st.sampled_from([0, 1, 2]) | st.integers(0, 40), min_size=1, max_size=8)
+
+
+def _draw_examples(test):
+    for seed in EDGE_SEEDS:
+        for token_prob in (0.0, 1.0, 0.15):
+            test = example(seed, EDGE_INDICES, [0, 1, 2, 9], token_prob)(test)
+    return test
+
+
+@_draw_examples
+@given(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+       st.lists(st.sampled_from(EDGE_INDICES) | st.integers(0, sys.maxsize),
+                min_size=1, max_size=8),
+       _lengths, _fractions)
+def test_record_draws_match_numpy(seed, indices, lengths, token_prob):
+    lengths = (lengths * len(indices))[:len(indices)]
+    words = _record_states(seed, indices)
+    exact, records, positions, picks = _record_draws(
+        words, np.array(lengths, dtype=np.int64), token_prob)
+    assert exact.shape == (len(indices),)
+    for r, (index, n) in enumerate(zip(indices, lengths)):
+        hits, rejected = _numpy_draws(seed, index, n, token_prob)
+        assert exact[r] == rejected
+        mine = [(int(p), int(k)) for p, k in zip(positions[records == r], picks[records == r])]
+        assert mine == ([] if rejected else hits)
+
+
+@given(st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**64 - 1),
+       st.sampled_from(EDGE_INDICES) | st.integers(0, sys.maxsize),
+       st.sampled_from([2**31 + 1, 3 * 2**30, 2**32 - 1]) | st.integers(2**31, 2**32 - 1),
+       st.integers(0, 5))
+def test_picks_near_2_32_match_numpy(seed, index, n, rank):
+    # Lengths this large reject about a quarter to a half of all draws.
+    pick, rejected = _picks(_record_states(seed, [index]), np.array([n]), np.array([rank]))
+
+    def positioned():
+        # After n doubles and rank earlier 32-bit draws.
+        rng = numpy_rng(seed, index)
+        rng.bit_generator.advance(n + rank // 2)
+        if rank % 2:
+            rng.integers(2**32, dtype=np.uint64)
+        return rng
+
+    m = int(positioned().integers(2**32, dtype=np.uint64)) * n
+    assert rejected[0] == (m & 0xFFFFFFFF < (2**32 - n) % n)
+    if not rejected[0]:
+        assert pick[0] == m >> 32 == positioned().integers(n)
+
+
+def test_records_of_more_than_2_32_tokens_take_the_exact_path():
+    # No tokens are built: the lengths alone send them to denoise_tokens.
+    # (Exactly 2**32 is left out: a draw function that expanded it would
+    # need 32 GB, where these lengths fail at once.)
+    words = _record_states(3, [0, 1, 2, 3])
+    exact, records, _, _ = _record_draws(
+        words, np.array([2**32 + 1, 2, 2**40, 2**63 - 1], dtype=np.int64), 1.0)
+    assert exact.tolist() == [True, False, True, True]
+    assert set(records.tolist()) == {1}
+
+
+def test_a_rejected_pick_sends_its_whole_record_to_the_exact_path(monkeypatch):
+    # Every token hits; the second pick of each record is rejected.
+    monkeypatch.setattr(denoise, "_picks", lambda words, n, ranks: (ranks, ranks == 1))
+    exact, records, positions, picks = _record_draws(
+        _record_states(0, [0, 1, 2]), np.array([3, 1, 4], dtype=np.int64), 1.0)
+    assert exact.tolist() == [True, False, True]
+    assert records.tolist() == [1] and positions.tolist() == [0] and picks.tolist() == [0]
+
+
+@given(_corpora(), _fractions, _fractions, st.integers(0, 2**64 - 1), st.data())
+def test_exact_path_records_match_per_record_seed_sequences(
+        corpus, pair_fraction, token_prob, seed, data):
+    # Send any records to the exact path, as a pick in the rejection
+    # zone does.
+    pairs, spans = corpus
+
+    def rejecting(words, lengths, ranks):
+        pick, rejected = _picks(words, lengths, ranks)
+        forced = data.draw(st.lists(st.booleans(), min_size=len(pick), max_size=len(pick)))
+        return pick, rejected | np.array(forced, dtype=bool)
+
+    cfg = DenoiseConfig(pair_fraction=pair_fraction, token_prob=token_prob, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(denoise, "_picks", rejecting)
+        assert _denoised(denoise_corpus, pairs, cfg, spans) == \
+            _denoised(_ref_denoise_corpus, pairs, cfg, spans)
+
+
+@pytest.mark.parametrize("block_tokens, n_tokens", [
+    (1, 1), (7, 1), (7, 12), (None, 12), (None, 40),
+])
+def test_corpus_of_several_blocks_matches_per_record_seed_sequences(
+        monkeypatch, block_tokens, n_tokens):
+    if block_tokens:
+        monkeypatch.setattr(denoise, "_BLOCK_TOKENS", block_tokens)
+    n = max(3 * denoise._BLOCK_TOKENS // n_tokens, 200) + 10
+    pairs = make_corpus(n, n_tokens=n_tokens, with_structure=True)
+    cfg = DenoiseConfig(pair_fraction=0.9, token_prob=0.3, seed=2**64 - 1)
+    assert len(choose_pairs(n, cfg)) * n_tokens > 2 * denoise._BLOCK_TOKENS
+    assert denoise_corpus(pairs, cfg) == _ref_denoise_corpus(pairs, cfg)
