@@ -12,6 +12,7 @@ import contextlib
 import gc
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -59,8 +60,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _file_mode(path: Path) -> int:
+    """The mode of the file at path, or, where there is none, the mode
+    open() would create it with: 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _atomic_write_lines(path: str | Path, lines: Iterable[str]) -> int:
-    """Write the lines to path through a temp file; return their count."""
+    """Write the lines to path through a temp file; return their count.
+    The file keeps the mode it had, or gets the one open() would give it
+    (mkstemp creates the temp file 0600)."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     count = 0
@@ -69,6 +83,7 @@ def _atomic_write_lines(path: str | Path, lines: Iterable[str]) -> int:
             for line in lines:
                 fh.write(line)
                 count += 1
+        os.chmod(tmp, _file_mode(path))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -139,10 +139,12 @@ def _loads(raw: str, line: int):
             obj = json.loads(raw)
         if "\\u" in raw and ("\\ud" in raw or "\\uD" in raw):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CorpusError(f"invalid JSON: {exc}", line) from exc
     except UnicodeEncodeError as exc:
         raise CorpusError(f"text is not valid Unicode: {exc.reason}", line) from None
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError, or the plain ValueError of an integer longer
+        # than int() converts (sys.get_int_max_str_digits()).
+        raise CorpusError(f"invalid JSON: {exc}", line) from exc
     return obj
 
 

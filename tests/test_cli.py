@@ -772,3 +772,52 @@ def test_chatprep_bad_record_exits_2_in_bitext_reader_words(tmp_path, capsys, li
     assert run(["chatprep", "--in", str(chat), "--out", str(out)]) == 2
     assert f"data error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
+
+
+_LONG_INT = "1" * 5000  # past int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("filter", ['{"source": "a", "target": "b"}',
+                '{"source": "a", "target": "b", "n": %s}' % _LONG_INT]),
+    ("denoise", ['{"source": "a", "target": "b"}',
+                 '{"source": "a", "target": "b", "n": %s}' % _LONG_INT]),
+    ("chatprep", [json.dumps(CHAT_LINES[0]),
+                  json.dumps(CHAT_LINES[1])[:-1] + ', "n": %s}' % _LONG_INT]),
+])
+def test_jsonl_overlong_integer_exits_2_with_line(tmp_path, capsys, command, lines):
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    assert run([command, "--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: invalid JSON: Exceeds the limit" in err
+    assert not out.exists()
+
+
+def _mode(path):
+    return os.stat(path).st_mode & 0o777
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_new_outputs_get_the_mode_open_gives(tmp_path, umask):
+    src, out, report = tmp_path / "in.tsv", tmp_path / "out.tsv", tmp_path / "r.json"
+    write_micro_corpus(src)
+    old = os.umask(umask)
+    try:
+        assert run(["filter", "--in", str(src), "--out", str(out), "--report", str(report)]) == 0
+    finally:
+        os.umask(old)
+    assert _mode(out) == _mode(report) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o604, 0o600, 0o755], ids=oct)
+def test_replaced_outputs_keep_their_mode(tmp_path, mode):
+    src, out, report = tmp_path / "in.tsv", tmp_path / "out.tsv", tmp_path / "r.json"
+    write_micro_corpus(src)
+    for path in (out, report):
+        path.write_text("old\n")
+        path.chmod(mode)
+    assert run(["filter", "--in", str(src), "--out", str(out), "--report", str(report)]) == 0
+    assert out.read_text() != "old\n"
+    assert _mode(out) == _mode(report) == mode
