@@ -32,7 +32,7 @@ from .corpus import (
 from .chatprep import ContextConfig, MIXED_LANGUAGE, SAME_LANGUAGE, prepare_chat_corpus
 from .denoise import DenoiseConfig, DenoiseFormatError, chosen_count, denoise_corpus
 from .ensemble import ScoreSet, select_ensemble
-from .filtering import FilterConfig, filter_corpus
+from .filtering import FilterConfig, filter_corpus, normalize_punctuation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,10 +178,13 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | N
     _require_output(outfile)
     _require_input(infile)
     stats = ParseStats()
+    in_format = _infer_format(infile, in_format)
     on_error = "skip" if fail_mode == "skip_and_count" else "raise"
-    pairs = parse_bitext(_read_lines(infile), _infer_format(infile, in_format), on_error, stats)
+    pairs = parse_bitext(_read_lines(infile), in_format, on_error, stats)
     kept, report = filter_corpus(pairs, cfg)
-    _atomic_write_lines(outfile, write_bitext(kept, _infer_format(outfile, out_format)))
+    _atomic_write_lines(outfile, write_bitext(
+        kept, _infer_format(outfile, out_format),
+        lambda index: _first_line_normalizing_to(kept[index], infile, in_format, on_error)))
     return {
         "command": "filter",
         "config": {**asdict(cfg), "fail_mode": fail_mode},
@@ -189,6 +192,22 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | N
         "seconds": round(time.monotonic() - started, 6),
         **report.as_dict(),
     }
+
+
+def _first_line_normalizing_to(pair, infile: str, in_format: str,
+                               on_error: str) -> int | None:
+    """The input line of a pair filter kept: that of the first input pair
+    whose sides normalize to its sides, since dedup keeps a pair's first
+    occurrence and every rule reads only normalized text. The input is
+    read and parsed again, so only a failing run pays for this; None if
+    the file changed in between."""
+    stats = ParseStats()
+    for index, candidate in enumerate(parse_bitext(_read_lines(infile), in_format, on_error,
+                                                   stats)):
+        if (normalize_punctuation(candidate.source) == pair.source
+                and normalize_punctuation(candidate.target) == pair.target):
+            return stats.line_of(index)
+    return None
 
 
 def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .corpus import BitextPair, CorpusError, check_field_types
-from .chatprep import CONTEXT_TAG, split_tags
+from .chatprep import CONTEXT_TAG, LEADING_TAGS, split_tags
 
 if TYPE_CHECKING:
     import numpy as np
@@ -304,6 +304,26 @@ def _split_chat_line(target: str) -> tuple[str, str, str]:
     return tag, payload, tail
 
 
+# What split_tags splits a chat line at, and the heads (the text before
+# it) that leave an empty payload: none, or a leading tag alone.
+_CONTEXT_START = " " + CONTEXT_TAG
+_EMPTY_HEADS = frozenset(("", *LEADING_TAGS, *(tag + " " for tag in LEADING_TAGS)))
+_LONGEST_EMPTY_HEAD = max(map(len, _EMPTY_HEADS))
+
+
+def _check_chat_line(target: str) -> None:
+    """Refuse what _split_chat_line refuses, in its order, without
+    building the split: a second context indicator after the first, then
+    an empty payload."""
+    head_end = target.find(_CONTEXT_START)
+    if head_end < 0:
+        head_end = len(target)
+    elif target.find(CONTEXT_TAG, head_end + len(_CONTEXT_START)) >= 0:
+        raise DenoiseFormatError(f"multiple context indicators in target {target!r}")
+    if head_end <= _LONGEST_EMPTY_HEAD and target[:head_end] in _EMPTY_HEADS:
+        raise DenoiseFormatError(f"empty payload in target {target!r}")
+
+
 def _check_span(target: str, span: tuple[int, int]) -> None:
     """Refuse a (start, end) span outside the target's single-space tokens."""
     start, end = span
@@ -392,7 +412,7 @@ def denoise_corpus(
             span = payload_spans[i] if payload_spans else None
             if i not in chosen:
                 if span is None:
-                    _split_chat_line(pair.target)
+                    _check_chat_line(pair.target)
                 else:
                     _check_span(pair.target, span)
                 continue

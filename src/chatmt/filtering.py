@@ -7,7 +7,11 @@ report always satisfies input_count == kept_count + sum(drops).
 All "exceeds" thresholds are strict: a 100-word sentence, a 40-char
 word, and an exact 4:1 ratio are all kept.
 
-Each side is normalized once and split once. Normalization skips the
+Each side is normalized once. Words are whitespace-separated, but a
+normalized side that is printable has single spaces between its words
+and none around them, so its words are counted from its spaces and its
+longest word is bounded, or else found by one regex search, without
+splitting it; any other side is split once. Normalization skips the
 character mapping for ASCII text (every mapped character is non-ASCII)
 and the space-run collapse for text with no double space, so ASCII text
 costs one `strip()`. Non-ASCII text costs one `in` scan per mapped
@@ -30,7 +34,7 @@ RULE_RATIO = "ratio"
 # Rules that can drop a pair, in application order.
 DROP_RULES = (RULE_LENGTH, RULE_DEDUP, RULE_RATIO)
 # Why the length rule (the first two) or the ratio rule (the last two)
-# dropped a pair, as _length_reason and _ratio_reason return it.
+# dropped a pair.
 DROP_REASONS = ("sentence_too_long", "word_too_long", "empty_side", "ratio")
 
 # Pinned normalization mapping: curly quotes, guillemets, dashes,
@@ -93,56 +97,100 @@ class FilterReport:
         }
 
 
-def _length_reason(src_words: list[str], tgt_words: list[str], cfg: FilterConfig) -> str | None:
-    """The length rule's drop reason, or None. Characters are code points."""
-    for words in (src_words, tgt_words):
-        if len(words) > cfg.max_words:
-            return "sentence_too_long"
-        if words and max(map(len, words)) > cfg.max_word_chars:
-            return "word_too_long"
-    return None
+# sre refuses a repeat count of 2**32 - 1 (its MAXREPEAT) or more.
+_MAX_REPEAT = 2**32 - 1
+# What _word_count returns for a side with a word over max_word_chars.
+_WORD_TOO_LONG = -1
 
 
-def _ratio_reason(n_src: int, n_tgt: int, cfg: FilterConfig) -> str | None:
-    """The ratio rule's drop reason, or None. A zero-word side is dropped
-    instead of dividing by zero."""
-    if n_src == 0 or n_tgt == 0:
-        return "empty_side"
-    if max(n_src, n_tgt) > cfg.max_ratio * min(n_src, n_tgt):
-        return "ratio"
-    return None
+def _long_word_search(max_word_chars: int):
+    """A test of whether a normalized, printable side holds a word of
+    more than max_word_chars characters (code points), that is, a run of
+    max_word_chars + 1 non-space characters."""
+    if max_word_chars + 1 < _MAX_REPEAT:
+        return re.compile(f"[^ ]{{{max_word_chars + 1}}}").search
+    # Past sre's limit only a side of 4 GiB or more can hold such a word.
+    return lambda side: max(map(len, side.split(" "))) > max_word_chars
+
+
+def _word_count(side: str, max_words: int, max_word_chars: int, long_word) -> int:
+    """The number of words of a normalized side, or _WORD_TOO_LONG if it
+    has at most max_words words and one of them is over max_word_chars
+    characters.
+
+    A printable side is not split: normalization has stripped it and
+    collapsed its space runs, and every whitespace character but the
+    space is unprintable, so its words are separated by single spaces.
+    With s spaces its longest word has at most len(side) - 2s characters,
+    so most sides are cleared without a search."""
+    if side.isprintable():
+        if not side:
+            return 0
+        spaces = side.count(" ")
+        if spaces < max_words and len(side) - 2 * spaces > max_word_chars and long_word(side):
+            return _WORD_TOO_LONG
+        return spaces + 1
+    words = side.split()
+    if len(words) <= max_words and words and max(map(len, words)) > max_word_chars:
+        return _WORD_TOO_LONG
+    return len(words)
 
 
 def filter_corpus(
     pairs: Iterable[BitextPair], cfg: FilterConfig | None = None
 ) -> tuple[list[BitextPair], FilterReport]:
     """Apply the rules in order; survivors keep input order. Normalization
-    can move token boundaries, so kept pairs carry no payload span."""
+    can move token boundaries, so kept pairs carry no payload span. A pair
+    that normalization left as it was and that carries no span is kept as
+    the input object itself."""
     cfg = cfg or FilterConfig()
-    report = FilterReport()
+    max_words, max_word_chars, max_ratio = cfg.max_words, cfg.max_word_chars, cfg.max_ratio
+    long_word = _long_word_search(max_word_chars)
     kept: list[BitextPair] = []
     seen: set[tuple[str, str]] = set()
+    count = sentence_too_long = word_too_long = dedup = empty_side = ratio = 0
     for pair in pairs:
-        report.input_count += 1
+        count += 1
         # Called through the module global, once per side, so a wrapper
         # installed on it (the benchmark's tracer) sees every side.
         source = normalize_punctuation(pair.source)
         target = normalize_punctuation(pair.target)
-        src_words = source.split()
-        tgt_words = target.split()
-        if reason := _length_reason(src_words, tgt_words, cfg):
-            report.dropped_by_rule[RULE_LENGTH] += 1
-            report.dropped_by_reason[reason] += 1
+        # Length: the source's sentence, then its words, then the target's.
+        n_src = _word_count(source, max_words, max_word_chars, long_word)
+        if n_src > max_words:
+            sentence_too_long += 1
+            continue
+        if n_src == _WORD_TOO_LONG:
+            word_too_long += 1
+            continue
+        n_tgt = _word_count(target, max_words, max_word_chars, long_word)
+        if n_tgt > max_words:
+            sentence_too_long += 1
+            continue
+        if n_tgt == _WORD_TOO_LONG:
+            word_too_long += 1
             continue
         key = (source, target)
         if key in seen:
-            report.dropped_by_rule[RULE_DEDUP] += 1
+            dedup += 1
             continue
         seen.add(key)
-        if reason := _ratio_reason(len(src_words), len(tgt_words), cfg):
-            report.dropped_by_rule[RULE_RATIO] += 1
-            report.dropped_by_reason[reason] += 1
+        # Ratio, max(n) > max_ratio * min(n): a zero-word side is dropped
+        # instead of dividing by zero.
+        if n_src == 0 or n_tgt == 0:
+            empty_side += 1
             continue
-        report.kept_count += 1
-        kept.append(BitextPair(source, target, pair.origin))
+        if n_src > max_ratio * n_tgt if n_src >= n_tgt else n_tgt > max_ratio * n_src:
+            ratio += 1
+            continue
+        if source is pair.source and target is pair.target and pair.payload_span is None:
+            kept.append(pair)
+        else:
+            kept.append(BitextPair(source, target, pair.origin))
+    report = FilterReport(count, len(kept))
+    report.dropped_by_rule.update({RULE_LENGTH: sentence_too_long + word_too_long,
+                                   RULE_DEDUP: dedup, RULE_RATIO: empty_side + ratio})
+    report.dropped_by_reason.update(sentence_too_long=sentence_too_long,
+                                    word_too_long=word_too_long,
+                                    empty_side=empty_side, ratio=ratio)
     return kept, report

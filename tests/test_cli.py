@@ -493,6 +493,38 @@ def test_filter_carriage_return_to_tsv_exits_2(tmp_path, capsys):
     assert json.loads(out.read_text(encoding="utf-8"))["source"] == "a\rb"
 
 
+_TAB = {"source": "x\ty", "target": "z"}
+
+
+# A kept pair is the first input pair with its normalized sides.
+@pytest.mark.parametrize("lines, flags, bad_line", [
+    ([{"source": "a", "target": "b"}, _TAB], [], 2),
+    ([{"source": "a", "target": "b"}, None, _TAB], [], 3),
+    (["not json", {"source": "a", "target": "b"}, _TAB], ["--fail-mode", "skip_and_count"], 3),
+    ([{"source": "a", "target": "b c d e f"}, {"source": "x\ty\u00a0", "target": "z"}, _TAB],
+     [], 2),
+], ids=["plain", "blank-line-before", "skipped-line-before", "first-of-its-normal-form"])
+def test_filter_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, lines, flags, bad_line):
+    src = tmp_path / "in.jsonl"
+    # None is a blank line and a string a raw one.
+    src.write_text("".join(("" if line is None else line if isinstance(line, str)
+                            else json.dumps(line)) + "\n" for line in lines), encoding="utf-8")
+    assert run(["filter", "--in", str(src), "--out", str(tmp_path / "out.tsv"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: line {bad_line}: tab, newline or carriage return")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+@pytest.mark.parametrize("max_word_chars", [2**32, 10**30])
+def test_filter_huge_max_word_chars_exits_0(tmp_path, max_word_chars):
+    src, out = tmp_path / "in.tsv", tmp_path / "out.tsv"
+    text = "a " + "x" * 50 + "\tb c\nd\te\n"
+    src.write_text(text, encoding="utf-8")
+    assert run(["filter", "--in", str(src), "--out", str(out),
+                "--max-word-chars", str(max_word_chars)]) == 0
+    assert out.read_text(encoding="utf-8") == text
+
+
 def test_pipeline_deeply_nested_config_exits_1(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000, encoding="utf-8")

@@ -12,10 +12,12 @@ from chatmt import denoise
 from chatmt.denoise import (
     DenoiseConfig,
     DenoiseFormatError,
+    _check_chat_line,
     _picks,
     _record_draws,
     _record_rng,
     _record_states,
+    _split_chat_line,
     choose_pairs,
     chosen_count,
     denoise_corpus,
@@ -329,6 +331,34 @@ chat_lines = st.lists(
 def test_chat_line_parsing_matches_reference(text):
     assert strip_tags(text) == _ref_strip_tags(text)
     assert _split_outcome(split_target, text) == _split_outcome(_ref_split_target, text)
+
+
+def _check_outcome(check, target):
+    try:
+        check(target)
+    except DenoiseFormatError as exc:
+        return type(exc), str(exc)
+    return "ok"
+
+
+# A leading tag or none, with or without its space, a payload that may be
+# empty, and up to three context indicators, each with or without text.
+_structured_lines = st.tuples(
+    st.lists(st.sampled_from(["<agent>", "<customer>", "<BT>", "<agent> ", "<customer> ",
+                              "<BT> ", " ", "a", "b c"]), max_size=3),
+    st.lists(st.sampled_from([" <context begins>", "<context begins>", " x", " <SEP> y", "z"]),
+             max_size=5),
+).map(lambda parts: "".join(parts[0] + parts[1]))
+
+
+@given(chat_lines | _structured_lines)
+@example("")
+@example("<customer> ")
+@example("<agent>  <context begins> x")
+@example("<BT> <context begins> x <context begins> y")
+@example("a <context begins><context begins>")
+def test_chat_line_check_refuses_what_the_split_refuses(target):
+    assert _check_outcome(_check_chat_line, target) == _check_outcome(_split_chat_line, target)
 
 
 _targets = st.lists(

@@ -1,20 +1,23 @@
 import random
 import re
 import string
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+import chatmt.filtering as filtering
 from chatmt.corpus import ORIGINS, BitextPair
 from chatmt.filtering import (
     _CHAR_MAP,
     DROP_REASONS,
     DROP_RULES,
+    RULE_DEDUP,
     RULE_LENGTH,
     RULE_RATIO,
     FilterConfig,
-    _length_reason,
-    _ratio_reason,
+    FilterReport,
     filter_corpus,
     normalize_punctuation,
 )
@@ -74,55 +77,54 @@ def dropped_by(source, target):
     return rules[0] if rules else None
 
 
-def length_reason(source, target):
-    return _length_reason(source.split(), target.split(), CFG)
-
-
-def ratio_reason(source, target):
-    return _ratio_reason(len(source.split()), len(target.split()), CFG)
+def dropped_reason(source, target):
+    """The reason filter_corpus reports dropping the pair for, or None."""
+    _, report = filter_corpus([BitextPair(source, target)], CFG)
+    reasons = [reason for reason, n in report.dropped_by_reason.items() if n]
+    return reasons[0] if reasons else None
 
 
 class TestLength:
     def test_101_words_dropped(self):
         source = " ".join("a" * 1 for _ in range(101))
         assert dropped_by(source, "ok") == RULE_LENGTH
-        assert length_reason(source, "ok") == "sentence_too_long"
+        assert dropped_reason(source, "ok") == "sentence_too_long"
 
     def test_41_char_word_dropped(self):
         assert dropped_by("ok", "x" * 41) == RULE_LENGTH
-        assert length_reason("ok", "x" * 41) == "word_too_long"
+        assert dropped_reason("ok", "x" * 41) == "word_too_long"
 
     def test_boundaries_kept(self):
         # 100 words against 1 fails the ratio rule, which runs later.
         for source, target in [(" ".join(["w"] * 100), "ok"), ("ok", "x" * 40)]:
             assert dropped_by(source, target) in (None, RULE_RATIO)
-            assert length_reason(source, target) is None
+            assert dropped_reason(source, target) not in ("sentence_too_long", "word_too_long")
 
     def test_unicode_chars_counted_as_code_points(self):
         # 40 two-byte characters must still pass.
         assert dropped_by("ok", "ä" * 40) is None
-        assert length_reason("ok", "ä" * 40) is None
+        assert dropped_reason("ok", "ä" * 40) is None
         assert dropped_by("ok", "ä" * 41) == RULE_LENGTH
-        assert length_reason("ok", "ä" * 41) == "word_too_long"
+        assert dropped_reason("ok", "ä" * 41) == "word_too_long"
 
 
 class TestRatio:
     def test_5_to_1_dropped(self):
         assert dropped_by("one", "a b c d e") == RULE_RATIO
-        assert ratio_reason("one", "a b c d e") == "ratio"
+        assert dropped_reason("one", "a b c d e") == "ratio"
 
     def test_exact_4_to_1_kept(self):
         target = " ".join(["x"] * 16)
         assert dropped_by("a b c d", target) is None
-        assert ratio_reason("a b c d", target) is None
+        assert dropped_reason("a b c d", target) is None
 
     def test_balanced_kept(self):
         assert dropped_by("a b c", "x y z") is None
-        assert ratio_reason("a b c", "x y z") is None
+        assert dropped_reason("a b c", "x y z") is None
 
     def test_empty_side(self):
         assert dropped_by(" ", "x") == RULE_RATIO
-        assert ratio_reason(" ", "x") == "empty_side"
+        assert dropped_reason(" ", "x") == "empty_side"
         # The bitext readers refuse a blank side, so only this API sees one.
         _, report = filter_corpus([BitextPair(" ", "x"), BitextPair("y", "\u00a0")], CFG)
         assert report.dropped_by_reason == {**dict.fromkeys(DROP_REASONS, 0), "empty_side": 2}
@@ -131,7 +133,7 @@ class TestRatio:
     def test_symmetric(self, ns, nt):
         a, b = " ".join(["a"] * ns), " ".join(["b"] * nt)
         assert dropped_by(a, b) == dropped_by(b, a)
-        assert (ratio_reason(a, b) is None) == (ratio_reason(b, a) is None)
+        assert dropped_reason(a, b) == dropped_reason(b, a)
 
 
 def test_dedup_examples():
@@ -284,3 +286,120 @@ def test_filter_monotonicity_no_invented_pairs(seed):
     }
     kept, _ = filter_corpus(pairs)
     assert all((p.source, p.target) in normalized for p in kept)
+
+
+def split_filter_corpus(pairs, cfg):
+    """filter_corpus before it counted words without splitting: both
+    sides split into words, and the rules read the word lists."""
+    def length_reason(src_words, tgt_words):
+        for words in (src_words, tgt_words):
+            if len(words) > cfg.max_words:
+                return "sentence_too_long"
+            if words and max(map(len, words)) > cfg.max_word_chars:
+                return "word_too_long"
+        return None
+
+    def ratio_reason(n_src, n_tgt):
+        if n_src == 0 or n_tgt == 0:
+            return "empty_side"
+        if max(n_src, n_tgt) > cfg.max_ratio * min(n_src, n_tgt):
+            return "ratio"
+        return None
+
+    report = FilterReport()
+    kept = []
+    seen = set()
+    for pair in pairs:
+        report.input_count += 1
+        source = normalize_punctuation(pair.source)
+        target = normalize_punctuation(pair.target)
+        src_words = source.split()
+        tgt_words = target.split()
+        if reason := length_reason(src_words, tgt_words):
+            report.dropped_by_rule[RULE_LENGTH] += 1
+            report.dropped_by_reason[reason] += 1
+            continue
+        key = (source, target)
+        if key in seen:
+            report.dropped_by_rule[RULE_DEDUP] += 1
+            continue
+        seen.add(key)
+        if reason := ratio_reason(len(src_words), len(tgt_words)):
+            report.dropped_by_rule[RULE_RATIO] += 1
+            report.dropped_by_reason[reason] += 1
+            continue
+        report.kept_count += 1
+        kept.append(BitextPair(source, target, pair.origin))
+    return kept, report
+
+
+# Every whitespace character; the mapped characters (three map to a
+# space), letters, umlauts, NUL and a zero-width space (neither is
+# whitespace, and NUL is not printable). A third of the draws are a
+# letter or a space, so sides have several words, and a third are
+# whitespace, so some sides keep whitespace that is not a space.
+_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+_OTHERS = ([chr(c) for c in _CHAR_MAP] + list(string.ascii_letters) + list("äöüÄÖÜß")
+           + ["\x00", "\u200b"])
+_any_side = st.text(alphabet=st.sampled_from("ab ä") | st.sampled_from(_WHITESPACE)
+                    | st.sampled_from(_OTHERS), max_size=14)
+_any_pair = st.builds(BitextPair, _any_side, _any_side, st.sampled_from(ORIGINS),
+                      st.sampled_from([None, (0, 0), (0, 1)]))
+
+
+@given(
+    # Repeats of earlier pairs, as they are and with a span.
+    st.lists(_any_pair, max_size=12).map(lambda ps: ps + ps[::2] + [
+        BitextPair(p.source, p.target, p.origin, (0, 0)) for p in ps[1::3]]),
+    st.builds(FilterConfig, st.integers(1, 5), st.integers(1, 5), st.floats(1, 4)),
+    # Lowering sre's repeat limit sends every word search to the split.
+    st.booleans(),
+)
+def test_filter_corpus_matches_split_words(pairs, cfg, past_repeat_limit):
+    with mock.patch.object(filtering, "_MAX_REPEAT", 0 if past_repeat_limit else
+                           filtering._MAX_REPEAT):
+        kept, report = filter_corpus(pairs, cfg)
+    want_kept, want_report = split_filter_corpus(pairs, cfg)
+    assert kept == want_kept
+    assert report.as_dict() == want_report.as_dict()
+
+
+def test_only_the_space_is_printable_whitespace():
+    # A printable normalized side is therefore split by single spaces.
+    assert [c for c in _WHITESPACE if c.isprintable()] == [" "]
+
+
+def test_unchanged_pairs_kept_as_input_objects():
+    plain, span, spaced = (BitextPair("a b", "c d"), BitextPair("e f", "g h", payload_span=(0, 1)),
+                           BitextPair("i  j", "k l"))
+    kept, _ = filter_corpus([plain, span, spaced])
+    assert kept == [plain, BitextPair("e f", "g h"), BitextPair("i j", "k l")]
+    assert kept[0] is plain
+    assert kept[1] is not span and kept[2] is not spaced
+
+
+# sre refuses a repeat of 2**32 - 1 or more; each of these still filters.
+@pytest.mark.parametrize("max_word_chars", [2**32 - 3, 2**32 - 2, 2**32, 10**30])
+def test_huge_max_word_chars(max_word_chars):
+    cfg = FilterConfig(max_word_chars=max_word_chars)
+    pairs = [BitextPair("a " + "x" * 50, "b c"), BitextPair("a\tb", "c d"),
+             BitextPair(" ".join("w" * 101), "d")]
+    kept, report = filter_corpus(pairs, cfg)
+    want_kept, want_report = split_filter_corpus(pairs, cfg)
+    assert kept == want_kept
+    assert report.as_dict() == want_report.as_dict()
+    assert report.kept_count == 2
+
+
+@given(st.lists(_any_pair, max_size=8))
+def test_normalizes_each_side_once_through_the_module(pairs):
+    # The benchmark's tracer counts sides by wrapping this module global.
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return normalize_punctuation(text)
+
+    with mock.patch.object(filtering, "normalize_punctuation", counted):
+        filter_corpus(pairs)
+    assert calls == [side for p in pairs for side in (p.source, p.target)]
