@@ -341,8 +341,9 @@ def _check_outcome(check, target):
     return "ok"
 
 
-# A leading tag or none, with or without its space, a payload that may be
-# empty, and up to three context indicators, each with or without text.
+# Up to three leading tags (with or without their space), spaces and
+# payload words, then up to five context pieces: indicators with or
+# without the space before them, text and separators.
 _structured_lines = st.tuples(
     st.lists(st.sampled_from(["<agent>", "<customer>", "<BT>", "<agent> ", "<customer> ",
                               "<BT> ", " ", "a", "b c"]), max_size=3),
