@@ -130,6 +130,26 @@ def split_tags(text: str) -> tuple[str, str, str]:
     return "", head, sep + tail
 
 
+# The heads (the text before " <context begins>") that split_tags leaves
+# with an empty payload: none, or a leading tag alone.
+_EMPTY_HEADS = frozenset(("", *(text for pair in _LEADING_WITH_SPACE for text in pair)))
+_LONGEST_EMPTY_HEAD = max(map(len, _EMPTY_HEADS))
+
+
+def chat_line_fault(text: str) -> str | None:
+    """Why split_tags's split of a chat line holds no single payload, or
+    None, without building the split: first a second context indicator
+    after the first, then an empty payload."""
+    head_end = text.find(_CONTEXT_START)
+    if head_end < 0:
+        head_end = len(text)
+    elif text.find(CONTEXT_TAG, head_end + len(_CONTEXT_START)) >= 0:
+        return "multiple context indicators"
+    if head_end <= _LONGEST_EMPTY_HEAD and text[:head_end] in _EMPTY_HEADS:
+        return "empty payload"
+    return None
+
+
 def strip_tags(text: str) -> str:
     """Recover the raw payload: drop one leading pseudo tag and anything
     from the context indicator onward."""

@@ -32,7 +32,7 @@ from .corpus import (
 from .chatprep import ContextConfig, MIXED_LANGUAGE, SAME_LANGUAGE, prepare_chat_corpus
 from .denoise import DenoiseConfig, DenoiseFormatError, chosen_count, denoise_corpus
 from .ensemble import ScoreSet, select_ensemble
-from .filtering import FilterConfig, filter_corpus, normalize_punctuation
+from .filtering import FilterConfig, filter_corpus, first_source
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -180,11 +180,13 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | N
     stats = ParseStats()
     in_format = _infer_format(infile, in_format)
     on_error = "skip" if fail_mode == "skip_and_count" else "raise"
+    signature = _file_signature(infile)
     pairs = parse_bitext(_read_lines(infile), in_format, on_error, stats)
     kept, report = filter_corpus(pairs, cfg)
     _atomic_write_lines(outfile, write_bitext(
         kept, _infer_format(outfile, out_format),
-        lambda index: _first_line_normalizing_to(kept[index], infile, in_format, on_error)))
+        lambda index: _first_line_kept_as(kept[index], infile, signature, in_format,
+                                          on_error)))
     return {
         "command": "filter",
         "config": {**asdict(cfg), "fail_mode": fail_mode},
@@ -194,20 +196,34 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | N
     }
 
 
-def _first_line_normalizing_to(pair, infile: str, in_format: str,
-                               on_error: str) -> int | None:
-    """The input line of a pair filter kept: that of the first input pair
-    whose sides normalize to its sides, since dedup keeps a pair's first
-    occurrence and every rule reads only normalized text. The input is
-    read and parsed again, so only a failing run pays for this; None if
-    the file changed in between."""
+def _file_signature(path: str) -> tuple[int, ...] | None:
+    """What tells a regular file's content changed (device, inode, size,
+    modification time), or None if path is no regular file or cannot be
+    read: a FIFO or a terminal cannot be read twice."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _first_line_kept_as(pair, infile: str, signature: tuple[int, ...] | None,
+                        in_format: str, on_error: str) -> int | None:
+    """The input line of a pair filter kept, found by reading and parsing
+    the input again, so only a failing run pays for it. None if the input
+    is no regular file, its signature differs from the one taken before
+    the first read, or it no longer reads or parses."""
+    if signature is None or _file_signature(infile) != signature:
+        return None
     stats = ParseStats()
-    for index, candidate in enumerate(parse_bitext(_read_lines(infile), in_format, on_error,
-                                                   stats)):
-        if (normalize_punctuation(candidate.source) == pair.source
-                and normalize_punctuation(candidate.target) == pair.target):
-            return stats.line_of(index)
-    return None
+    try:
+        index = first_source(parse_bitext(_read_lines(infile), in_format, on_error, stats),
+                             pair)
+    except (OSError, ValueError):
+        return None
+    return None if index is None else stats.line_of(index)
 
 
 def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .corpus import BitextPair, CorpusError, check_field_types
-from .chatprep import CONTEXT_TAG, LEADING_TAGS, split_tags
+from .chatprep import chat_line_fault, split_tags
 
 if TYPE_CHECKING:
     import numpy as np
@@ -293,35 +293,12 @@ class TargetSpans(NamedTuple):
     tail: str
 
 
-def _split_chat_line(target: str) -> tuple[str, str, str]:
-    """chatprep.split_tags, refusing a second context indicator after the
-    payload and an empty payload."""
-    tag, payload, tail = split_tags(target)
-    if tail.count(CONTEXT_TAG) > 1:
-        raise DenoiseFormatError(f"multiple context indicators in target {target!r}")
-    if not payload:
-        raise DenoiseFormatError(f"empty payload in target {target!r}")
-    return tag, payload, tail
-
-
-# What split_tags splits a chat line at, and the heads (the text before
-# it) that leave an empty payload: none, or a leading tag alone.
-_CONTEXT_START = " " + CONTEXT_TAG
-_EMPTY_HEADS = frozenset(("", *LEADING_TAGS, *(tag + " " for tag in LEADING_TAGS)))
-_LONGEST_EMPTY_HEAD = max(map(len, _EMPTY_HEADS))
-
-
 def _check_chat_line(target: str) -> None:
-    """Refuse what _split_chat_line refuses, in its order, without
-    building the split: a second context indicator after the first, then
-    an empty payload."""
-    head_end = target.find(_CONTEXT_START)
-    if head_end < 0:
-        head_end = len(target)
-    elif target.find(CONTEXT_TAG, head_end + len(_CONTEXT_START)) >= 0:
-        raise DenoiseFormatError(f"multiple context indicators in target {target!r}")
-    if head_end <= _LONGEST_EMPTY_HEAD and target[:head_end] in _EMPTY_HEADS:
-        raise DenoiseFormatError(f"empty payload in target {target!r}")
+    """Refuse a target without a span that chatprep.split_tags cannot
+    split into a single non-empty payload."""
+    fault = chat_line_fault(target)
+    if fault is not None:
+        raise DenoiseFormatError(f"{fault} in target {target!r}")
 
 
 def _check_span(target: str, span: tuple[int, int]) -> None:
@@ -350,7 +327,8 @@ def split_target(
         return TargetSpans(" ".join(tokens[:start]) + " " if start else "",
                            tuple(tokens[start:end]),
                            " " + " ".join(tokens[end:]) if end < len(tokens) else "")
-    tag, payload, tail = _split_chat_line(target)
+    _check_chat_line(target)
+    tag, payload, tail = split_tags(target)
     return TargetSpans(f"{tag} " if tag else "", tuple(payload.split(" ")), tail)
 
 

@@ -194,3 +194,15 @@ def filter_corpus(
                                     word_too_long=word_too_long,
                                     empty_side=empty_side, ratio=ratio)
     return kept, report
+
+
+def first_source(pairs: Iterable[BitextPair], kept: BitextPair) -> int | None:
+    """The index in pairs of the input pair that filter_corpus kept as
+    `kept`: the first whose sides normalize to kept's, since every rule
+    reads only normalized text and dedup keeps a pair's first occurrence.
+    None if no pair does."""
+    for index, pair in enumerate(pairs):
+        if (normalize_punctuation(pair.source) == kept.source
+                and normalize_punctuation(pair.target) == kept.target):
+            return index
+    return None

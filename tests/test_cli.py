@@ -5,10 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from chatmt import cli
 from chatmt.cli import _build_parser, main
 from chatmt.corpus import write_bitext
 from conftest import make_micro_corpus
@@ -512,6 +514,71 @@ def test_filter_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, lines, fla
     assert run(["filter", "--in", str(src), "--out", str(tmp_path / "out.tsv"), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: line {bad_line}: tab, newline or carriage return")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+def _tab_input(path):
+    path.write_text(json.dumps({"source": "a", "target": "b"}) + "\n" + json.dumps(_TAB) + "\n",
+                    encoding="utf-8")
+
+
+def test_filter_text_tsv_cannot_hold_reread_fails(tmp_path, capsys, monkeypatch):
+    # A second read that fails leaves the writer's error as it is.
+    src = tmp_path / "in.jsonl"
+    _tab_input(src)
+    reads = []
+
+    def read_once(path):
+        reads.append(path)
+        if len(reads) > 1:
+            raise OSError("gone")
+        return read_lines(path)
+
+    read_lines = cli._read_lines
+    monkeypatch.setattr("chatmt.cli._read_lines", read_once)
+    assert run(["filter", "--in", str(src), "--out", str(tmp_path / "out.tsv")]) == 2
+    assert capsys.readouterr().err.startswith("data error: tab, newline or carriage return")
+    assert len(reads) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+def test_filter_text_tsv_cannot_hold_input_changed(tmp_path, capsys, monkeypatch):
+    # Read again, the changed input would put the pair on line 3.
+    src = tmp_path / "in.jsonl"
+    _tab_input(src)
+
+    def filter_then_change(pairs, cfg):
+        result = filter_corpus(pairs, cfg)
+        src.write_text("\n" + src.read_text(encoding="utf-8"), encoding="utf-8")
+        return result
+
+    filter_corpus = cli.filter_corpus
+    monkeypatch.setattr("chatmt.cli.filter_corpus", filter_then_change)
+    assert run(["filter", "--in", str(src), "--out", str(tmp_path / "out.tsv")]) == 2
+    assert capsys.readouterr().err.startswith("data error: tab, newline or carriage return")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_filter_text_tsv_cannot_hold_from_fifo_exits_2(tmp_path):
+    # A FIFO cannot be read twice: a second open would wait for a writer.
+    fifo, out = tmp_path / "in.jsonl", tmp_path / "out.tsv"
+    os.mkfifo(fifo)
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "chatmt", "filter", "--in", str(fifo),
+                             "--out", str(out)], env=env, stderr=subprocess.PIPE, text=True)
+    # A writer blocks until the reader opens; a thread keeps a reader that
+    # never does from stalling the test.
+    threading.Thread(target=_tab_input, args=(fifo,), daemon=True).start()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 2
+    assert err.startswith("data error: tab, newline or carriage return")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 

@@ -17,7 +17,6 @@ from chatmt.denoise import (
     _record_draws,
     _record_rng,
     _record_states,
-    _split_chat_line,
     choose_pairs,
     chosen_count,
     denoise_corpus,
@@ -359,7 +358,7 @@ _structured_lines = st.tuples(
 @example("<BT> <context begins> x <context begins> y")
 @example("a <context begins><context begins>")
 def test_chat_line_check_refuses_what_the_split_refuses(target):
-    assert _check_outcome(_check_chat_line, target) == _check_outcome(_split_chat_line, target)
+    assert _check_outcome(_check_chat_line, target) == _check_outcome(_ref_split_target, target)
 
 
 _targets = st.lists(
