@@ -180,13 +180,12 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | N
     stats = ParseStats()
     in_format = _infer_format(infile, in_format)
     on_error = "skip" if fail_mode == "skip_and_count" else "raise"
-    signature = _file_signature(infile)
     pairs = parse_bitext(_read_lines(infile), in_format, on_error, stats)
     kept, report = filter_corpus(pairs, cfg)
     _atomic_write_lines(outfile, write_bitext(
         kept, _infer_format(outfile, out_format),
-        lambda index: _first_line_kept_as(kept[index], infile, signature, in_format,
-                                          on_error)))
+        lambda index: _first_line_kept_as(kept[index], infile, in_format, on_error, stats,
+                                          report.input_count)))
     return {
         "command": "filter",
         "config": {**asdict(cfg), "fail_mode": fail_mode},
@@ -196,33 +195,24 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | N
     }
 
 
-def _file_signature(path: str) -> tuple[int, ...] | None:
-    """What tells a regular file's content changed (device, inode, size,
-    modification time), or None if path is no regular file or cannot be
-    read: a FIFO or a terminal cannot be read twice."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    if not stat.S_ISREG(st.st_mode):
-        return None
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _first_line_kept_as(pair, infile: str, signature: tuple[int, ...] | None,
-                        in_format: str, on_error: str) -> int | None:
+def _first_line_kept_as(pair, infile: str, in_format: str, on_error: str,
+                        first_read: ParseStats, pairs_read: int) -> int | None:
     """The input line of a pair filter kept, found by reading and parsing
     the input again, so only a failing run pays for it. None if the input
-    is no regular file, its signature differs from the one taken before
-    the first read, or it no longer reads or parses."""
-    if signature is None or _file_signature(infile) != signature:
+    is no regular file (a FIFO cannot be read twice), no longer reads or
+    parses, or no longer yields as many pairs with the same lines left
+    unpaired as the first read; an input rewritten in place with that
+    same layout goes unnoticed."""
+    if not os.path.isfile(infile):
         return None
     stats = ParseStats()
     try:
-        index = first_source(parse_bitext(_read_lines(infile), in_format, on_error, stats),
-                             pair)
+        pairs = list(parse_bitext(_read_lines(infile), in_format, on_error, stats))
     except (OSError, ValueError):
         return None
+    if len(pairs) != pairs_read or stats != first_read:
+        return None
+    index = first_source(pairs, pair)
     return None if index is None else stats.line_of(index)
 
 
