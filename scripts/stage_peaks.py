@@ -7,7 +7,10 @@ Writes the workload's inputs with perfbench/gen.py into a temporary
 directory, then runs each stage of perfbench/workloads.py's workload
 once, one after another, with perfbench/run.py's stage command and
 environment, and prints each stage's wall time and `ru_maxrss` as
-`os.wait4` reports them. Repeat a reading by running the script again.
+`os.wait4` reports them, and its minor page faults and system CPU
+seconds: the growth of `getrusage(RUSAGE_CHILDREN)` across the stage,
+the only child reaped meanwhile. Repeat a reading by running the script
+again.
 
 Linux carries a parent's peak RSS into a child it forks, so a stage's
 `ru_maxrss` is its own peak only if its parent stays smaller. This
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -56,12 +60,17 @@ def main() -> int:
                        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
         print(f"{args.workload} seed {args.seed}{' (smoke)' if args.smoke else ''}: "
               f"{sys.version.split()[0]}, {len(os.sched_getaffinity(0))} usable CPUs")
-        print(f"{'stage':<12} {'wall_s':>8} {'peak_rss_mb':>12} {'exit':>4}")
+        print(f"{'stage':<12} {'wall_s':>8} {'peak_rss_mb':>12} {'minflt':>8} {'sys_s':>7} "
+              f"{'exit':>4}")
         for stage in WORKLOADS[args.workload].stages:
             stderr_path = work / f"{stage.name}.stderr"
+            before = resource.getrusage(resource.RUSAGE_CHILDREN)
             wall, peak, code = run_process(stage_cmd(stage, args.seed, False), work, env,
                                            STAGE_TIMEOUT_S, stderr_path)
-            print(f"{stage.name:<12} {wall:>8.3f} {peak:>12.1f} {code:>4}", flush=True)
+            after = resource.getrusage(resource.RUSAGE_CHILDREN)
+            print(f"{stage.name:<12} {wall:>8.3f} {peak:>12.1f} "
+                  f"{after.ru_minflt - before.ru_minflt:>8} "
+                  f"{after.ru_stime - before.ru_stime:>7.3f} {code:>4}", flush=True)
             if code != 0:
                 sys.stderr.write(stderr_path.read_text("utf-8", "replace"))
                 return 1

@@ -7,12 +7,27 @@ executable and testable, not for training. Each kernel works in place
 only on temporaries it allocated itself (never on an argument: for a
 float64 input, np.asarray returns the caller's own array), and mixes
 heads through BLAS.
+
+The temporaries are kept small because of what the allocator does with
+them. glibc hands a large free block at the top of its heap back to the
+OS (by default once it passes twice the largest block it has mmapped and
+freed), and the next call faults those pages in again. Three fresh
+(H, m, n) grids per talking-heads call, 16 MB each at H=8, m=n=512,
+cost ≈5k minor page faults and tens of ms of system time per call. So
+talking heads walks the queries in blocks of rows (a block's logits take
+about `_BLOCK_BYTES`) and never allocates a full grid, and aan_context
+frees its cumulative mean before the FFN's output product. At the
+benchmark's shapes each kernel's temporaries then stay in the heap and
+are reused from call to call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+# Bytes of one query block's (H, rows, n) float64 logits in talking heads.
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -48,14 +63,33 @@ class FfnParams:
         )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._output(self._hidden(x))
+
+    # Each product is a fresh array; the bias and the rectifier work in it
+    # when that gives the dtype of the out-of-place result.
+    def _hidden(self, x: np.ndarray) -> np.ndarray:
+        """relu(x W1 + b1)."""
         if x.shape[-1] != self.w1.shape[0]:
             raise ValueError(
                 f"input width {x.shape[-1]} != W1 rows {self.w1.shape[0]}"
             )
-        h = x @ self.w1 + self.b1
+        h = _add_bias(x @ self.w1, self.b1)
         if self.use_activation:
-            h = np.maximum(h, 0.0)
-        return h @ self.w2 + self.b2
+            h = np.maximum(h, 0.0, out=h if h.dtype == np.result_type(h, 0.0) else None)
+        return h
+
+    def _output(self, h: np.ndarray) -> np.ndarray:
+        """h W2 + b2."""
+        return _add_bias(h @ self.w2, self.b2)
+
+
+def _add_bias(product: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """product + bias, computed in `product` (a temporary the caller owns)
+    when it already has the sum's dtype."""
+    if product.dtype != np.result_type(product, bias):
+        return product + bias
+    product += bias
+    return product
 
 
 def aan_context(y: np.ndarray, ffn: FfnParams) -> np.ndarray:
@@ -69,7 +103,17 @@ def aan_context(y: np.ndarray, ffn: FfnParams) -> np.ndarray:
     t = y.shape[0]
     cum_mean = np.cumsum(y, axis=0)
     cum_mean /= np.arange(1, t + 1)[:, None]
-    return ffn.apply(cum_mean)
+    hidden = ffn._hidden(cum_mean)
+    # Freed before the output product: at most two of the three temporaries
+    # are held at once (6 MB at the benchmark shapes, not 8), and a freed
+    # 8 MB would be trimmed from the heap (see the module docstring).
+    del cum_mean
+    return ffn._output(hidden)
+
+
+def _require_keys(n: int) -> None:
+    if n == 0:
+        raise ValueError("k and v have no rows: softmax over an empty key set is undefined")
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -90,6 +134,7 @@ def standard_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarra
         raise ValueError("q and k widths differ")
     if k.shape[0] != v.shape[0]:
         raise ValueError("k and v row counts differ")
+    _require_keys(k.shape[0])
     logits = q @ k.T
     logits /= np.sqrt(q.shape[1])
     return _softmax_rows(logits) @ v
@@ -108,6 +153,9 @@ def talking_heads_attention(
     q, k, v are stacked per head: (H, m, d_k), (H, n, d_k), (H, n, d_v).
     w_logits and w_scores are HxH; mixing acts along the head axis,
     elementwise over the (query, key) grid. Returns (H, m, d_v).
+
+    Queries are taken a block of rows at a time; every step of a block
+    works in one of two block buffers, and `@ v` writes into the output.
     """
     q, k, v = (np.asarray(a, dtype=float) for a in (q, k, v))
     w_logits = np.asarray(w_logits, dtype=float)
@@ -121,10 +169,26 @@ def talking_heads_attention(
         raise ValueError("per-head shapes incompatible")
     if w_logits.shape != (h, h) or w_scores.shape != (h, h):
         raise ValueError(f"head-mixing matrices must be {h}x{h}")
-    logits = q @ k.transpose(0, 2, 1)
-    logits /= np.sqrt(q.shape[2])
-    # optimize=True contracts the head axis through BLAS, not einsum's loop.
-    probs = _softmax_rows(np.einsum("hmn,hg->gmn", logits, w_logits, optimize=True))
-    mixed_scores = np.einsum("hmn,hg->gmn", probs, w_scores, optimize=True)
-    return mixed_scores @ v
-
+    m, n = q.shape[1], k.shape[1]
+    _require_keys(n)
+    rows = max(1, _BLOCK_BYTES // max(8 * h * n, 1))
+    k_t = k.transpose(0, 2, 1)
+    # w.T @ (H, rows * n) mixes the heads in one GEMM, the same products
+    # as np.einsum("hmn,hg->gmn", ..., optimize=True) over the full grid.
+    mix_logits, mix_scores = w_logits.T, w_scores.T
+    scale = np.sqrt(q.shape[2])
+    out = np.empty((h, m, v.shape[2]))
+    logits_buf = np.empty(h * min(rows, m) * n)
+    probs_buf = np.empty_like(logits_buf)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        block, grid = (h, stop - start, n), (h, (stop - start) * n)
+        size = h * (stop - start) * n
+        logits = np.matmul(q[:, start:stop], k_t, out=logits_buf[:size].reshape(block))
+        logits /= scale
+        probs = np.matmul(mix_logits, logits.reshape(grid), out=probs_buf[:size].reshape(grid))
+        _softmax_rows(probs.reshape(block))
+        # The mixed scores overwrite the logits, which are no longer needed.
+        np.matmul(mix_scores, probs, out=logits.reshape(grid))
+        np.matmul(logits, v, out=out[:, start:stop])
+    return out

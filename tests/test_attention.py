@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from chatmt import attention
 from chatmt.attention import (
     FfnParams,
     aan_context,
@@ -198,9 +201,16 @@ def _ref_softmax_rows(x):
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
+def _ref_ffn(x, ffn):
+    h = x @ ffn.w1 + ffn.b1
+    if ffn.use_activation:
+        h = np.maximum(h, 0.0)
+    return h @ ffn.w2 + ffn.b2
+
+
 def _ref_aan(y, ffn):
     y = np.asarray(y, dtype=float)
-    return ffn.apply(np.cumsum(y, axis=0) / np.arange(1, y.shape[0] + 1)[:, None])
+    return _ref_ffn(np.cumsum(y, axis=0) / np.arange(1, y.shape[0] + 1)[:, None], ffn)
 
 
 def _ref_standard(q, k, v):
@@ -288,3 +298,64 @@ class TestInPlaceKernels:
         out = _unchanged_after(talking_heads_attention, q, k, v, wl, ws)
         assert out.dtype == np.float64
         assert np.abs(out - _ref_talking_heads(q, k, v, wl, ws)).max() <= 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+    @pytest.mark.parametrize("use_activation", [True, False])
+    def test_ffn_apply_equals_its_formula(self, dtype, use_activation):
+        rng = np.random.default_rng(12)
+        d, d_ff = 5, 7
+        w1, b1, w2, b2, x = (rng.integers(-4, 5, size=shape).astype(dtype) for shape in
+                             ((d, d_ff), d_ff, (d_ff, d), d, (6, d)))
+        ffn = FfnParams(w1=w1, b1=b1, w2=w2, b2=b2, use_activation=use_activation)
+        for inp in (x, x.astype(np.int64), x.astype(np.float32), x.astype(np.float64)):
+            out = _unchanged_after(ffn.apply, inp)
+            want = _ref_ffn(inp, ffn)
+            assert out.dtype == want.dtype and np.array_equal(out, want)
+
+
+class TestEmptyAndBlockedShapes:
+    def test_empty_key_set_is_refused(self):
+        q = np.zeros((2, 3, 4))
+        k, v = np.zeros((2, 0, 4)), np.zeros((2, 0, 5))
+        for call in (lambda: standard_attention(q[0], k[0], v[0]),
+                     lambda: talking_heads_attention(q, k, v, np.eye(2), np.eye(2)),
+                     lambda: talking_heads_attention(q[:, :0], k, v, np.eye(2), np.eye(2))):
+            with pytest.raises(ValueError, match="k and v have no rows"):
+                call()
+
+    def test_empty_query_set_gives_empty_output(self):
+        rng = np.random.default_rng(13)
+        q, k, v = rng.normal(size=(3, 0, 4)), rng.normal(size=(3, 6, 4)), rng.normal(size=(3, 6, 5))
+        out = talking_heads_attention(q, k, v, np.eye(3), np.eye(3))
+        assert out.shape == (3, 0, 5) and out.dtype == np.float64
+        assert standard_attention(q[0], k[0], v[0]).shape == (0, 5)
+
+    @pytest.mark.parametrize("n", [1, 7, 512])
+    def test_talking_heads_across_block_edges(self, n, monkeypatch):
+        # At n = 512 the module's own budget gives 64-row blocks; for small
+        # n it would give blocks of many thousand rows, so the test budget
+        # gives 16.
+        if n != SEQ:
+            monkeypatch.setattr(attention, "_BLOCK_BYTES", 8 * HEADS * n * 16)
+        rows = attention._BLOCK_BYTES // (8 * HEADS * n)
+        assert rows == (64 if n == SEQ else 16)
+        rng = np.random.default_rng(n)
+        k, v = rng.normal(size=(HEADS, n, HEAD_DIM)), rng.normal(size=(HEADS, n, 3))
+        wl, ws = (rng.normal(size=(HEADS, HEADS)) / HEADS for _ in range(2))
+        for m in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            q = rng.normal(size=(HEADS, m, HEAD_DIM))
+            out = _unchanged_after(talking_heads_attention, q, k, v, wl, ws)
+            assert out.shape == (HEADS, m, 3)
+            assert np.abs(out - _ref_talking_heads(q, k, v, wl, ws)).max() <= 1e-12
+
+    def test_talking_heads_never_holds_a_full_grid(self):
+        _, _, q, k, v, wl, ws = _bench_inputs(1)
+        talking_heads_attention(q, k, v, wl, ws)  # first-call allocations
+        tracemalloc.start()
+        try:
+            talking_heads_attention(q, k, v, wl, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One (8, 512, 512) float64 grid is 16 MiB.
+        assert peak < HEADS * SEQ * SEQ * 8

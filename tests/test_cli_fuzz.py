@@ -8,7 +8,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chatmt.chatprep import RESERVED_TAGS
 from chatmt.cli import main
@@ -145,3 +145,67 @@ def test_fuzz_pipeline(bitext, chat, config):
     outputs = {s["output"] for s in sections if isinstance(s, dict) and isinstance(s.get("output"), str)}
     run_in({"bitext.jsonl": bitext, "chat.jsonl": chat, "cfg.json": json.dumps(config).encode()},
            ["pipeline", "cfg.json"], outputs)
+
+
+# Every pipeline path a run writes, with the name it gets when nothing
+# collides, and every path it reads.
+WRITTEN = {"filter.output": "f.jsonl", "chatprep.output": "p.jsonl",
+           "denoise.output": "n.jsonl", "--report": "r.json"}
+READ = {"filter.input": "bitext.jsonl", "chatprep.input": "chat.jsonl", "config": "cfg.json"}
+
+
+def snapshot(d: str) -> dict:
+    """Each entry of d: a symlink's target, or a file's bytes."""
+    out = {}
+    for name in os.listdir(d):
+        path = os.path.join(d, name)
+        if os.path.islink(path):
+            out[name] = ("symlink", os.readlink(path))
+        else:
+            with open(path, "rb") as fh:
+                out[name] = fh.read()
+    return out
+
+
+@FUZZ
+@given(st.sampled_from(sorted(WRITTEN)), st.sampled_from(sorted({**WRITTEN, **READ})),
+       st.sampled_from(["same", "dot", "symlink"]), st.booleans())
+def test_fuzz_colliding_pipeline_paths(written, target, spelling, with_report):
+    """A stage output or --report that names an input, another output or
+    the config (as the same name, a ./ name or a symlink) exits 1 naming
+    both paths, and changes no file."""
+    assume(written != target)
+    paths = {**WRITTEN, **READ}
+    target_path = paths[target]
+    paths[written] = {"same": target_path, "dot": "./" + target_path,
+                      "symlink": "link." + target_path}[spelling]
+    config = {"seed": 3,
+              "filter": {"input": paths["filter.input"], "output": paths["filter.output"]},
+              "chatprep": {"input": paths["chatprep.input"], "output": paths["chatprep.output"]},
+              "denoise": {"output": paths["denoise.output"], "pair_fraction": 1.0}}
+    argv = ["pipeline", "cfg.json"]
+    if with_report or "--report" in (written, target):
+        argv += ["--report", paths["--report"]]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in (("bitext.jsonl", jsonl([BITEXT_RECORD] * 3)),
+                           ("chat.jsonl", jsonl(CHAT_LINES)),
+                           ("cfg.json", json.dumps(config).encode())):
+            with open(os.path.join(d, name), "wb") as fh:
+                fh.write(data)
+        if spelling == "symlink":
+            os.symlink(target_path, os.path.join(d, paths[written]))
+        before = snapshot(d)
+        err = io.StringIO()
+        os.chdir(d)
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        after = snapshot(d)
+    message = err.getvalue()
+    assert code == 1, message
+    assert "is the same file as" in message and "Traceback" not in message
+    assert f" {paths[written]} " in message and f" {target_path} " in message, message
+    assert after == before
