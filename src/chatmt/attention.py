@@ -13,12 +13,12 @@ them. glibc hands a large free block at the top of its heap back to the
 OS (by default once it passes twice the largest block it has mmapped and
 freed), and the next call faults those pages in again. Three fresh
 (H, m, n) grids per talking-heads call, 16 MB each at H=8, m=n=512,
-cost ≈5k minor page faults and tens of ms of system time per call. So
-talking heads walks the queries in blocks of rows (a block's logits take
-about `_BLOCK_BYTES`) and never allocates a full grid, and aan_context
-frees its cumulative mean before the FFN's output product. At the
-benchmark's shapes each kernel's temporaries then stay in the heap and
-are reused from call to call.
+cost ≈2.5k minor page faults per call. So talking heads walks the
+queries in blocks of rows (a block's logits take about `_BLOCK_BYTES`)
+and never allocates a full grid, and aan_context frees its cumulative
+mean before the FFN's output product. At the benchmark's shapes each
+kernel's temporaries then stay in the heap and are reused from call to
+call.
 """
 from __future__ import annotations
 
@@ -181,14 +181,14 @@ def talking_heads_attention(
     logits_buf = np.empty(h * min(rows, m) * n)
     probs_buf = np.empty_like(logits_buf)
     for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        block, grid = (h, stop - start, n), (h, (stop - start) * n)
-        size = h * (stop - start) * n
-        logits = np.matmul(q[:, start:stop], k_t, out=logits_buf[:size].reshape(block))
+        count = min(rows, m - start)
+        block, grid, size = (h, count, n), (h, count * n), h * count * n
+        logits = np.matmul(q[:, start:start + count], k_t,
+                           out=logits_buf[:size].reshape(block))
         logits /= scale
         probs = np.matmul(mix_logits, logits.reshape(grid), out=probs_buf[:size].reshape(grid))
         _softmax_rows(probs.reshape(block))
         # The mixed scores overwrite the logits, which are no longer needed.
         np.matmul(mix_scores, probs, out=logits.reshape(grid))
-        np.matmul(logits, v, out=out[:, start:stop])
+        np.matmul(logits, v, out=out[:, start:start + count])
     return out
