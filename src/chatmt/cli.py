@@ -1,9 +1,9 @@
 """Command-line entry point for all pipeline stages.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error (with record
-locus), 3 internal error. Outputs are written atomically
-(temp file in the destination directory, then rename), so an
-interrupted run never leaves a partial file at the target path.
+locus), 3 internal error. Each output is written to a temp file beside
+it and renamed into place only once the whole command has succeeded, so
+a command that fails changes no file.
 """
 from __future__ import annotations
 
@@ -71,29 +71,41 @@ def _file_mode(path: Path) -> int:
         return 0o666 & ~umask
 
 
-def _atomic_write_lines(path: str | Path, lines: Iterable[str]) -> int:
-    """Write the lines to path through a temp file; return their count.
-    The file keeps the mode it had, or gets the one open() would give it
-    (mkstemp creates the temp file 0600)."""
+def _atomic_write_lines(path: str | Path, lines: Iterable[str], staged: dict) -> int:
+    """Write the lines to a temp file beside path, staged[path], for
+    _staged_outputs to commit; return their count. The temp keeps path's
+    suffix, so a stage that reads it infers the same format."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    fd, staged[path] = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                        suffix=path.suffix)
     count = 0
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line)
-                count += 1
-        os.chmod(tmp, _file_mode(path))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        for count, line in enumerate(lines, 1):
+            fh.write(line)
     return count
 
 
-def _atomic_write_json(path: str | Path, obj) -> None:
-    _atomic_write_lines(path, [json.dumps(obj, ensure_ascii=False, indent=2) + "\n"])
+def _atomic_write_json(path: str | Path, obj, staged: dict) -> None:
+    _atomic_write_lines(path, [json.dumps(obj, ensure_ascii=False, indent=2) + "\n"], staged)
+
+
+@contextlib.contextmanager
+def _staged_outputs():
+    """Yield the dict a command stages its outputs in. If the block succeeds,
+    rename each temp over its path in the order written, giving it the mode
+    _file_mode reads (mkstemp creates it 0600). Then, or if anything failed,
+    remove every temp left; a failed rename leaves the earlier ones done."""
+    staged: dict[Path, str] = {}
+    try:
+        yield staged
+        for path, tmp in list(staged.items()):
+            os.chmod(tmp, _file_mode(path))
+            os.replace(tmp, path)
+            del staged[path]
+    finally:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _read_lines(path: str | Path) -> list[str]:
@@ -120,13 +132,6 @@ def _infer_format(path: str, explicit: str | None) -> str:
     return "jsonl" if str(path).endswith((".jsonl", ".json")) else "tsv"
 
 
-def _emit_report(report: dict, report_path: str | None) -> None:
-    if report_path:
-        _atomic_write_json(report_path, report)
-    else:
-        print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
-
-
 def _require_input(path: str) -> None:
     if not os.path.exists(path):
         raise UsageError(f"input path does not exist: {path}")
@@ -141,9 +146,9 @@ def _require_output(path: str) -> None:
 def _require_distinct_outputs(outputs: Iterable[tuple[str, str | None]],
                               used: Iterable[tuple[str, str | None]]) -> None:
     """Refuse an output that resolves (os.path.realpath) to a path in `used`
-    or to an output listed before it: writing it would replace or, on a
-    failed run, delete that file. Both hold (name, path) pairs, and a None
-    path is left out."""
+    or to an output listed before it: committing it would replace a file
+    the command reads, or two writes would stage one file and keep only
+    the last. Both hold (name, path) pairs, and a None path is left out."""
     seen = [(name, path, os.path.realpath(path)) for name, path in used if path]
     for name, path in outputs:
         if path:
@@ -168,12 +173,13 @@ def _stage_config(config_cls, values: dict):
 
 
 # ------------------------------------------------------------ stages
-# A stage runner takes its paths, its config and formats (None infers the
-# format from the file suffix) and returns the run report, whose `seconds`
-# covers reading, parsing, the transform and writing.
+# A stage runner takes its paths, its config, the dict it stages its output
+# in and formats (None infers the format from the file suffix). Its report's
+# `seconds` covers reading, parsing, the transform and writing, not the rename.
 
-def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | None = None,
-                out_format: str | None = None, fail_mode: str = FAIL_MODES[0]) -> dict:
+def _run_filter(infile: str, outfile: str, cfg: FilterConfig, staged: dict,
+                in_format: str | None = None, out_format: str | None = None,
+                fail_mode: str = FAIL_MODES[0]) -> dict:
     started = time.monotonic()
     _require_output(outfile)
     _require_input(infile)
@@ -185,7 +191,7 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, in_format: str | N
     _atomic_write_lines(outfile, write_bitext(
         kept, _infer_format(outfile, out_format),
         lambda index: _first_line_kept_as(kept[index], infile, in_format, on_error, stats,
-                                          report.input_count)))
+                                          report.input_count)), staged)
     return {
         "command": "filter",
         "config": {**asdict(cfg), "fail_mode": fail_mode},
@@ -216,15 +222,15 @@ def _first_line_kept_as(pair, infile: str, in_format: str, on_error: str,
     return None if index is None else stats.line_of(index)
 
 
-def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig,
+def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig, staged: dict,
                   out_format: str | None = None) -> dict:
     started = time.monotonic()
     _require_output(outfile)
     _require_input(infile)
     dialogues = parse_chat(_read_lines(infile))
     pairs = prepare_chat_corpus(dialogues, cfg)
-    written = _atomic_write_lines(outfile,
-                                  write_bitext(pairs, _infer_format(outfile, out_format)))
+    written = _atomic_write_lines(
+        outfile, write_bitext(pairs, _infer_format(outfile, out_format)), staged)
     return {
         "command": "chatprep",
         "config": asdict(cfg),
@@ -234,8 +240,8 @@ def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig,
     }
 
 
-def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, in_format: str | None = None,
-                 out_format: str | None = None) -> dict:
+def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, staged: dict,
+                 in_format: str | None = None, out_format: str | None = None) -> dict:
     started = time.monotonic()
     _require_output(outfile)
     _require_input(infile)
@@ -248,7 +254,7 @@ def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, in_format: str |
         raise CorpusError(exc.reason, stats.line_of(exc.record)) from None
     # Output pair i is input pair i, so a pair TSV cannot hold names its line.
     _atomic_write_lines(outfile, write_bitext(noised, _infer_format(outfile, out_format),
-                                              stats.line_of))
+                                              stats.line_of), staged)
     changed = sum(1 for a, b in zip(pairs, noised) if a.target != b.target)
     return {
         "command": "denoise",
@@ -260,24 +266,24 @@ def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, in_format: str |
     }
 
 
-def _cmd_filter(args) -> dict:
+def _cmd_filter(args, staged: dict) -> dict:
     return _run_filter(args.infile, args.outfile, _stage_config(FilterConfig, vars(args)),
-                       args.in_format, args.out_format, args.fail_mode)
+                       staged, args.in_format, args.out_format, args.fail_mode)
 
 
-def _cmd_chatprep(args) -> dict:
+def _cmd_chatprep(args, staged: dict) -> dict:
     return _run_chatprep(args.infile, args.outfile, _stage_config(ContextConfig, vars(args)),
-                         args.out_format)
+                         staged, args.out_format)
 
 
-def _cmd_denoise(args) -> dict:
+def _cmd_denoise(args, staged: dict) -> dict:
     return _run_denoise(args.infile, args.outfile, _stage_config(DenoiseConfig, vars(args)),
-                        args.in_format, args.out_format)
+                        staged, args.in_format, args.out_format)
 
 
 # ----------------------------------------------------------- bsce-select
 
-def _run_bsce(args) -> dict:
+def _run_bsce(args, staged: dict) -> dict:
     started = time.monotonic()
     if args.outfile:
         _require_output(args.outfile)
@@ -295,7 +301,7 @@ def _run_bsce(args) -> dict:
     selection = select_ensemble(score_set, args.ensemble_size)
     out = selection.as_dict()
     if args.outfile:
-        _atomic_write_json(args.outfile, out)
+        _atomic_write_json(args.outfile, out, staged)
     else:
         print(json.dumps(out, ensure_ascii=False, indent=2))
     return {
@@ -341,7 +347,7 @@ def _stage_section(cfg: dict, stage: str) -> dict:
     return section
 
 
-def _run_pipeline(args) -> dict:
+def _run_pipeline(args, staged: dict) -> dict:
     _require_input(args.config)
     with open(args.config, encoding="utf-8") as fh:
         try:
@@ -366,7 +372,8 @@ def _run_pipeline(args) -> dict:
     inputs = [("config", args.config), ("filter.input", filt["input"]),
               ("chatprep.input", chat["input"])]
     # denoise reading chatprep's output is the pipeline's designed flow.
-    if os.path.realpath(den_input) != os.path.realpath(chat["output"]):
+    reads_chatprep = os.path.realpath(den_input) == os.path.realpath(chat["output"])
+    if not reads_chatprep:
         inputs.append(("denoise.input", den_input))
     _require_distinct_outputs([(f"{stage}.output", section["output"]) for stage, section
                                in zip(_STAGE_CONFIGS, (filt, chat, den))]
@@ -374,20 +381,15 @@ def _run_pipeline(args) -> dict:
     _require_input(filt["input"])
     _require_input(chat["input"])
 
-    reports = []
-    try:
-        reports.append(_run_filter(filt["input"], filt["output"], filter_cfg,
-                                   filt.get("format"), filt.get("format"), fail_mode))
-        reports.append(_run_chatprep(chat["input"], chat["output"], context_cfg,
-                                     chat.get("format")))
-        reports.append(_run_denoise(den_input, den["output"],
-                                    denoise_cfg, den.get("format"), den.get("format")))
-    except BaseException:
-        # A failed pipeline leaves none of its outputs behind.
-        for section in (filt, chat, den)[: len(reports)]:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(section["output"])
-        raise
+    reports = [
+        _run_filter(filt["input"], filt["output"], filter_cfg, staged,
+                    filt.get("format"), filt.get("format"), fail_mode),
+        _run_chatprep(chat["input"], chat["output"], context_cfg, staged, chat.get("format")),
+    ]
+    # chatprep's output stays a staged temp until the whole run succeeds.
+    reports.append(_run_denoise(staged[Path(chat["output"])] if reads_chatprep else den_input,
+                                den["output"], denoise_cfg, staged,
+                                den.get("format"), den.get("format")))
     return {"command": "pipeline", "config_path": args.config, "stages": reports}
 
 
@@ -467,7 +469,10 @@ def _main(argv) -> int:
                 (flag, getattr(args, dest, None)) for flag, dest in
                 (("--in", "infile"), ("--out", "outfile"), ("--scores", "scores"),
                  ("config", "config"))])
-        report = args.func(args)
+        with _staged_outputs() as staged:
+            report = args.func(args, staged)
+            if args.report:
+                _atomic_write_json(args.report, report, staged)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -484,7 +489,8 @@ def _main(argv) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit_report(report, args.report)
+    if not args.report:
+        print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
 import argparse
+import errno
 import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -920,3 +922,110 @@ def test_replaced_outputs_keep_their_mode(tmp_path, mode):
     assert run(["filter", "--in", str(src), "--out", str(out), "--report", str(report)]) == 0
     assert out.read_text() != "old\n"
     assert _mode(out) == _mode(report) == mode
+
+
+def _dir_state(root):
+    """Each file in root: its bytes and mode."""
+    return {p.name: (p.read_bytes(), _mode(p)) for p in root.iterdir()}
+
+
+def _pipeline_over_old_outputs(tmp_path):
+    """make_pipeline_config's config, run with --report, where every output
+    and the report already exist, each with its own bytes and mode 0o640."""
+    cfg_path, outputs = make_pipeline_config(tmp_path)
+    report = tmp_path / "report.json"
+    for path in [*outputs, report]:
+        path.write_text(f"OLD\t{path.name}\n", encoding="utf-8")
+        path.chmod(0o640)
+    return ["pipeline", str(cfg_path), "--report", str(report)]
+
+
+def _break_filter(tmp_path):
+    with open(tmp_path / "bitext.tsv", "a", encoding="utf-8") as fh:
+        fh.write("no tab\n")
+
+
+def _break_chatprep(tmp_path):
+    (tmp_path / "chat.jsonl").write_text(json.dumps(CHAT_LINES[0]) + "\nnot json\n",
+                                         encoding="utf-8")
+
+
+def _break_denoise(tmp_path):
+    (tmp_path / "unsplittable.tsv").write_text(UNSPLITTABLE_TSV, encoding="utf-8")
+    cfg_path = tmp_path / "pipeline.json"
+    cfg = json.loads(cfg_path.read_text())
+    cfg["denoise"]["input"] = str(tmp_path / "unsplittable.tsv")
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+
+
+@pytest.mark.parametrize("break_stage, message", [
+    (_break_filter, "data error: line 11: "),
+    (_break_chatprep, "data error: line 2: invalid JSON"),
+    (_break_denoise, "data error: line 2: empty payload"),
+], ids=["filter", "chatprep", "denoise"])
+def test_pipeline_failing_stage_changes_no_file(tmp_path, capsys, break_stage, message):
+    argv = _pipeline_over_old_outputs(tmp_path)
+    break_stage(tmp_path)
+    before = _dir_state(tmp_path)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert _dir_state(tmp_path) == before
+
+
+def test_pipeline_interrupted_changes_no_file(tmp_path, monkeypatch):
+    def interrupt(pairs, cfg, spans):
+        raise KeyboardInterrupt
+
+    argv = _pipeline_over_old_outputs(tmp_path)
+    before = _dir_state(tmp_path)
+    monkeypatch.setattr("chatmt.cli.denoise_corpus", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert _dir_state(tmp_path) == before
+
+
+def test_report_write_failure_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    src, out, report = tmp_path / "in.tsv", tmp_path / "o.tsv", tmp_path / "r.json"
+    write_micro_corpus(src)
+    mkstemp = tempfile.mkstemp
+
+    disk_full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def disk_full_for_report(*args, prefix="", **kwargs):
+        if prefix.startswith("r.json"):
+            raise disk_full
+        return mkstemp(*args, prefix=prefix, **kwargs)
+
+    monkeypatch.setattr(tempfile, "mkstemp", disk_full_for_report)
+    assert run(["filter", "--in", str(src), "--out", str(out), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"io error: {disk_full}\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.tsv"]
+
+
+def test_failed_rename_keeps_earlier_renames_and_no_temp(tmp_path, capsys, monkeypatch):
+    # The commit is not atomic across files: the output is renamed before
+    # the report, and stays in place when the report's rename fails.
+    src, out, report = tmp_path / "in.tsv", tmp_path / "o.tsv", tmp_path / "r.json"
+    write_micro_corpus(src)
+    replace = os.replace
+
+    def fail_for_report(tmp, path):
+        if Path(path).name == "r.json":
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        replace(tmp, path)
+
+    monkeypatch.setattr(os, "replace", fail_for_report)
+    assert run(["filter", "--in", str(src), "--out", str(out), "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert sorted(os.listdir(tmp_path)) == ["in.tsv", "o.tsv"]
+
+
+def test_pipeline_denoise_reads_chatprep_staged_output_by_its_suffix(tmp_path):
+    # denoise has no input and no format, so it infers JSONL from the
+    # suffix of chatprep's staged temp.
+    cfg_path = _edit_pipeline_paths(tmp_path, {"chatprep": {"output": "p.jsonl"}})
+    assert run(["pipeline", str(cfg_path)]) == 0
+    alone = tmp_path / "alone.tsv"
+    assert run(["denoise", "--in", str(tmp_path / "p.jsonl"), "--out", str(alone), "--seed", "11",
+                "--pair-fraction", "0.5", "--token-prob", "0.5"]) == 0
+    assert (tmp_path / "noised.tsv").read_bytes() == alone.read_bytes()

@@ -1,7 +1,8 @@
 """Fuzz every subcommand through `main`: random bytes, random JSON and
 near-valid records must each map to exit 0, 1 or 2 with no exception and
-no traceback. A failed run leaves no output or temp file, and a run that
-succeeds leaves only its outputs."""
+no traceback. A failed run changes no file (outputs that existed before
+keep their bytes) and leaves no temp file, and a run that succeeds
+changes only its outputs."""
 import contextlib
 import io
 import json
@@ -72,14 +73,34 @@ tsv_files = st.one_of(
 )
 
 
+def snapshot(d: str) -> dict:
+    """Each entry of d: a symlink's target, or a file's bytes."""
+    out = {}
+    for name in os.listdir(d):
+        path = os.path.join(d, name)
+        if os.path.islink(path):
+            out[name] = ("symlink", os.readlink(path))
+        else:
+            with open(path, "rb") as fh:
+                out[name] = fh.read()
+    return out
+
+
+def sentinels(names) -> dict[str, bytes]:
+    """Files named like outputs, each holding bytes no run writes."""
+    return {name: b"sentinel " + name.encode() + b"\n" for name in names}
+
+
 def run_in(files: dict[str, bytes], argv: list[str], outputs: set[str]) -> None:
     """Run `argv` in a fresh working directory holding `files`, then check
-    the exit code, stderr and the files left behind."""
+    the exit code, stderr and which files were created, changed or removed:
+    only `outputs`, and only by a run that succeeds."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as d:
         for name, data in files.items():
             with open(os.path.join(d, name), "wb") as fh:
                 fh.write(data)
+        before = snapshot(d)
         err = io.StringIO()
         os.chdir(d)
         try:
@@ -87,18 +108,20 @@ def run_in(files: dict[str, bytes], argv: list[str], outputs: set[str]) -> None:
                 code = main(argv)
         finally:
             os.chdir(cwd)
-        left = set(os.listdir(d))
+        after = snapshot(d)
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    assert left <= set(files) | (outputs if code == 0 else set()), err.getvalue()
+    changed = {name for name in before.keys() | after.keys()
+               if before.get(name) != after.get(name)}
+    assert changed <= (outputs if code == 0 else set()), err.getvalue()
 
 
 @FUZZ
 @given(st.sampled_from(["tsv", "jsonl"]), st.sampled_from(["fail_fast", "skip_and_count"]),
-       st.data())
-def test_fuzz_filter(fmt, mode, data):
+       st.booleans(), st.data())
+def test_fuzz_filter(fmt, mode, out_exists, data):
     content = data.draw(tsv_files if fmt == "tsv" else jsonl_files(BITEXT_RECORD))
-    run_in({f"in.{fmt}": content},
+    run_in({f"in.{fmt}": content, **sentinels(["out.tsv"] if out_exists else [])},
            ["filter", "--in", f"in.{fmt}", "--out", "out.tsv", "--fail-mode", mode],
            {"out.tsv"})
 
@@ -111,10 +134,10 @@ def test_fuzz_chatprep(content, mode):
 
 
 @FUZZ
-@given(st.sampled_from(["tsv", "jsonl"]), st.data())
-def test_fuzz_denoise(fmt, data):
+@given(st.sampled_from(["tsv", "jsonl"]), st.booleans(), st.data())
+def test_fuzz_denoise(fmt, out_exists, data):
     content = data.draw(tsv_files if fmt == "tsv" else jsonl_files(BITEXT_RECORD))
-    run_in({f"in.{fmt}": content},
+    run_in({f"in.{fmt}": content, **sentinels(["out.jsonl"] if out_exists else [])},
            ["denoise", "--in", f"in.{fmt}", "--out", "out.jsonl",
             "--pair-fraction", "1.0", "--token-prob", "0.5"], {"out.jsonl"})
 
@@ -138,15 +161,6 @@ pipeline_configs = st.one_of(
 )
 
 
-@FUZZ
-@given(jsonl_files(BITEXT_RECORD), jsonl_files(CHAT_LINES[1]), pipeline_configs)
-def test_fuzz_pipeline(bitext, chat, config):
-    sections = config.values() if isinstance(config, dict) else ()
-    outputs = {s["output"] for s in sections if isinstance(s, dict) and isinstance(s.get("output"), str)}
-    run_in({"bitext.jsonl": bitext, "chat.jsonl": chat, "cfg.json": json.dumps(config).encode()},
-           ["pipeline", "cfg.json"], outputs)
-
-
 # Every pipeline path a run writes, with the name it gets when nothing
 # collides, and every path it reads.
 WRITTEN = {"filter.output": "f.jsonl", "chatprep.output": "p.jsonl",
@@ -154,17 +168,16 @@ WRITTEN = {"filter.output": "f.jsonl", "chatprep.output": "p.jsonl",
 READ = {"filter.input": "bitext.jsonl", "chatprep.input": "chat.jsonl", "config": "cfg.json"}
 
 
-def snapshot(d: str) -> dict:
-    """Each entry of d: a symlink's target, or a file's bytes."""
-    out = {}
-    for name in os.listdir(d):
-        path = os.path.join(d, name)
-        if os.path.islink(path):
-            out[name] = ("symlink", os.readlink(path))
-        else:
-            with open(path, "rb") as fh:
-                out[name] = fh.read()
-    return out
+@FUZZ
+@given(jsonl_files(BITEXT_RECORD), jsonl_files(CHAT_LINES[1]), pipeline_configs,
+       st.sets(st.sampled_from(sorted(WRITTEN.values()))), st.booleans())
+def test_fuzz_pipeline(bitext, chat, config, existing, with_report):
+    sections = config.values() if isinstance(config, dict) else ()
+    outputs = {s["output"] for s in sections if isinstance(s, dict) and isinstance(s.get("output"), str)}
+    argv = ["pipeline", "cfg.json"] + (["--report", "r.json"] if with_report else [])
+    run_in({"bitext.jsonl": bitext, "chat.jsonl": chat, "cfg.json": json.dumps(config).encode(),
+            **sentinels(existing)},
+           argv, outputs | ({"r.json"} if with_report else set()))
 
 
 @FUZZ
