@@ -18,7 +18,7 @@ import tempfile
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import __version__
 from .corpus import (
@@ -32,7 +32,7 @@ from .corpus import (
 from .chatprep import ContextConfig, MIXED_LANGUAGE, SAME_LANGUAGE, prepare_chat_corpus
 from .denoise import DenoiseConfig, DenoiseFormatError, chosen_count, denoise_corpus
 from .ensemble import ScoreSet, select_ensemble
-from .filtering import FilterConfig, filter_corpus, first_source
+from .filtering import FilterConfig, filter_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,8 +99,12 @@ def _staged_outputs():
     try:
         yield staged
         for path, tmp in list(staged.items()):
-            os.chmod(tmp, _file_mode(path))
-            os.replace(tmp, path)
+            try:
+                os.chmod(tmp, _file_mode(path))
+                os.replace(tmp, path)
+            except OSError as exc:
+                # Name the output, not the temp removed below.
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
             del staged[path]
     finally:
         for tmp in staged.values():
@@ -108,22 +112,25 @@ def _staged_outputs():
                 os.unlink(tmp)
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8", errors="strict") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError:
-        # The text reader's error offset is relative to a buffered chunk;
-        # decoding the whole file gives an absolute one.
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # Lines end as the text reader ends them: LF, CR, or CRLF once.
-            ends = (data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
-                    - data.count(b"\r\n", 0, exc.start))
-            raise CorpusError(f"invalid UTF-8: {exc.reason}", ends + 1) from None
-        raise
+def _read_lines(path: str | Path) -> Iterator[str]:
+    """Yield the file's lines as the text reader splits them (LF, CRLF,
+    lone CR, each read as LF), one at a time. A line holding bytes that
+    are not UTF-8 raises a CorpusError naming it once it is reached.
+    Decoding with surrogateescape turns each such byte into a lone
+    surrogate, which no valid UTF-8 decodes to, so only non-ASCII lines
+    are checked, by encoding them back strictly."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    # The line's own bytes give the strict decoder's reason.
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise CorpusError(f"invalid UTF-8: {exc.reason}", lineno) from None
+            yield line
 
 
 def _infer_format(path: str, explicit: str | None) -> str:
@@ -184,14 +191,10 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, staged: dict,
     _require_output(outfile)
     _require_input(infile)
     stats = ParseStats()
-    in_format = _infer_format(infile, in_format)
     on_error = "skip" if fail_mode == "skip_and_count" else "raise"
-    pairs = parse_bitext(_read_lines(infile), in_format, on_error, stats)
+    pairs = parse_bitext(_read_lines(infile), _infer_format(infile, in_format), on_error, stats)
     kept, report = filter_corpus(pairs, cfg)
-    _atomic_write_lines(outfile, write_bitext(
-        kept, _infer_format(outfile, out_format),
-        lambda index: _first_line_kept_as(kept[index], infile, in_format, on_error, stats,
-                                          report.input_count)), staged)
+    _atomic_write_lines(outfile, write_bitext(kept, _infer_format(outfile, out_format)), staged)
     return {
         "command": "filter",
         "config": {**asdict(cfg), "fail_mode": fail_mode},
@@ -199,27 +202,6 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, staged: dict,
         "seconds": round(time.monotonic() - started, 6),
         **report.as_dict(),
     }
-
-
-def _first_line_kept_as(pair, infile: str, in_format: str, on_error: str,
-                        first_read: ParseStats, pairs_read: int) -> int | None:
-    """The input line of a pair filter kept, found by reading and parsing
-    the input again, so only a failing run pays for it. None if the input
-    is no regular file (a FIFO cannot be read twice), no longer reads or
-    parses, or no longer yields as many pairs with the same lines left
-    unpaired as the first read; an input rewritten in place with that
-    same layout goes unnoticed."""
-    if not os.path.isfile(infile):
-        return None
-    stats = ParseStats()
-    try:
-        pairs = list(parse_bitext(_read_lines(infile), in_format, on_error, stats))
-    except (OSError, ValueError):
-        return None
-    if len(pairs) != pairs_read or stats != first_read:
-        return None
-    index = first_source(pairs, pair)
-    return None if index is None else stats.line_of(index)
 
 
 def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig, staged: dict,
@@ -245,16 +227,12 @@ def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, staged: dict,
     started = time.monotonic()
     _require_output(outfile)
     _require_input(infile)
-    stats = ParseStats()
-    pairs = list(parse_bitext(_read_lines(infile), _infer_format(infile, in_format),
-                              stats=stats))
+    pairs = list(parse_bitext(_read_lines(infile), _infer_format(infile, in_format)))
     try:
         noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
     except DenoiseFormatError as exc:
-        raise CorpusError(exc.reason, stats.line_of(exc.record)) from None
-    # Output pair i is input pair i, so a pair TSV cannot hold names its line.
-    _atomic_write_lines(outfile, write_bitext(noised, _infer_format(outfile, out_format),
-                                              stats.line_of), staged)
+        raise CorpusError(exc.reason, pairs[exc.record].line) from None
+    _atomic_write_lines(outfile, write_bitext(noised, _infer_format(outfile, out_format)), staged)
     changed = sum(1 for a, b in zip(pairs, noised) if a.target != b.target)
     return {
         "command": "denoise",

@@ -1,9 +1,8 @@
 """Data model and line-oriented IO for bitext and chat-dialogue corpora.
 
-Text is UTF-8 everywhere; callers open files with encoding="utf-8" and
-strict error handling so invalid bytes fail loudly instead of being
-silently mangled. "Word" throughout the toolkit means a whitespace
-separated substring.
+Text is UTF-8 everywhere; the CLI's reader refuses invalid bytes, naming
+their line, instead of silently mangling them. "Word" throughout the
+toolkit means a whitespace separated substring.
 """
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ import json
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 GENUINE = "genuine"
 SYNTHETIC = "synthetic"
@@ -70,6 +69,9 @@ class BitextPair:
     # (start, end) token indices of the target's mutable payload, split on
     # single spaces; carried only by JSONL as "target_payload_span".
     payload_span: tuple[int, int] | None = None
+    # 1-based input line parse_bitext read the pair from, which an error
+    # about it names; None for a pair built otherwise. Not compared.
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass(slots=True)
@@ -97,20 +99,9 @@ class Dialogue:
 @dataclass
 class ParseStats:
     """Filled in by parse_bitext: `skipped` counts the malformed lines
-    dropped under on_error="skip"; `unpaired_lines` lists every line that
-    yielded no pair, those and empty JSONL lines, in input order."""
+    dropped under on_error="skip"."""
 
     skipped: int = 0
-    unpaired_lines: list[int] = field(default_factory=list)
-
-    def line_of(self, index: int) -> int:
-        """1-based input line of the index-th pair parse_bitext yielded."""
-        line = index + 1
-        for unpaired in self.unpaired_lines:
-            if unpaired > line:
-                break
-            line += 1
-        return line
 
 
 # `not s or s.isspace()` is `not s.strip()` without the copy.
@@ -154,7 +145,7 @@ def _parse_tsv_line(raw: str, line: int) -> BitextPair:
         raise CorpusError(f"expected exactly one tab, found {len(sides) - 1}", line)
     source, target = sides
     _check_pair_fields(source, target, line)
-    return BitextPair(source, target)
+    return BitextPair(source, target, line=line)
 
 
 def _parse_jsonl_line(raw: str, line: int) -> BitextPair:
@@ -182,7 +173,7 @@ def _parse_jsonl_line(raw: str, line: int) -> BitextPair:
             f"target_payload_span {json.dumps(span)} is not a [start, end] "
             "token span of the target", line)
     return BitextPair(source=source, target=target, origin=origin,
-                      payload_span=None if span is None else tuple(span))
+                      payload_span=None if span is None else tuple(span), line=line)
 
 
 def parse_bitext(
@@ -191,9 +182,10 @@ def parse_bitext(
     on_error: str = "raise",
     stats: ParseStats | None = None,
 ) -> Iterator[BitextPair]:
-    """Yield pairs from TSV or JSONL lines, in input order.
+    """Yield pairs from TSV or JSONL lines, in input order, each with its
+    1-based input line in `line`.
 
-    on_error="raise" fails fast with the 1-based line number;
+    on_error="raise" fails fast with the line number;
     on_error="skip" drops malformed lines and counts them in `stats`.
     """
     if fmt not in BITEXT_FORMATS:
@@ -204,8 +196,6 @@ def parse_bitext(
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.rstrip("\n").rstrip("\r")
         if not raw and fmt == "jsonl":
-            if stats is not None:
-                stats.unpaired_lines.append(lineno)
             continue
         try:
             yield parse_line(raw, lineno)
@@ -214,32 +204,26 @@ def parse_bitext(
                 raise
             if stats is not None:
                 stats.skipped += 1
-                stats.unpaired_lines.append(lineno)
 
 
-def write_bitext(
-    pairs: Iterable[BitextPair], fmt: str = "tsv", line_of: Callable[[int], int] | None = None
-) -> Iterator[str]:
+def write_bitext(pairs: Iterable[BitextPair], fmt: str = "tsv") -> Iterator[str]:
     """Serialize pairs to lines (newline included).
 
     TSV refuses text containing tabs, newlines or carriage returns (the
     reader splits lines on both of the latter) so parse(write(x)) == x
-    always holds; `line_of`, if given, maps the refused pair's 0-based
-    index to the input line the error names. TSV carries neither the
-    origin flag nor the payload span; use JSONL when the corpus mixes
-    genuine and synthetic data or marks payload spans.
+    always holds; the error names the refused pair's line. TSV carries
+    neither the origin flag nor the payload span; use JSONL when the corpus
+    mixes genuine and synthetic data or marks payload spans.
     """
     if fmt not in BITEXT_FORMATS:
         raise ValueError(f"unknown bitext format {fmt!r}")
-    for index, pair in enumerate(pairs):
+    for pair in pairs:
         if fmt == "tsv":
             for text in (pair.source, pair.target):
                 if "\t" in text or "\n" in text or "\r" in text:
                     raise CorpusError(
                         f"tab, newline or carriage return in text {text!r} "
-                        "cannot be written as TSV",
-                        line_of(index) if line_of is not None else None,
-                    )
+                        "cannot be written as TSV", pair.line)
             yield f"{pair.source}\t{pair.target}\n"
         else:
             # The bytes of json.dumps(obj, ensure_ascii=False) + "\n" for obj =

@@ -365,7 +365,7 @@ def _noise_block(out: list[BitextPair], block: list[tuple[int, TargetSpans]],
         # The bitext reader would refuse a blank target as empty.
         if target.strip():
             pair = out[i]
-            out[i] = BitextPair(pair.source, target, pair.origin, pair.payload_span)
+            out[i] = BitextPair(pair.source, target, pair.origin, pair.payload_span, pair.line)
 
 
 def denoise_corpus(

@@ -186,7 +186,7 @@ def filter_corpus(
         if source is pair.source and target is pair.target and pair.payload_span is None:
             kept.append(pair)
         else:
-            kept.append(BitextPair(source, target, pair.origin))
+            kept.append(BitextPair(source, target, pair.origin, line=pair.line))
     report = FilterReport(count, len(kept))
     report.dropped_by_rule.update({RULE_LENGTH: sentence_too_long + word_too_long,
                                    RULE_DEDUP: dedup, RULE_RATIO: empty_side + ratio})
@@ -194,15 +194,3 @@ def filter_corpus(
                                     word_too_long=word_too_long,
                                     empty_side=empty_side, ratio=ratio)
     return kept, report
-
-
-def first_source(pairs: Iterable[BitextPair], kept: BitextPair) -> int | None:
-    """The index in pairs of the input pair that filter_corpus kept as
-    `kept`: the first whose sides normalize to kept's, since every rule
-    reads only normalized text and dedup keeps a pair's first occurrence.
-    None if no pair does."""
-    for index, pair in enumerate(pairs):
-        if (normalize_punctuation(pair.source) == kept.source
-                and normalize_punctuation(pair.target) == kept.target):
-            return index
-    return None

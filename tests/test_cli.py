@@ -11,10 +11,11 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chatmt import cli
 from chatmt.cli import _build_parser, main
-from chatmt.corpus import write_bitext
+from chatmt.corpus import CorpusError, write_bitext
 from conftest import make_micro_corpus
 
 
@@ -324,27 +325,96 @@ def test_pipeline_wrong_typed_option_exits_1(tmp_path, capsys, stage, key, value
     assert not any(p.exists() for p in outputs)
 
 
-@pytest.mark.parametrize("command, suffix, good", [
-    ("filter", ".tsv", [b"a\tb\n"]),
-    ("filter", ".jsonl", [b'{"source": "a", "target": "b"}\n']),
-    ("denoise", ".tsv", [b"a\tb\n"]),
-    ("chatprep", ".jsonl", [json.dumps(CHAT_LINES[0]).encode() + b"\n"]),
+def _rows(*lines):
+    """Row i of an input: lines[i % len(lines)]."""
+    return lambda i: lines[i % len(lines)]
+
+
+def _turns(*ends):
+    """Row i of a chat input: turn i of one dialogue, ended by ends[i % len(ends)]."""
+    return lambda i: json.dumps({**CHAT_LINES[0], "turn_index": i}).encode() + ends[i % len(ends)]
+
+
+@pytest.mark.parametrize("command, suffix, row", [
+    ("filter", ".tsv", _rows(b"a\tb\n")),
+    ("filter", ".jsonl", _rows(b'{"source": "a", "target": "b"}\n')),
+    ("denoise", ".tsv", _rows(b"a\tb\n")),
+    ("chatprep", ".jsonl", _turns(b"\n")),
     # The reader also ends a line at a lone CR, and at CRLF once.
-    ("filter", ".tsv", [b"a\tb\r"]),
-    ("filter", ".tsv", [b"a\tb\r\n", b"c\td\r"]),
-    ("chatprep", ".jsonl", [json.dumps(CHAT_LINES[0]).encode() + b"\r\n",
-                            json.dumps(CHAT_LINES[0]).encode() + b"\r"]),
+    ("filter", ".tsv", _rows(b"a\tb\r")),
+    ("filter", ".tsv", _rows(b"a\tb\r\n", b"c\td\r")),
+    ("chatprep", ".jsonl", _turns(b"\r\n", b"\r")),
 ], ids=["filter-tsv", "filter-jsonl", "denoise-tsv", "chatprep-jsonl",
         "filter-tsv-cr", "filter-tsv-crlf-cr", "chatprep-jsonl-crlf-cr"])
 @pytest.mark.parametrize("bad_line", [3, 5000])  # inside and past the first read buffer
-def test_invalid_utf8_exits_2_with_line(tmp_path, capsys, command, suffix, good, bad_line):
+def test_invalid_utf8_exits_2_with_line(tmp_path, capsys, command, suffix, row, bad_line):
     src = tmp_path / f"in{suffix}"
-    before = b"".join(good[i % len(good)] for i in range(bad_line - 1))
-    src.write_bytes(before + b"\xff\xfe" + good[0])
+    before = b"".join(row(i) for i in range(bad_line - 1))
+    src.write_bytes(before + b"\xff\xfe" + row(bad_line - 1))
     out = tmp_path / "out.tsv"
     assert run([command, "--in", str(src), "--out", str(out)]) == 2
     assert f"line {bad_line}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, suffix, row", [
+    ("filter", ".tsv", _rows(b"a\tb\n")),
+    ("denoise", ".tsv", _rows(b"a\tb\r\n", b"c\td\r")),
+    ("chatprep", ".jsonl", _turns(b"\n")),
+], ids=["filter", "denoise", "chatprep"])
+@pytest.mark.parametrize("bad_line", [3, 5000])  # inside and past the first read buffer
+def test_first_faulty_line_wins_over_later_invalid_utf8(tmp_path, capsys, command, suffix, row,
+                                                        bad_line):
+    # Line bad_line - 1 is malformed; bad_line, in the same read buffer,
+    # holds bytes that are not UTF-8.
+    src = tmp_path / f"in{suffix}"
+    before = b"".join(row(i) for i in range(bad_line - 2))
+    src.write_bytes(before + b"not a record\n" + b"\xff\xfe" + row(bad_line - 1))
+    out = tmp_path / "out.tsv"
+    assert run([command, "--in", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: line {bad_line - 1}: ") and "UTF-8" not in err
+    assert not out.exists()
+
+
+# Text a line can hold, and its ends.
+_line_text = st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)),
+                     max_size=12)
+_line_end = st.sampled_from(["\n", "\r", "\r\n"])
+# The text reader decodes 8 KiB at a time; this first line puts the CRLF
+# that ends it across that boundary.
+_STRADDLE = "x" * 8191 + "\r\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_line_text, _line_end), max_size=8), _line_text, st.booleans(),
+       st.none() | st.tuples(st.integers(0, 2**16),
+                             st.sampled_from([b"\xff", b"\x80", b"\xe4\xb8", b"\xed\xa0\x80"])))
+def test_read_lines_yields_readlines_and_names_the_first_invalid_line(rows, last, straddle,
+                                                                       invalid):
+    # `last` is the text after the final line end: no final newline
+    # unless it is empty. `invalid` inserts bytes that are not UTF-8.
+    data = ((_STRADDLE if straddle else "") + "".join(t + end for t, end in rows)
+            + last).encode("utf-8")
+    if invalid is not None:
+        at, insert = invalid
+        at %= len(data) + 1
+        data = data[:at] + insert + data[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_bytes(data)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Lines end as the text reader ends them: LF, CR, or CRLF once.
+            ends = (data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
+                    - data.count(b"\r\n", 0, exc.start))
+            with pytest.raises(CorpusError) as raised:
+                list(cli._read_lines(path))
+            assert str(raised.value) == f"line {ends + 1}: invalid UTF-8: {exc.reason}"
+        else:
+            with open(path, encoding="utf-8") as fh:
+                assert list(cli._read_lines(path)) == fh.readlines()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -524,28 +594,9 @@ def _tab_input(path):
                     encoding="utf-8")
 
 
-def test_filter_text_tsv_cannot_hold_reread_fails(tmp_path, capsys, monkeypatch):
-    # A second read that fails leaves the writer's error as it is.
-    src = tmp_path / "in.jsonl"
-    _tab_input(src)
-    reads = []
-
-    def read_once(path):
-        reads.append(path)
-        if len(reads) > 1:
-            raise OSError("gone")
-        return read_lines(path)
-
-    read_lines = cli._read_lines
-    monkeypatch.setattr("chatmt.cli._read_lines", read_once)
-    assert run(["filter", "--in", str(src), "--out", str(tmp_path / "out.tsv")]) == 2
-    assert capsys.readouterr().err.startswith("data error: tab, newline or carriage return")
-    assert len(reads) == 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
-
-
 def test_filter_text_tsv_cannot_hold_input_changed(tmp_path, capsys, monkeypatch):
-    # Read again, the changed input would put the pair on line 3.
+    # The pair keeps the line it was read from; read again, the changed
+    # input would put it on line 3.
     src = tmp_path / "in.jsonl"
     _tab_input(src)
 
@@ -557,13 +608,13 @@ def test_filter_text_tsv_cannot_hold_input_changed(tmp_path, capsys, monkeypatch
     filter_corpus = cli.filter_corpus
     monkeypatch.setattr("chatmt.cli.filter_corpus", filter_then_change)
     assert run(["filter", "--in", str(src), "--out", str(tmp_path / "out.tsv")]) == 2
-    assert capsys.readouterr().err.startswith("data error: tab, newline or carriage return")
+    assert capsys.readouterr().err.startswith("data error: line 2: tab, newline or carriage return")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_filter_text_tsv_cannot_hold_from_fifo_exits_2(tmp_path):
-    # A FIFO cannot be read twice: a second open would wait for a writer.
+    # A FIFO can be read only once, and that read names the pair's line.
     fifo, out = tmp_path / "in.jsonl", tmp_path / "out.tsv"
     os.mkfifo(fifo)
     src = str(Path(__file__).parent.parent / "src")
@@ -580,7 +631,7 @@ def test_filter_text_tsv_cannot_hold_from_fifo_exits_2(tmp_path):
         proc.kill()
         proc.wait()
     assert proc.returncode == 2
-    assert err.startswith("data error: tab, newline or carriage return")
+    assert err.startswith("data error: line 2: tab, newline or carriage return")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
@@ -671,17 +722,24 @@ def test_chatprep_blank_text_exits_2(tmp_path, capsys, field, blank):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lines, bad_line", [
-    ([{"source": "s1", "target": "a b"}, {"source": "s2", "target": "c\rd e"}], 2),
-    ([{"source": "s1", "target": "a b"}, None, {"source": "s\t2", "target": "c d"},
-      {"source": "s3", "target": "e f"}], 3),
-], ids=["target-cr", "blank-then-source-tab"])
-def test_denoise_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, lines, bad_line):
+_SOURCE_TAB = [{"source": "s1", "target": "a b"}, None, {"source": "s\t2", "target": "c d"},
+               {"source": "s3", "target": "e f"}]
+
+
+@pytest.mark.parametrize("lines, token_prob, bad_line", [
+    ([{"source": "s1", "target": "a b"}, {"source": "s2", "target": "c\rd e"}], "0.15", 2),
+    (_SOURCE_TAB, "0.15", 3),
+    # Every target noised: the rebuilt pair keeps its line.
+    (_SOURCE_TAB, "1", 3),
+], ids=["target-cr", "blank-then-source-tab", "noised-source-tab"])
+def test_denoise_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, lines, token_prob,
+                                                     bad_line):
     src = tmp_path / "in.jsonl"
     src.write_text("".join((json.dumps(obj) if obj else "") + "\n" for obj in lines),
                    encoding="utf-8")
     out = tmp_path / "x.tsv"
-    assert run(["denoise", "--in", str(src), "--out", str(out), "--pair-fraction", "1.0"]) == 2
+    assert run(["denoise", "--in", str(src), "--out", str(out), "--pair-fraction", "1.0",
+                "--token-prob", token_prob]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: line {bad_line}: tab, newline or carriage return")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
@@ -1011,12 +1069,15 @@ def test_failed_rename_keeps_earlier_renames_and_no_temp(tmp_path, capsys, monke
 
     def fail_for_report(tmp, path):
         if Path(path).name == "r.json":
-            raise OSError(errno.EIO, os.strerror(errno.EIO))
+            # A real EXDEV names both paths.
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), tmp, None, path)
         replace(tmp, path)
 
     monkeypatch.setattr(os, "replace", fail_for_report)
     assert run(["filter", "--in", str(src), "--out", str(out), "--report", str(report)]) == 2
-    assert capsys.readouterr().err.startswith("io error: ")
+    # The error names the output, not the temp that is gone.
+    assert capsys.readouterr().err == \
+        f"io error: [Errno {errno.EXDEV}] {os.strerror(errno.EXDEV)}: {str(report)!r}\n"
     assert sorted(os.listdir(tmp_path)) == ["in.tsv", "o.tsv"]
 
 
@@ -1029,3 +1090,25 @@ def test_pipeline_denoise_reads_chatprep_staged_output_by_its_suffix(tmp_path):
     assert run(["denoise", "--in", str(tmp_path / "p.jsonl"), "--out", str(alone), "--seed", "11",
                 "--pair-fraction", "0.5", "--token-prob", "0.5"]) == 0
     assert (tmp_path / "noised.tsv").read_bytes() == alone.read_bytes()
+
+
+@pytest.mark.parametrize("command, suffix, row", [
+    ("filter", ".tsv", _rows(b"a\tb\n")),
+    ("denoise", ".tsv", _rows(b"a\tb\n")),
+    ("chatprep", ".jsonl", _turns(b"\n")),
+], ids=["filter", "denoise", "chatprep"])
+def test_stage_failing_mid_read_closes_its_input(tmp_path, monkeypatch, command, suffix, row):
+    # The malformed line lies past the first read buffer, so the stage
+    # fails with its input open; main runs with the cyclic collector off.
+    src = tmp_path / f"in{suffix}"
+    src.write_bytes(b"".join(row(i) for i in range(3000)) + b"not a record\n" + row(3000))
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert run([command, "--in", str(src), "--out", str(tmp_path / "out.tsv")]) == 2
+    assert [fh.name for fh in handles] == [str(src)]
+    assert all(fh.closed for fh in handles)
