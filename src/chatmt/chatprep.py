@@ -91,10 +91,10 @@ def context_sides(turns: Sequence[ChatRecord], mode: str) -> tuple[list[str], li
 
 def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig,
                   sides: tuple[list[str], list[str]] | None = None) -> BitextPair:
-    """Build one training pair for the given turn with up to n_prev
-    preceding utterances appended after the context indicator. `sides`
-    is context_sides(d.turns, cfg.mode), for a caller that builds every
-    turn of d."""
+    """Build one training pair for the given turn, carrying the turn's
+    input line, with up to n_prev preceding utterances appended after the
+    context indicator. `sides` is context_sides(d.turns, cfg.mode), for a
+    caller that builds every turn of d."""
     if not 0 <= turn_index < len(d.turns):
         raise ValueError(
             f"turn {turn_index} not in dialogue {d.dialogue_id!r} "
@@ -108,13 +108,14 @@ def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig,
 
     k = cfg.n_prev if cfg.n_prev < turn_index else turn_index
     if k == 0:
-        return BitextPair(source, target)
+        return BitextPair(source, target, line=cur.line)
     src_ctx, tgt_ctx = sides or context_sides(d.turns, cfg.mode)
     # Most recent context first: turns turn_index - 1 down to turn_index - k.
     stop = turn_index - k - 1 if k < turn_index else None
     return BitextPair(
         f"{source} {CONTEXT_TAG} {_SEP.join(src_ctx[turn_index - 1 : stop : -1])}",
         f"{target} {CONTEXT_TAG} {_SEP.join(tgt_ctx[turn_index - 1 : stop : -1])}",
+        line=cur.line,
     )
 
 

@@ -114,23 +114,11 @@ def _staged_outputs():
 
 def _read_lines(path: str | Path) -> Iterator[str]:
     """Yield the file's lines as the text reader splits them (LF, CRLF,
-    lone CR, each read as LF), one at a time. A line holding bytes that
-    are not UTF-8 raises a CorpusError naming it once it is reached.
-    Decoding with surrogateescape turns each such byte into a lone
-    surrogate, which no valid UTF-8 decodes to, so only non-ASCII lines
-    are checked, by encoding them back strictly."""
+    lone CR, each read as LF), one at a time. Bytes that are not UTF-8
+    are decoded to lone surrogates (surrogateescape), so the parser that
+    reaches their line names it, or skips it under skip_and_count."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    # The line's own bytes give the strict decoder's reason.
-                    try:
-                        line.encode("utf-8", "surrogateescape").decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise CorpusError(f"invalid UTF-8: {exc.reason}", lineno) from None
-            yield line
+        yield from fh
 
 
 def _infer_format(path: str, explicit: str | None) -> str:

@@ -1,8 +1,8 @@
 """Data model and line-oriented IO for bitext and chat-dialogue corpora.
 
-Text is UTF-8 everywhere; the CLI's reader refuses invalid bytes, naming
-their line, instead of silently mangling them. "Word" throughout the
-toolkit means a whitespace separated substring.
+Text is UTF-8 everywhere; the parsers refuse a line holding bytes that
+are not UTF-8, naming it, instead of silently mangling it. "Word"
+throughout the toolkit means a whitespace separated substring.
 """
 from __future__ import annotations
 
@@ -83,11 +83,15 @@ class ChatRecord:
     tgt_text: str
     src_lang: str
     tgt_lang: str
+    # 1-based input line parse_chat read the turn from, which build_context
+    # copies onto the turn's pair; None for a record built otherwise. It is
+    # not a field of the chat line, and not compared.
+    line: int | None = field(default=None, compare=False)
 
 
 # A chat line's values in ChatRecord's field order; a missing key raises
 # KeyError naming the first one missing.
-_chat_fields = itemgetter(*(f.name for f in fields(ChatRecord)))
+_chat_fields = itemgetter(*(f.name for f in fields(ChatRecord) if f.name != "line"))
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,21 @@ class ParseStats:
     dropped under on_error="skip"."""
 
     skipped: int = 0
+
+
+def _check_utf8(raw: str, line: int) -> None:
+    """Refuse a line holding bytes that are not UTF-8. The CLI's reader
+    decodes each such byte to a lone surrogate (surrogateescape), which no
+    valid UTF-8 decodes to, so only non-ASCII lines need this check, and
+    the line's own bytes give the strict decoder's reason. Call it on the
+    line as read, end included: stripping could change the reason."""
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        try:
+            raw.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeError as exc:
+            raise CorpusError(f"invalid UTF-8: {exc.reason}", line) from None
 
 
 # `not s or s.isspace()` is `not s.strip()` without the copy.
@@ -186,7 +205,8 @@ def parse_bitext(
     1-based input line in `line`.
 
     on_error="raise" fails fast with the line number;
-    on_error="skip" drops malformed lines and counts them in `stats`.
+    on_error="skip" drops malformed lines, a line that is not UTF-8
+    included, and counts them in `stats`.
     """
     if fmt not in BITEXT_FORMATS:
         raise ValueError(f"unknown bitext format {fmt!r}")
@@ -194,11 +214,12 @@ def parse_bitext(
         raise ValueError(f"unknown error mode {on_error!r}")
     parse_line = _parse_tsv_line if fmt == "tsv" else _parse_jsonl_line
     for lineno, raw in enumerate(lines, start=1):
-        raw = raw.rstrip("\n").rstrip("\r")
-        if not raw and fmt == "jsonl":
-            continue
         try:
-            yield parse_line(raw, lineno)
+            if not raw.isascii():
+                _check_utf8(raw, lineno)
+            raw = raw.rstrip("\n").rstrip("\r")
+            if raw or fmt == "tsv":
+                yield parse_line(raw, lineno)
         except CorpusError:
             if on_error == "raise":
                 raise
@@ -241,14 +262,17 @@ def write_bitext(pairs: Iterable[BitextPair], fmt: str = "tsv") -> Iterator[str]
 
 
 def parse_chat(lines: Iterable[str]) -> list[Dialogue]:
-    """Parse chat JSONL into dialogues ordered by first appearance.
+    """Parse chat JSONL into dialogues ordered by first appearance, each
+    turn with its 1-based input line in `line`.
 
-    Validates field types, non-blank texts, speaker values,
+    Validates UTF-8, field types, non-blank texts, speaker values,
     (dialogue_id, turn_index) uniqueness, and that turn indices are
     contiguous from 0 within each dialogue.
     """
     by_dialogue: dict[str, dict[int, ChatRecord]] = {}
     for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii():
+            _check_utf8(raw, lineno)
         raw = raw.strip()
         if not raw:
             continue
@@ -276,7 +300,8 @@ def parse_chat(lines: Iterable[str]) -> list[Dialogue]:
         turns = by_dialogue.setdefault(did, {})
         if turn in turns:
             raise CorpusError(f"duplicate turn {turn} in dialogue {did!r}", lineno)
-        turns[turn] = ChatRecord(did, turn, speaker, src_text, tgt_text, src_lang, tgt_lang)
+        turns[turn] = ChatRecord(did, turn, speaker, src_text, tgt_text, src_lang, tgt_lang,
+                                 lineno)
 
     dialogues = []
     for did, turns in by_dialogue.items():

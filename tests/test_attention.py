@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracle
 from chatmt import attention
 from chatmt.attention import (
     FfnParams,
@@ -10,54 +11,7 @@ from chatmt.attention import (
     standard_attention,
     talking_heads_attention,
 )
-
-
-def prefix_mean_oracle(y):
-    t = y.shape[0]
-    return np.stack([y[: i + 1].sum(axis=0) / (i + 1) for i in range(t)])
-
-
-def attention_oracle(q, k, v):
-    m, dk = q.shape
-    n, dv = v.shape
-    out = np.zeros((m, dv))
-    for i in range(m):
-        logits = np.array([q[i] @ k[j] / np.sqrt(dk) for j in range(n)])
-        logits -= logits.max()
-        probs = np.exp(logits) / np.exp(logits).sum()
-        for j in range(n):
-            out[i] += probs[j] * v[j]
-    return out
-
-
-def talking_heads_oracle(q, k, v, wl, wa):
-    h, m, dk = q.shape
-    n = k.shape[1]
-    dv = v.shape[2]
-    logits = np.zeros((h, m, n))
-    for a in range(h):
-        for i in range(m):
-            for j in range(n):
-                logits[a, i, j] = q[a, i] @ k[a, j] / np.sqrt(dk)
-    mixed = np.zeros((h, m, n))
-    for g in range(h):
-        for a in range(h):
-            mixed[g] += logits[a] * wl[a, g]
-    probs = np.zeros_like(mixed)
-    for g in range(h):
-        for i in range(m):
-            row = mixed[g, i] - mixed[g, i].max()
-            probs[g, i] = np.exp(row) / np.exp(row).sum()
-    scores = np.zeros_like(probs)
-    for g in range(h):
-        for a in range(h):
-            scores[g] += probs[a] * wa[a, g]
-    out = np.zeros((h, m, dv))
-    for g in range(h):
-        for i in range(m):
-            for j in range(n):
-                out[g, i] += scores[g, i, j] * v[g, j]
-    return out
+from oracle import prefix_mean_oracle
 
 
 class TestAan:
@@ -98,9 +52,7 @@ class TestAan:
             b2=rng.normal(size=d),
         )
         y = rng.normal(size=(5, d))
-        means = prefix_mean_oracle(y)
-        expected = np.maximum(means @ ffn.w1 + ffn.b1, 0) @ ffn.w2 + ffn.b2
-        assert np.allclose(aan_context(y, ffn), expected)
+        assert np.allclose(aan_context(y, ffn), oracle.ffn(prefix_mean_oracle(y), ffn))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -126,7 +78,8 @@ class TestStandardAttention:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(4)
         q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
-        assert np.abs(standard_attention(q, k, v) - attention_oracle(q, k, v)).max() <= 1e-12
+        assert np.abs(standard_attention(q, k, v) - oracle.standard_attention(q, k, v)).max() \
+            <= 1e-12
 
     def test_rows_sum_to_one_and_convex_hull(self):
         rng = np.random.default_rng(5)
@@ -177,7 +130,7 @@ class TestTalkingHeads:
         wl = rng.normal(size=(h, h))
         wa = rng.normal(size=(h, h))
         out = talking_heads_attention(q, k, v, wl, wa)
-        assert np.abs(out - talking_heads_oracle(q, k, v, wl, wa)).max() <= 1e-9
+        assert np.abs(out - oracle.talking_heads_attention(q, k, v, wl, wa)).max() <= 1e-9
 
     def test_bad_mixing_shapes(self):
         q = np.zeros((2, 3, 4))
@@ -188,41 +141,11 @@ class TestTalkingHeads:
 
 
 # ------------------------------------------- the out-of-place formulas
-# The kernels compute in temporaries they own; these are the formulas
-# they replaced, one fresh array per step, kept as the references.
+# The kernels compute in temporaries they own; the oracle's kernels make
+# one fresh array per step.
 
 HEADS, SEQ, HEAD_DIM = 8, 512, 64  # perfbench/kernels.py's shapes
 AAN_DIM, AAN_FF = 512, 1024
-
-
-def _ref_softmax_rows(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def _ref_ffn(x, ffn):
-    h = x @ ffn.w1 + ffn.b1
-    if ffn.use_activation:
-        h = np.maximum(h, 0.0)
-    return h @ ffn.w2 + ffn.b2
-
-
-def _ref_aan(y, ffn):
-    y = np.asarray(y, dtype=float)
-    return _ref_ffn(np.cumsum(y, axis=0) / np.arange(1, y.shape[0] + 1)[:, None], ffn)
-
-
-def _ref_standard(q, k, v):
-    q, k, v = (np.asarray(a, dtype=float) for a in (q, k, v))
-    return _ref_softmax_rows(q @ k.T / np.sqrt(q.shape[1])) @ v
-
-
-def _ref_talking_heads(q, k, v, wl, ws):
-    q, k, v, wl, ws = (np.asarray(a, dtype=float) for a in (q, k, v, wl, ws))
-    logits = q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[2])
-    probs = _ref_softmax_rows(np.einsum("hmn,hg->gmn", logits, wl))
-    return np.einsum("hmn,hg->gmn", probs, ws) @ v
 
 
 def _bench_inputs(seed):
@@ -273,12 +196,12 @@ class TestInPlaceKernels:
     def test_equal_to_out_of_place_formulas(self, seed):
         y, ffn, q, k, v, wl, ws = _bench_inputs(seed)
         assert np.array_equal(_unchanged_after(lambda y: aan_context(y, ffn), y),
-                              _ref_aan(y, ffn))
+                              oracle.aan_context(y, ffn))
         for h in range(HEADS):
             assert np.array_equal(_unchanged_after(standard_attention, q[h], k[h], v[h]),
-                                  _ref_standard(q[h], k[h], v[h]))
+                                  oracle.standard_attention(q[h], k[h], v[h]))
         out = _unchanged_after(talking_heads_attention, q, k, v, wl, ws)
-        assert np.abs(out - _ref_talking_heads(q, k, v, wl, ws)).max() <= 1e-12
+        assert np.abs(out - oracle.talking_heads_attention(q, k, v, wl, ws)).max() <= 1e-12
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
     def test_int_and_float32_inputs_give_float64(self, dtype):
@@ -291,13 +214,13 @@ class TestInPlaceKernels:
         ffn = FfnParams(w1=rng.normal(size=(d, 8)), b1=rng.normal(size=8),
                         w2=rng.normal(size=(8, d)), b2=rng.normal(size=d))
         out = _unchanged_after(lambda y: aan_context(y, ffn), y)
-        assert out.dtype == np.float64 and np.array_equal(out, _ref_aan(y, ffn))
+        assert out.dtype == np.float64 and np.array_equal(out, oracle.aan_context(y, ffn))
         out = _unchanged_after(standard_attention, q[0], k[0], v[0])
         assert out.dtype == np.float64
-        assert np.array_equal(out, _ref_standard(q[0], k[0], v[0]))
+        assert np.array_equal(out, oracle.standard_attention(q[0], k[0], v[0]))
         out = _unchanged_after(talking_heads_attention, q, k, v, wl, ws)
         assert out.dtype == np.float64
-        assert np.abs(out - _ref_talking_heads(q, k, v, wl, ws)).max() <= 1e-12
+        assert np.abs(out - oracle.talking_heads_attention(q, k, v, wl, ws)).max() <= 1e-12
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
     @pytest.mark.parametrize("use_activation", [True, False])
@@ -309,7 +232,7 @@ class TestInPlaceKernels:
         ffn = FfnParams(w1=w1, b1=b1, w2=w2, b2=b2, use_activation=use_activation)
         for inp in (x, x.astype(np.int64), x.astype(np.float32), x.astype(np.float64)):
             out = _unchanged_after(ffn.apply, inp)
-            want = _ref_ffn(inp, ffn)
+            want = oracle.ffn(inp, ffn)
             assert out.dtype == want.dtype and np.array_equal(out, want)
 
 
@@ -346,7 +269,7 @@ class TestEmptyAndBlockedShapes:
             q = rng.normal(size=(HEADS, m, HEAD_DIM))
             out = _unchanged_after(talking_heads_attention, q, k, v, wl, ws)
             assert out.shape == (HEADS, m, 3)
-            assert np.abs(out - _ref_talking_heads(q, k, v, wl, ws)).max() <= 1e-12
+            assert np.abs(out - oracle.talking_heads_attention(q, k, v, wl, ws)).max() <= 1e-12
 
     def test_talking_heads_never_holds_a_full_grid(self):
         _, _, q, k, v, wl, ws = _bench_inputs(1)

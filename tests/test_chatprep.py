@@ -1,12 +1,11 @@
-import json
 import random
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from chatmt.cli import main
-from chatmt.corpus import BitextPair, ChatRecord, Dialogue, write_bitext
+import oracle
+from chatmt.corpus import BitextPair, ChatRecord, Dialogue
 from chatmt.chatprep import (
     CONTEXT_TAG,
     ContextConfig,
@@ -15,10 +14,10 @@ from chatmt.chatprep import (
     build_context,
     chat_line_fault,
     prepare_chat_corpus,
-    split_tags,
     strip_tags,
 )
 from conftest import make_dialogue
+from oracle import outcome
 
 
 def rec(idx, speaker, src, tgt, src_lang="de", tgt_lang="en"):
@@ -144,7 +143,7 @@ _chat_lines = st.lists(
 @example("<BT> <context begins> x <context begins> y")
 @example("a <context begins><context begins>")
 def test_chat_line_fault_reads_split_tags(text):
-    _, payload, tail = split_tags(text)
+    _, payload, tail = oracle.split_chat_line(text)
     if tail.count(CONTEXT_TAG) > 1:
         expected = "multiple context indicators"
     elif not payload:
@@ -189,80 +188,6 @@ def test_random_dialogue_properties(seed, mode):
             assert longer.target.startswith(shorter.target)
 
 
-# --- chatprep against the version that built each pair twice -------------
-# Copies of check_no_reserved_tags, build_context and prepare_chat_corpus
-# as they were before one compiled pattern found the reserved tags and
-# build_context wrote the speaker tag inline.
-
-_REF_RESERVED = ("<BT>", "<agent>", "<customer>", "<context begins>", "<SEP>")
-
-
-def _ref_check_no_reserved_tags(text, where="input"):
-    if any(tag in text for tag in _REF_RESERVED):
-        raise TagError(f"{where} contains a reserved tag: {text!r}")
-
-
-def _ref_build_context(d, turn_index, cfg):
-    if not 0 <= turn_index < len(d.turns):
-        raise ValueError(
-            f"turn {turn_index} not in dialogue {d.dialogue_id!r} "
-            f"({len(d.turns)} turns)"
-        )
-    cur = d.turns[turn_index]
-    if cfg.speaker_tags:
-        tag = "<agent>" if cur.speaker == "agent" else "<customer>"
-        base = BitextPair(source=f"{tag} {cur.src_text}", target=f"{tag} {cur.tgt_text}")
-    else:
-        base = BitextPair(source=cur.src_text, target=cur.tgt_text)
-    k = min(cfg.n_prev, turn_index)
-    if k == 0:
-        return base
-    src_ctx, tgt_ctx = [], []
-    stop = turn_index - 1 - k
-    for prev in d.turns[turn_index - 1 : (stop if stop >= 0 else None) : -1]:
-        if cfg.mode == "same_language":
-            src_ctx.append(prev.src_text)
-            tgt_ctx.append(prev.tgt_text)
-        else:
-            src_is_own = (prev.src_lang == "en" if prev.speaker == "agent"
-                          else prev.src_lang != "en")
-            own, translation = ((prev.src_text, prev.tgt_text) if src_is_own
-                                else (prev.tgt_text, prev.src_text))
-            src_ctx.append(own)
-            tgt_ctx.append(translation)
-    return BitextPair(
-        source=f"{base.source} <context begins> {' <SEP> '.join(src_ctx)}",
-        target=f"{base.target} <context begins> {' <SEP> '.join(tgt_ctx)}",
-    )
-
-
-def _ref_prepare_chat_corpus(dialogues, cfg):
-    for d in dialogues:
-        for r in d.turns:
-            _ref_check_no_reserved_tags(r.src_text, f"{d.dialogue_id}/{r.turn_index} src_text")
-            _ref_check_no_reserved_tags(r.tgt_text, f"{d.dialogue_id}/{r.turn_index} tgt_text")
-        for r in d.turns:
-            yield _ref_build_context(d, r.turn_index, cfg)
-
-
-def _drain(pairs):
-    """Every pair yielded, then the error that ended the run, if any."""
-    out = []
-    try:
-        for pair in pairs:
-            out.append(pair)
-    except Exception as exc:  # compared by type and message
-        out.append((type(exc), str(exc)))
-    return out
-
-
-def _outcome(fn, *args):
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # compared by type and message
-        return type(exc), str(exc)
-
-
 # Texts free of whole tags, which may hold partial ones; a dialogue may
 # get one text that holds a whole tag.
 _clean_texts = st.lists(
@@ -270,7 +195,7 @@ _clean_texts = st.lists(
                      "context begins>", "<agent", "SEP>"]),
     min_size=1, max_size=6,
 ).map("".join)
-_tagged_texts = st.tuples(_clean_texts, st.sampled_from(_REF_RESERVED), _clean_texts).map(
+_tagged_texts = st.tuples(_clean_texts, st.sampled_from(oracle.RESERVED_TAGS), _clean_texts).map(
     "".join)
 
 
@@ -308,27 +233,7 @@ _CONTEXT_CONFIGS = [
 def test_chatprep_matches_reference(dialogues, turn_index):
     d = dialogues[0]
     for cfg in _CONTEXT_CONFIGS:
-        assert _drain(prepare_chat_corpus(dialogues, cfg)) == \
-            _drain(_ref_prepare_chat_corpus(dialogues, cfg))
-        assert _outcome(build_context, d, turn_index, cfg) == \
-            _outcome(_ref_build_context, d, turn_index, cfg)
-
-
-
-@pytest.mark.parametrize("mode", ["same", "mixed"])
-@pytest.mark.parametrize("tags", ["on", "off"])
-def test_chatprep_command_matches_reference(tmp_path, mode, tags):
-    # Long dialogues whose turns switch languages, so that every context
-    # length and both sides of the mixed mode occur.
-    rng = random.Random(17)
-    dialogues = [make_dialogue(rng, f"d{n}", rng.randint(1, 30), *rng.sample(["de", "en"], 2))
-                 for n in range(40)]
-    dialogues = [replace(d, turns=tuple(
-        replace(r, src_lang=r.tgt_lang, tgt_lang=r.src_lang) if rng.random() < 0.3 else r
-        for r in d.turns)) for d in dialogues]
-    chat, out = tmp_path / "chat.jsonl", tmp_path / "out.tsv"
-    chat.write_text("".join(json.dumps(asdict(r)) + "\n" for d in dialogues for r in d.turns))
-    assert main(["chatprep", "--in", str(chat), "--out", str(out), "--n-prev", "3",
-                 "--mode", mode, "--speaker-tags", tags]) == 0
-    cfg = ContextConfig(n_prev=3, mode=f"{mode}_language", speaker_tags=tags == "on")
-    assert out.read_text() == "".join(write_bitext(_ref_prepare_chat_corpus(dialogues, cfg), "tsv"))
+        assert outcome(prepare_chat_corpus, dialogues, cfg) == \
+            outcome(oracle.prepare_chat_corpus, dialogues, cfg)
+        assert outcome(build_context, d, turn_index, cfg) == \
+            outcome(oracle.build_context, d, turn_index, cfg)

@@ -11,11 +11,10 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from chatmt import cli
 from chatmt.cli import _build_parser, main
-from chatmt.corpus import CorpusError, write_bitext
+from chatmt.corpus import write_bitext
 from conftest import make_micro_corpus
 
 
@@ -113,6 +112,15 @@ def test_filter_skip_mode(tmp_path):
                 "--fail-mode", "skip_and_count", "--report", str(report)])
     assert code == 0
     assert json.loads(report.read_text())["parse_skipped"] == 1
+
+
+def test_filter_skip_mode_skips_a_line_that_is_not_utf8(tmp_path):
+    src, out, report = tmp_path / "in.tsv", tmp_path / "o.tsv", tmp_path / "r.json"
+    src.write_bytes(b"a b\tc d\n\xff bad\tx\ne f\tg h\n")
+    assert run(["filter", "--in", str(src), "--out", str(out),
+                "--fail-mode", "skip_and_count", "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["parse_skipped"] == 1
+    assert out.read_text(encoding="utf-8") == "a b\tc d\ne f\tg h\n"
 
 
 def test_chatprep_outputs_context_lines(tmp_path):
@@ -353,7 +361,7 @@ def test_invalid_utf8_exits_2_with_line(tmp_path, capsys, command, suffix, row, 
     src.write_bytes(before + b"\xff\xfe" + row(bad_line - 1))
     out = tmp_path / "out.tsv"
     assert run([command, "--in", str(src), "--out", str(out)]) == 2
-    assert f"line {bad_line}:" in capsys.readouterr().err
+    assert f"line {bad_line}: invalid UTF-8: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -375,46 +383,6 @@ def test_first_faulty_line_wins_over_later_invalid_utf8(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith(f"data error: line {bad_line - 1}: ") and "UTF-8" not in err
     assert not out.exists()
-
-
-# Text a line can hold, and its ends.
-_line_text = st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",)),
-                     max_size=12)
-_line_end = st.sampled_from(["\n", "\r", "\r\n"])
-# The text reader decodes 8 KiB at a time; this first line puts the CRLF
-# that ends it across that boundary.
-_STRADDLE = "x" * 8191 + "\r\n"
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_line_text, _line_end), max_size=8), _line_text, st.booleans(),
-       st.none() | st.tuples(st.integers(0, 2**16),
-                             st.sampled_from([b"\xff", b"\x80", b"\xe4\xb8", b"\xed\xa0\x80"])))
-def test_read_lines_yields_readlines_and_names_the_first_invalid_line(rows, last, straddle,
-                                                                       invalid):
-    # `last` is the text after the final line end: no final newline
-    # unless it is empty. `invalid` inserts bytes that are not UTF-8.
-    data = ((_STRADDLE if straddle else "") + "".join(t + end for t, end in rows)
-            + last).encode("utf-8")
-    if invalid is not None:
-        at, insert = invalid
-        at %= len(data) + 1
-        data = data[:at] + insert + data[at:]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "in.txt"
-        path.write_bytes(data)
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # Lines end as the text reader ends them: LF, CR, or CRLF once.
-            ends = (data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
-                    - data.count(b"\r\n", 0, exc.start))
-            with pytest.raises(CorpusError) as raised:
-                list(cli._read_lines(path))
-            assert str(raised.value) == f"line {ends + 1}: invalid UTF-8: {exc.reason}"
-        else:
-            with open(path, encoding="utf-8") as fh:
-                assert list(cli._read_lines(path)) == fh.readlines()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -720,6 +688,21 @@ def test_chatprep_blank_text_exits_2(tmp_path, capsys, field, blank):
                 "--speaker-tags", "off", "--n-prev", "0"]) == 2
     assert capsys.readouterr().err == f"data error: line 2: empty {field}\n"
     assert not out.exists()
+
+
+# Pairs are written by dialogue: d1's turns 0 and 1 (lines 1 and 3), then
+# d2's turn 0 (line 2), which has no context.
+@pytest.mark.parametrize("bad_line, field, value", [(3, "src_text", "a\tb"),
+                                                    (2, "tgt_text", "c\rd")])
+def test_chatprep_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, bad_line, field, value):
+    chat = tmp_path / "chat.jsonl"
+    lines = [CHAT_LINES[0], CHAT_LINES[2], CHAT_LINES[1]]
+    lines[bad_line - 1] = {**lines[bad_line - 1], field: value}
+    chat.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+    assert run(["chatprep", "--in", str(chat), "--out", str(tmp_path / "out.tsv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: line {bad_line}: tab, newline or carriage return")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chat.jsonl"]
 
 
 _SOURCE_TAB = [{"source": "s1", "target": "a b"}, None, {"source": "s\t2", "target": "c d"},

@@ -2,7 +2,9 @@
 near-valid records must each map to exit 0, 1 or 2 with no exception and
 no traceback. A failed run changes no file (outputs that existed before
 keep their bytes) and leaves no temp file, and a run that succeeds
-changes only its outputs."""
+changes only its outputs. filter, chatprep, denoise and the pipeline's
+fixed config also exit as the oracle does on the same files: 0 with its
+output bytes, or 2 with its error line."""
 import contextlib
 import io
 import json
@@ -11,8 +13,12 @@ import tempfile
 
 from hypothesis import assume, given, settings, strategies as st
 
-from chatmt.chatprep import RESERVED_TAGS
+import oracle
+from chatmt.chatprep import MIXED_LANGUAGE, SAME_LANGUAGE, RESERVED_TAGS, ContextConfig
 from chatmt.cli import main
+from chatmt.denoise import DenoiseConfig
+from chatmt.filtering import FilterConfig
+from oracle import outcome
 from test_cli import CHAT_LINES
 
 FUZZ = settings(max_examples=60, deadline=None)
@@ -40,6 +46,9 @@ PIPELINE = {
     "chatprep": {"input": "chat.jsonl", "output": "p.jsonl", "n_prev": 2, "mode": "mixed"},
     "denoise": {"output": "n.jsonl", "format": "jsonl", "pair_fraction": 1.0},
 }
+# PIPELINE's stage configs, for the oracle.
+PIPELINE_CONFIGS = (FilterConfig(max_words=5), ContextConfig(n_prev=2, mode=MIXED_LANGUAGE),
+                    DenoiseConfig(pair_fraction=1.0, seed=3))
 
 
 def near_valid(record: dict):
@@ -91,10 +100,12 @@ def sentinels(names) -> dict[str, bytes]:
     return {name: b"sentinel " + name.encode() + b"\n" for name in names}
 
 
-def run_in(files: dict[str, bytes], argv: list[str], outputs: set[str]) -> None:
+def run_in(files: dict[str, bytes], argv: list[str], outputs: set[str], expected=None) -> None:
     """Run `argv` in a fresh working directory holding `files`, then check
     the exit code, stderr and which files were created, changed or removed:
-    only `outputs`, and only by a run that succeeds."""
+    only `outputs`, and only by a run that succeeds. `expected(files)`, if
+    given, is the oracle's run: the output bytes by file name, or the
+    CorpusError the run must exit 2 with."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as d:
         for name, data in files.items():
@@ -114,6 +125,13 @@ def run_in(files: dict[str, bytes], argv: list[str], outputs: set[str]) -> None:
     changed = {name for name in before.keys() | after.keys()
                if before.get(name) != after.get(name)}
     assert changed <= (outputs if code == 0 else set()), err.getvalue()
+    if expected is not None:
+        want = outcome(expected, files)
+        if want[0] == "ok":
+            assert (code, {name: after.get(name) for name in want[1]}) == (0, want[1]), \
+                err.getvalue()
+        else:
+            assert (code, err.getvalue()) == (2, f"data error: {want[1]}\n")
 
 
 @FUZZ
@@ -123,23 +141,45 @@ def test_fuzz_filter(fmt, mode, out_exists, data):
     content = data.draw(tsv_files if fmt == "tsv" else jsonl_files(BITEXT_RECORD))
     run_in({f"in.{fmt}": content, **sentinels(["out.tsv"] if out_exists else [])},
            ["filter", "--in", f"in.{fmt}", "--out", "out.tsv", "--fail-mode", mode],
-           {"out.tsv"})
+           {"out.tsv"}, lambda files: {"out.tsv": oracle.run_filter(
+               files[f"in.{fmt}"], fmt, "tsv", FilterConfig(), mode)})
+
+
+@st.composite
+def chat_files(draw) -> bytes:
+    """Valid chat JSONL, shuffled: a few dialogues of up to 8 turns, each
+    turn's languages in either order, so that every context length and
+    both sides of the mixed mode occur."""
+    words = st.lists(st.sampled_from(["hallo", "a b", "\xfc", "wie geht's"]), min_size=1,
+                     max_size=3).map(" ".join)
+    records = [{"dialogue_id": f"d{d}", "turn_index": turn,
+                "speaker": draw(st.sampled_from(["agent", "customer"])),
+                "src_text": draw(words), "tgt_text": draw(words),
+                **dict(zip(("src_lang", "tgt_lang"), draw(st.permutations(["de", "en"]))))}
+               for d in range(draw(st.integers(1, 3))) for turn in range(draw(st.integers(1, 8)))]
+    return jsonl(draw(st.permutations(records)))
 
 
 @FUZZ
-@given(jsonl_files(CHAT_LINES[1]), st.sampled_from(["same", "mixed"]))
-def test_fuzz_chatprep(content, mode):
+@given(jsonl_files(CHAT_LINES[1]) | chat_files(), st.sampled_from(["same", "mixed"]),
+       st.integers(0, 3), st.sampled_from(["on", "off"]))
+def test_fuzz_chatprep(content, mode, n_prev, tags):
+    cfg = ContextConfig(n_prev, SAME_LANGUAGE if mode == "same" else MIXED_LANGUAGE, tags == "on")
     run_in({"chat.jsonl": content},
-           ["chatprep", "--in", "chat.jsonl", "--out", "out.tsv", "--mode", mode], {"out.tsv"})
+           ["chatprep", "--in", "chat.jsonl", "--out", "out.tsv", "--mode", mode,
+            "--n-prev", str(n_prev), "--speaker-tags", tags], {"out.tsv"},
+           lambda files: {"out.tsv": oracle.run_chatprep(files["chat.jsonl"], "tsv", cfg)})
 
 
 @FUZZ
 @given(st.sampled_from(["tsv", "jsonl"]), st.booleans(), st.data())
 def test_fuzz_denoise(fmt, out_exists, data):
     content = data.draw(tsv_files if fmt == "tsv" else jsonl_files(BITEXT_RECORD))
+    cfg = DenoiseConfig(pair_fraction=1.0, token_prob=0.5)
     run_in({f"in.{fmt}": content, **sentinels(["out.jsonl"] if out_exists else [])},
            ["denoise", "--in", f"in.{fmt}", "--out", "out.jsonl",
-            "--pair-fraction", "1.0", "--token-prob", "0.5"], {"out.jsonl"})
+            "--pair-fraction", "1.0", "--token-prob", "0.5"], {"out.jsonl"},
+           lambda files: {"out.jsonl": oracle.run_denoise(files[f"in.{fmt}"], fmt, "jsonl", cfg)})
 
 
 @FUZZ
@@ -175,9 +215,13 @@ def test_fuzz_pipeline(bitext, chat, config, existing, with_report):
     sections = config.values() if isinstance(config, dict) else ()
     outputs = {s["output"] for s in sections if isinstance(s, dict) and isinstance(s.get("output"), str)}
     argv = ["pipeline", "cfg.json"] + (["--report", "r.json"] if with_report else [])
+    expected = None
+    if config == PIPELINE:
+        expected = lambda files: dict(zip(("f.jsonl", "p.jsonl", "n.jsonl"), oracle.run_pipeline(
+            files["bitext.jsonl"], files["chat.jsonl"], "jsonl", *PIPELINE_CONFIGS)))
     run_in({"bitext.jsonl": bitext, "chat.jsonl": chat, "cfg.json": json.dumps(config).encode(),
             **sentinels(existing)},
-           argv, outputs | ({"r.json"} if with_report else set()))
+           argv, outputs | ({"r.json"} if with_report else set()), expected)
 
 
 @FUZZ

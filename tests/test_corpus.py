@@ -1,20 +1,23 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracle
+from chatmt.cli import _read_lines
 from chatmt.corpus import (
     SPEAKERS,
     BitextPair,
-    ChatRecord,
     CorpusError,
-    Dialogue,
     ParseStats,
     _loads,
     parse_bitext,
     parse_chat,
     write_bitext,
 )
+from oracle import outcome
 
 text_strategy = st.text(
     alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
@@ -98,20 +101,12 @@ _surrogates = st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff"])
 _origins = st.sampled_from(["genuine", "synthetic"])
 
 
-def _dumps_line(pair):
-    """A JSONL bitext line as json.dumps writes it."""
-    obj = {"source": pair.source, "target": pair.target, "origin": pair.origin}
-    if pair.payload_span is not None:
-        obj["target_payload_span"] = pair.payload_span
-    return json.dumps(obj, ensure_ascii=False) + "\n"
-
-
 @given(st.lists(st.builds(
     BitextPair, st.text(_json_chars | _surrogates), st.text(_json_chars | _surrogates), _origins,
     st.none() | st.tuples(st.integers(0, 2**80), st.integers(0, 2**80)),
 ), max_size=10))
 def test_jsonl_lines_equal_json_dumps(pairs):
-    assert list(write_bitext(pairs, "jsonl")) == [_dumps_line(pair) for pair in pairs]
+    assert list(write_bitext(pairs, "jsonl")) == oracle.write_bitext(pairs, "jsonl")
 
 
 @st.composite
@@ -130,6 +125,47 @@ def _readable_pairs(draw):
 @given(st.lists(_readable_pairs(), min_size=1, max_size=10))
 def test_jsonl_written_lines_parse_back(pairs):
     assert list(parse_bitext(write_bitext(pairs, "jsonl"), "jsonl")) == pairs
+
+
+_tsv_side = st.text(st.characters(blacklist_characters="\t\r\n", blacklist_categories=("Cs",)),
+                    min_size=1, max_size=6).filter(str.strip)
+_tsv_row = st.tuples(_tsv_side, _tsv_side).map("\t".join)
+# The text reader decodes 8 KiB at a time; this first row puts the CRLF
+# that ends it across that boundary.
+_STRADDLE = "x" * 8189 + "\ty\r\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_tsv_row, st.sampled_from(["\n", "\r", "\r\n"])), max_size=8),
+       st.just("") | _tsv_row, st.booleans(),
+       st.none() | st.tuples(st.integers(0, 2**16),
+                             st.sampled_from([b"\xff", b"\x80", b"\xe4\xb8", b"\xed\xa0\x80"])))
+def test_parse_reads_lines_and_names_or_skips_the_first_invalid_one(rows, last, straddle,
+                                                                    invalid):
+    # `last` is the text after the final line end: no final newline
+    # unless it is empty. `invalid` inserts bytes that are not UTF-8.
+    data = ((_STRADDLE if straddle else "") + "".join(row + end for row, end in rows)
+            + last).encode("utf-8")
+    if invalid is not None:
+        at, insert = invalid
+        at %= len(data) + 1
+        data = data[:at] + insert + data[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.tsv"
+        path.write_bytes(data)
+        for on_error in ("skip", "raise"):
+            got = outcome(lambda: [(p, p.line) for p in
+                                   parse_bitext(_read_lines(path), "tsv", on_error)])
+            assert got == outcome(lambda: [(p, p.line) for p in oracle.parse_bitext(
+                oracle.read_lines(data), "tsv", on_error)])
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # `got` is the fail-fast outcome. Lines end as the text reader ends
+        # them: LF, CR, or CRLF once.
+        ends = (data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start)
+                - data.count(b"\r\n", 0, exc.start))
+        assert got[1] == f"line {ends + 1}: invalid UTF-8: {exc.reason}"
 
 
 def _chat_line(did, idx, speaker="agent"):
@@ -161,77 +197,6 @@ def test_parse_chat_unknown_speaker_error():
         parse_chat([_chat_line("d1", 0, speaker="robot")])
 
 
-# ------------------------------------------------ reference parsers
-# The straightforward versions the parse layer replaced: json.loads, one
-# ChatRecord built by keyword, a global set of (dialogue, turn) keys and a
-# sort per dialogue. The tests below hold the fast versions to them.
-
-def _ref_loads(raw, line):
-    try:
-        obj = json.loads(raw)
-        if "\\u" in raw and ("\\ud" in raw or "\\uD" in raw):
-            json.dumps(obj, ensure_ascii=False).encode("utf-8")
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CorpusError(f"invalid JSON: {exc}", line) from exc
-    except UnicodeEncodeError as exc:
-        raise CorpusError(f"text is not valid Unicode: {exc.reason}", line) from None
-    return obj
-
-
-def _ref_parse_chat(lines):
-    by_dialogue = {}
-    seen = set()
-    for lineno, raw in enumerate(lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        obj = _ref_loads(raw, lineno)
-        try:
-            rec = ChatRecord(
-                dialogue_id=obj["dialogue_id"], turn_index=obj["turn_index"],
-                speaker=obj["speaker"], src_text=obj["src_text"], tgt_text=obj["tgt_text"],
-                src_lang=obj["src_lang"], tgt_lang=obj["tgt_lang"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise CorpusError(f"bad chat record: {exc}", lineno) from exc
-        for name in ("dialogue_id", "speaker", "src_text", "tgt_text", "src_lang", "tgt_lang"):
-            if not isinstance(getattr(rec, name), str):
-                raise CorpusError(f"{name} must be a string", lineno)
-        for name in ("src_text", "tgt_text"):
-            if not getattr(rec, name).strip():
-                raise CorpusError(f"empty {name}", lineno)
-        if rec.speaker not in SPEAKERS:
-            raise CorpusError(f"unknown speaker {rec.speaker!r}", lineno)
-        if type(rec.turn_index) is not int or rec.turn_index < 0:
-            raise CorpusError(f"bad turn_index {rec.turn_index!r}", lineno)
-        key = (rec.dialogue_id, rec.turn_index)
-        if key in seen:
-            raise CorpusError(
-                f"duplicate turn {rec.turn_index} in dialogue {rec.dialogue_id!r}", lineno)
-        seen.add(key)
-        by_dialogue.setdefault(rec.dialogue_id, []).append(rec)
-    dialogues = []
-    for did, recs in by_dialogue.items():
-        recs.sort(key=lambda r: r.turn_index)
-        for expected, rec in enumerate(recs):
-            if rec.turn_index != expected:
-                raise CorpusError(
-                    f"dialogue {did!r}: turn indices not contiguous "
-                    f"(expected {expected}, found {rec.turn_index})")
-        dialogues.append(Dialogue(dialogue_id=did, turns=tuple(recs)))
-    return dialogues
-
-
-def _outcome(parse, *args):
-    """What parse returns, or its exception's type, message and line."""
-    try:
-        return parse(*args)
-    except Exception as exc:
-        return type(exc), str(exc), getattr(exc, "line", None)
-
-
-_CHAT_KEYS = ("dialogue_id", "turn_index", "speaker", "src_text", "tgt_text",
-              "src_lang", "tgt_lang")
 # Per field: wrong types, blank texts ("\x1c" is whitespace to str.strip),
 # unknown speakers, turn indices that are bools, floats, negative or
 # strings, and turn indices or dialogue ids that make a gap or a duplicate.
@@ -273,7 +238,7 @@ def _chat_corpora(draw):
         if fault in ("value", "drop"):
             rec = dict(records[draw(st.integers(0, len(records) - 1))])
             # Faults in more fields than one put the checks' order to the test.
-            for key in draw(st.lists(st.sampled_from(_CHAT_KEYS), min_size=1, max_size=3,
+            for key in draw(st.lists(st.sampled_from(oracle.CHAT_FIELDS), min_size=1, max_size=3,
                                      unique=True)):
                 if fault == "value":
                     rec[key] = draw(_ODD_VALUES[key])
@@ -292,22 +257,6 @@ def _chat_corpora(draw):
     return lines
 
 
-def _worded_as_now(outcome):
-    """The reference's outcome with its two old messages for a record that
-    is not an object or lacks a field, worded as the bitext reader words
-    them."""
-    if not isinstance(outcome, tuple):
-        return outcome
-    kind, message, line = outcome
-    old = message.removeprefix(f"line {line}: bad chat record: ")
-    if old == message:
-        return outcome
-    # A KeyError's message is the missing key's repr; any other is a TypeError.
-    if old in map(repr, _CHAT_KEYS):
-        return kind, f"line {line}: missing field {old}", line
-    return kind, f"line {line}: expected a JSON object", line
-
-
 def _odd_chat_line(**fields):
     return json.dumps({**json.loads(_chat_line("d0", 0)), **fields})
 
@@ -322,18 +271,8 @@ def _odd_chat_line(**fields):
 @example([_odd_chat_line(turn_index=True, src_lang=1)])
 @example([_chat_line("d0", 1), _chat_line("d1", 0), _chat_line("d0", 0), _chat_line("d0", 1)])
 def test_parse_chat_matches_reference(lines):
-    assert _outcome(parse_chat, lines) == _worded_as_now(_outcome(_ref_parse_chat, lines))
-
-
-def test_parse_chat_reference_messages_are_mapped():
-    record = json.loads(_chat_line("d1", 0))
-    del record["speaker"]
-    for line, now in [("[1, 2]", "expected a JSON object"), ('"text"', "expected a JSON object"),
-                      ("3", "expected a JSON object"), ("null", "expected a JSON object"),
-                      (json.dumps(record), "missing field 'speaker'")]:
-        expected = (CorpusError, f"line 1: {now}", 1)
-        assert _outcome(parse_chat, [line]) == expected
-        assert _worded_as_now(_outcome(_ref_parse_chat, [line])) == expected
+    assert outcome(parse_chat, lines) == \
+        outcome(oracle.parse_chat, [line.encode() for line in lines])
 
 
 _json_values = st.recursive(
@@ -361,6 +300,5 @@ def _json_lines(draw):
 @given(_json_lines() | _JSON_ODD_LINES, st.integers(1, 10**6))
 def test_loads_matches_json_loads(raw, line):
     # Compared by repr: NaN != NaN, and -0.0 == 0.0.
-    now, ref = _outcome(_loads, raw, line), _outcome(_ref_loads, raw, line)
-    assert (now if isinstance(now, tuple) else repr(now)) == \
-        (ref if isinstance(ref, tuple) else repr(ref))
+    now, ref = outcome(_loads, raw, line), outcome(oracle.loads, raw, line)
+    assert (repr(now[1]) if now[0] == "ok" else now) == (repr(ref[1]) if ref[0] == "ok" else ref)

@@ -1,11 +1,12 @@
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import oracle
 from chatmt.chatprep import RESERVED_TAGS, strip_tags
 from chatmt.corpus import BITEXT_FORMATS, BitextPair, parse_bitext, write_bitext
 from chatmt import denoise
@@ -23,12 +24,7 @@ from chatmt.denoise import (
     denoise_tokens,
     split_target,
 )
-
-
-def numpy_rng(seed, index):
-    """Record index's generator, built as numpy documents it."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(ss))
+from oracle import outcome, record_rng
 
 
 class TestChoosePairs:
@@ -58,34 +54,32 @@ class TestChoosePairs:
 @given(st.integers(0, 300), st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0))
 def test_chosen_count_is_the_reports_count(n, pair_fraction):
     cfg = DenoiseConfig(pair_fraction=pair_fraction, seed=1)
-    # The formula the CLI report used before it called chosen_count.
-    assert chosen_count(n, cfg) == (n and int(pair_fraction * n + 1e-9)) == \
-        len(choose_pairs(n, cfg))
+    assert chosen_count(n, cfg) == len(oracle.choose_pairs(n, cfg)) == len(choose_pairs(n, cfg))
 
 
 class TestDenoiseTokens:
     def test_identical_tokens_unchanged(self):
         cfg = DenoiseConfig(token_prob=1.0, seed=5)
         for seed in range(5):
-            out = denoise_tokens(["x", "x", "x"], cfg, numpy_rng(seed, 0))
+            out = denoise_tokens(["x", "x", "x"], cfg, record_rng(seed, 0))
             assert out == ["x", "x", "x"]
 
     def test_prob_zero_unchanged(self):
         cfg = DenoiseConfig(token_prob=0.0, seed=5)
         tokens = ["a", "b", "c"]
-        assert denoise_tokens(tokens, cfg, numpy_rng(5, 0)) == tokens
+        assert denoise_tokens(tokens, cfg, record_rng(5, 0)) == tokens
 
     def test_prob_one_membership(self):
         cfg = DenoiseConfig(token_prob=1.0, seed=5)
         rng = random.Random(0)
         for i in range(50):
             tokens = [f"t{rng.randint(0, 9)}" for _ in range(rng.randint(1, 20))]
-            out = denoise_tokens(tokens, cfg, numpy_rng(5, i))
+            out = denoise_tokens(tokens, cfg, record_rng(5, i))
             assert len(out) == len(tokens)
             assert all(tok in tokens for tok in out)
 
     def test_empty(self):
-        assert denoise_tokens([], DenoiseConfig(seed=1), numpy_rng(1, 0)) == []
+        assert denoise_tokens([], DenoiseConfig(seed=1), record_rng(1, 0)) == []
 
 
 class TestSplitTarget:
@@ -173,9 +167,9 @@ class TestDenoiseCorpus:
         # corpus on the records the two runs share... not literally (the
         # selection depends on n), so check the per-record generator only.
         cfg = DenoiseConfig(seed=21)
-        a = numpy_rng(cfg.seed, 5).random(4)
-        b = numpy_rng(cfg.seed, 5).random(4)
-        c = numpy_rng(cfg.seed, 6).random(4)
+        a = record_rng(cfg.seed, 5).random(4)
+        b = record_rng(cfg.seed, 5).random(4)
+        c = record_rng(cfg.seed, 6).random(4)
         assert np.allclose(a, b)
         assert not np.allclose(a, c)
 
@@ -215,7 +209,7 @@ class TestDenoiseCorpus:
     def test_blank_noised_target_keeps_its_input(self):
         # Seed 12 draws the empty token for both tokens of " x".
         cfg = DenoiseConfig(pair_fraction=1.0, token_prob=1.0, seed=12)
-        assert denoise_tokens(["", "x"], cfg, numpy_rng(12, 0)) == ["", ""]
+        assert denoise_tokens(["", "x"], cfg, record_rng(12, 0)) == ["", ""]
         pairs = [BitextPair("s", " x")]
         assert denoise_corpus(pairs, cfg) == pairs
 
@@ -241,85 +235,7 @@ GOLDEN_TARGETS = {
 }
 
 
-# --- target splits against the parsers they replaced ----------------------
-# Copies of strip_tags and of split_target's untagged branch as they were
-# when chatprep and denoise each parsed the chat line on their own, and of
-# split_target's positional branch and TargetSpans as they were when a flag
-# placed the space after the prefix.
-
-_REF_LEADING = ("<agent>", "<customer>", "<BT>")
-
-
-def _ref_strip_tags(text):
-    head, _, _ = text.partition(" <context begins>")
-    for tag in _REF_LEADING:
-        if head.startswith(tag + " "):
-            return head[len(tag) + 1 :]
-        if head == tag:
-            return ""
-    return head
-
-
-@dataclass(frozen=True)
-class _RefTargetSpans:
-    prefix: str
-    payload: tuple
-    suffix: str
-    prefix_sep: bool = False
-
-    def rebuild(self, payload):
-        mid = " ".join(payload)
-        out = f"{self.prefix} {mid}" if self.prefix or self.prefix_sep else mid
-        return out + self.suffix
-
-
-def _ref_split_target(target, payload_span=None):
-    if payload_span is not None:
-        tokens = target.split(" ")
-        start, end = payload_span
-        if not 0 <= start <= end <= len(tokens):
-            raise DenoiseFormatError(f"span {payload_span} out of range for {target!r}")
-        if start == end:
-            return _RefTargetSpans(prefix="", payload=(), suffix=target)
-        rest = tokens[end:]
-        return _RefTargetSpans(prefix=" ".join(tokens[:start]), payload=tuple(tokens[start:end]),
-                               suffix=(" " + " ".join(rest)) if rest else "",
-                               prefix_sep=start > 0)
-    head, sep, tail = target.partition(" <context begins>")
-    suffix = sep + tail
-    if "<context begins>" in tail:
-        raise DenoiseFormatError(f"multiple context indicators in target {target!r}")
-    prefix = ""
-    for tag in _REF_LEADING:
-        if head == tag:
-            raise DenoiseFormatError(f"empty payload in target {target!r}")
-        if head.startswith(tag + " "):
-            prefix, head = tag, head[len(tag) + 1 :]
-            break
-    if not head:
-        raise DenoiseFormatError(f"empty payload in target {target!r}")
-    spans = _RefTargetSpans(prefix=prefix, payload=tuple(head.split(" ")), suffix=suffix)
-    if spans.rebuild(spans.payload) != target:
-        raise DenoiseFormatError(f"target {target!r} does not round-trip")
-    return spans
-
-
-def _rebuild(spans, payload):
-    if isinstance(spans, _RefTargetSpans):
-        return spans.rebuild(payload)
-    return spans.head + " ".join(payload) + spans.tail
-
-
-def _split_outcome(split, target, span=None):
-    """The payload, the line rebuilt from it and from as many Zs; or the
-    error, by type and message."""
-    try:
-        spans = split(target, span)
-    except Exception as exc:
-        return type(exc), str(exc)
-    zs = ("Z",) * len(spans.payload)
-    return "ok", spans.payload, _rebuild(spans, spans.payload), _rebuild(spans, zs)
-
+# --- target splits against the oracle's split -----------------------------
 
 chat_lines = st.lists(
     st.sampled_from(["a", "bc", "<x>", " ", "  ", *RESERVED_TAGS]), max_size=12
@@ -328,16 +244,8 @@ chat_lines = st.lists(
 
 @given(chat_lines)
 def test_chat_line_parsing_matches_reference(text):
-    assert strip_tags(text) == _ref_strip_tags(text)
-    assert _split_outcome(split_target, text) == _split_outcome(_ref_split_target, text)
-
-
-def _check_outcome(check, target):
-    try:
-        check(target)
-    except DenoiseFormatError as exc:
-        return type(exc), str(exc)
-    return "ok"
+    assert strip_tags(text) == oracle.split_chat_line(text)[1]
+    assert outcome(split_target, text) == outcome(oracle.split_target, text)
 
 
 # Up to three leading tags (with or without their space), spaces and
@@ -358,7 +266,8 @@ _structured_lines = st.tuples(
 @example("<BT> <context begins> x <context begins> y")
 @example("a <context begins><context begins>")
 def test_chat_line_check_refuses_what_the_split_refuses(target):
-    assert _check_outcome(_check_chat_line, target) == _check_outcome(_ref_split_target, target)
+    checked, split = outcome(_check_chat_line, target), outcome(oracle.split_target, target)
+    assert checked == (("ok", None) if split[0] == "ok" else split)
 
 
 _targets = st.lists(
@@ -383,10 +292,11 @@ def _spanned_targets(draw):
 @given(st.tuples(chat_lines, st.none()) | _spanned_targets())
 def test_split_target_rebuilds_to_target_with_parent_payload(case):
     target, span = case
-    outcome = _split_outcome(split_target, target, span)
-    assert outcome == _split_outcome(_ref_split_target, target, span)
-    if outcome[0] == "ok":
-        assert outcome[2] == target
+    split = outcome(split_target, target, span)
+    assert split == outcome(oracle.split_target, target, span)
+    if split[0] == "ok":
+        head, payload, tail = split[1]
+        assert head + " ".join(payload) + tail == target
 
 
 # --- record streams against one SeedSequence per record ------------------
@@ -415,57 +325,6 @@ def test_record_states_match_numpy(seed, indices):
         # Leave a 32-bit word buffered, which a fresh PCG64 does not have.
         rng.integers(5)
         assert _record_rng(rng, row).bit_generator.state == np.random.PCG64(seq).state
-
-
-# Copies of denoise_tokens and denoise_corpus as they were when every
-# chosen record built its own SeedSequence, PCG64 and Generator, splitting
-# targets with _ref_split_target; denoise_corpus with three rules added
-# since: every target without a span is split before choosing, so is
-# every target with one (its span range-checked), and a noised target
-# left blank keeps its input.
-
-def _ref_denoise_tokens(tokens, cfg, rng):
-    n = len(tokens)
-    if n == 0:
-        return []
-    out = list(tokens)
-    draws = rng.random(n)
-    for i in range(n):
-        if draws[i] < cfg.token_prob:
-            out[i] = tokens[int(rng.integers(n))]
-    return out
-
-
-def _ref_denoise_corpus(pairs, cfg, payload_spans=None):
-    if payload_spans is not None and len(payload_spans) != len(pairs):
-        raise ValueError("payload_spans length must match pairs")
-    for i, pair in enumerate(pairs):
-        try:
-            _ref_split_target(pair.target, payload_spans[i] if payload_spans is not None else None)
-        except DenoiseFormatError as exc:
-            raise DenoiseFormatError(exc.reason, i) from exc
-    chosen = choose_pairs(len(pairs), cfg)
-    out = []
-    for i, pair in enumerate(pairs):
-        if i not in chosen:
-            out.append(pair)
-            continue
-        span = payload_spans[i] if payload_spans is not None else None
-        try:
-            spans = _ref_split_target(pair.target, span)
-        except DenoiseFormatError as exc:
-            raise DenoiseFormatError(exc.reason, i) from exc
-        noised = _ref_denoise_tokens(spans.payload, cfg, numpy_rng(cfg.seed, i))
-        target = spans.rebuild(noised)
-        out.append(replace(pair, target=target) if target.strip() else pair)
-    return out
-
-
-def _denoised(fn, pairs, cfg, spans):
-    try:
-        return "ok", fn(pairs, cfg, spans)
-    except DenoiseFormatError as exc:
-        return type(exc), str(exc), exc.record
 
 
 @st.composite
@@ -508,8 +367,8 @@ def test_every_in_range_span_denoises(corpus, token_prob, seed):
 def test_denoise_corpus_matches_per_record_seed_sequences(corpus, pair_fraction, token_prob, seed):
     pairs, spans = corpus
     cfg = DenoiseConfig(pair_fraction=pair_fraction, token_prob=token_prob, seed=seed)
-    assert _denoised(denoise_corpus, pairs, cfg, spans) == \
-        _denoised(_ref_denoise_corpus, pairs, cfg, spans)
+    assert outcome(denoise_corpus, pairs, cfg, spans) == \
+        outcome(oracle.denoise_corpus, pairs, cfg, spans)
 
 
 def _denoise_accepts(pair):
@@ -534,22 +393,6 @@ def test_denoised_output_parses_back(corpus, fmt, pair_fraction, token_prob, see
 
 # --- vectorized draws against numpy's own generators -----------------------
 
-def _numpy_draws(seed, index, n, token_prob):
-    """denoise_tokens' draws for a record of n tokens, taken from numpy's
-    generator: its hits as (position, pick), and whether a pick's 32-bit
-    draw fell in Lemire's rejection zone, where numpy draws again."""
-    rng = numpy_rng(seed, index)
-    hits = [t for t, x in enumerate(rng.random(n).tolist()) if x < token_prob]
-    rejected = False
-    for _ in hits:
-        # integers(2**32) returns one 32-bit draw as it is.
-        m = int(rng.integers(2**32, dtype=np.uint64)) * n
-        rejected |= m & 0xFFFFFFFF < (2**32 - n) % n
-    cfg = DenoiseConfig(token_prob=token_prob)
-    noised = denoise_tokens(list(range(n)), cfg, numpy_rng(seed, index))
-    return [(t, noised[t]) for t in hits], rejected
-
-
 _lengths = st.lists(st.sampled_from([0, 1, 2]) | st.integers(0, 40), min_size=1, max_size=8)
 
 
@@ -572,7 +415,7 @@ def test_record_draws_match_numpy(seed, indices, lengths, token_prob):
         words, np.array(lengths, dtype=np.int64), token_prob)
     assert exact.shape == (len(indices),)
     for r, (index, n) in enumerate(zip(indices, lengths)):
-        hits, rejected = _numpy_draws(seed, index, n, token_prob)
+        hits, rejected = oracle.record_draws(seed, index, n, token_prob)
         assert exact[r] == rejected
         mine = [(int(p), int(k)) for p, k in zip(positions[records == r], picks[records == r])]
         assert mine == ([] if rejected else hits)
@@ -588,7 +431,7 @@ def test_picks_near_2_32_match_numpy(seed, index, n, rank):
 
     def positioned():
         # After n doubles and rank earlier 32-bit draws.
-        rng = numpy_rng(seed, index)
+        rng = record_rng(seed, index)
         rng.bit_generator.advance(n + rank // 2)
         if rank % 2:
             rng.integers(2**32, dtype=np.uint64)
@@ -635,8 +478,8 @@ def test_exact_path_records_match_per_record_seed_sequences(
     cfg = DenoiseConfig(pair_fraction=pair_fraction, token_prob=token_prob, seed=seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(denoise, "_picks", rejecting)
-        assert _denoised(denoise_corpus, pairs, cfg, spans) == \
-            _denoised(_ref_denoise_corpus, pairs, cfg, spans)
+        assert outcome(denoise_corpus, pairs, cfg, spans) == \
+            outcome(oracle.denoise_corpus, pairs, cfg, spans)
 
 
 @pytest.mark.parametrize("block_tokens, n_tokens", [
@@ -650,4 +493,4 @@ def test_corpus_of_several_blocks_matches_per_record_seed_sequences(
     pairs = make_corpus(n, n_tokens=n_tokens, with_structure=True)
     cfg = DenoiseConfig(pair_fraction=0.9, token_prob=0.3, seed=2**64 - 1)
     assert len(choose_pairs(n, cfg)) * n_tokens > 2 * denoise._BLOCK_TOKENS
-    assert denoise_corpus(pairs, cfg) == _ref_denoise_corpus(pairs, cfg)
+    assert denoise_corpus(pairs, cfg) == oracle.denoise_corpus(pairs, cfg)

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import oracle
 from chatmt.ensemble import (
-    EnsembleSelection,
     ScoreSet,
     _avg_self_similarity_exact,
     _exact_sum,
@@ -24,46 +24,8 @@ WORKED = ScoreSet.from_lists(
 
 
 def brute_force_select(s: ScoreSet, e: int) -> list[str]:
-    """Independent re-derivation: explicit loops, explicit tie-breaks,
-    exact rational arithmetic so ties are decided by the tie-break."""
-    n = s.n
-    comet = [Fraction(c) for c in s.comet]
-    sims = []
-    for i in range(n):
-        total = Fraction(0)
-        for j in range(n):
-            if j != i:
-                total += Fraction(s.pairwise[i][j])
-        sims.append(total / (n - 1))
-    c_min, c_max = min(comet), max(comet)
-    s_min, s_max = min(sims), max(sims)
-    weight = Fraction(0) if c_max == c_min else (s_max - s_min) / (c_max - c_min)
-    scores = [(comet[i] - c_min) * weight + (s_max - sims[i]) for i in range(n)]
-
-    def better_seed(i, j):
-        a = (scores[i], comet[i])
-        b = (scores[j], comet[j])
-        if a != b:
-            return a > b
-        return s.model_ids[i] < s.model_ids[j]
-
-    top = 0
-    for i in range(1, n):
-        if better_seed(i, top):
-            top = i
-    pool = [top]
-    while len(pool) < e:
-        best = None
-        best_key = None
-        for i in range(n):
-            if i in pool:
-                continue
-            avg = sum((Fraction(s.pairwise[i][j]) for j in pool), Fraction(0)) / len(pool)
-            key = (avg, -comet[i], s.model_ids[i])
-            if best_key is None or key < best_key:
-                best, best_key = i, key
-        pool.append(best)
-    return [s.model_ids[i] for i in pool]
+    """The oracle's selection (tests/test_acceptance.py imports this name)."""
+    return oracle.select_ensemble(s, e).selected
 
 
 def avg_self_similarity(s: ScoreSet) -> list[float]:
@@ -209,28 +171,6 @@ def test_exact_sum_matches_fraction_sum(xs):
     assert _exact_sum(xs) == sum(map(Fraction, xs), Fraction(0))
 
 
-def reference_select(s: ScoreSet, e: int) -> EnsembleSelection:
-    """select_ensemble written with one Fraction per similarity term."""
-    n = s.n
-    sims = [sum((Fraction(s.pairwise[i][j]) for j in range(n) if j != i),
-                Fraction(0)) / (n - 1) for i in range(n)]
-    comet = [Fraction(c) for c in s.comet]
-    c_min, c_max = min(comet), max(comet)
-    s_min, s_max = min(sims), max(sims)
-    weight = Fraction(0) if c_max == c_min else (s_max - s_min) / (c_max - c_min)
-    scores = [(c - c_min) * weight + (s_max - v) for c, v in zip(comet, sims)]
-    pool = [min(range(n), key=lambda i: (-scores[i], -s.comet[i], s.model_ids[i]))]
-    diagnostics = []
-    while len(pool) < e:
-        remaining = [i for i in range(n) if i not in pool]
-        avg = {i: sum((Fraction(s.pairwise[i][j]) for j in pool), Fraction(0)) / len(pool)
-               for i in remaining}
-        diagnostics.append([(s.model_ids[i], float(avg[i])) for i in remaining])
-        pool.append(min(remaining, key=lambda i: (avg[i], -s.comet[i], s.model_ids[i])))
-    return EnsembleSelection([s.model_ids[i] for i in pool],
-                             [float(v) for v in scores], diagnostics)
-
-
 @st.composite
 def tie_prone_score_sets(draw) -> ScoreSet:
     # A few values shared by every cell, so ties and flat rows are common.
@@ -250,4 +190,4 @@ def test_select_matches_fraction_per_term_reference(s):
         # json.dumps writes each float's shortest round-trip repr (and
         # the sign of zero), so equal text means bit-equal values.
         assert json.dumps(select_ensemble(s, e).as_dict()) == \
-            json.dumps(reference_select(s, e).as_dict())
+            json.dumps(oracle.select_ensemble(s, e).as_dict())
