@@ -264,7 +264,10 @@ def _run_bsce(args, staged: dict) -> dict:
         raise UsageError(
             f"--ensemble-size must be in 1..{score_set.n}, got {args.ensemble_size}"
         )
-    selection = select_ensemble(score_set, args.ensemble_size)
+    try:
+        selection = select_ensemble(score_set, args.ensemble_size)
+    except OverflowError as exc:
+        raise CorpusError(f"bad scores file: {exc}") from None
     out = selection.as_dict()
     if args.outfile:
         _atomic_write_json(args.outfile, out, staged)

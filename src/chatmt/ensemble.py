@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import neg
 from typing import Sequence
 
 
@@ -48,8 +50,7 @@ class ScoreSet:
             raise ValueError("comet length must match model count")
         if len(self.pairwise) != n or any(len(row) != n for row in self.pairwise):
             raise ValueError(f"pairwise must be {n}x{n}")
-        values = list(self.comet) + [v for row in self.pairwise for v in row]
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, chain(self.comet, *self.pairwise))):
             raise ValueError("all scores must be finite")
 
     @classmethod
@@ -83,10 +84,22 @@ class EnsembleSelection:
         }
 
 
-def _exact_sum(values) -> Fraction:
-    """Exact sum of finite floats. Each is m / 2**k, so scaling every
-    numerator to the largest denominator sums them as integers."""
-    ratios = [v.as_integer_ratio() for v in values]
+def _exact_sum(values: Sequence[float]) -> Fraction:
+    """Exact sum of finite floats. math.fsum rounds the exact sum
+    correctly (Shewchuk's partials), so taking each rounded sum off the
+    values leaves an exact, smaller remainder; a few calls peel the sum
+    into parts that add up to it exactly, ending at a remainder of 0. A
+    partial sum beyond float range makes fsum raise OverflowError, and
+    then the values themselves are the parts. Each part is m / 2**k, so
+    scaling every numerator to the largest denominator sums them as
+    integers."""
+    parts: list[float] = []
+    try:
+        while part := math.fsum(chain(values, map(neg, parts))):
+            parts.append(part)
+    except OverflowError:
+        parts = values
+    ratios = [v.as_integer_ratio() for v in parts]
     den = max([d for _, d in ratios], default=1)
     return Fraction(sum([m * (den // d) for m, d in ratios]), den)
 
@@ -118,6 +131,14 @@ def _avg_similarity_to_pool(s: ScoreSet, i: int, pool: Sequence[int]) -> Fractio
     return _exact_sum([row[j] for j in pool]) / len(pool)
 
 
+def _score_float(model: str, score: Fraction) -> float:
+    try:
+        return float(score)
+    except OverflowError:
+        raise OverflowError(
+            f"the weighted score of model {model!r} is beyond float range") from None
+
+
 def select_ensemble(s: ScoreSet, e: int) -> EnsembleSelection:
     """Greedy selection of e models: best weighted score first, then
     repeatedly the remaining model least similar to the pool."""
@@ -136,17 +157,20 @@ def select_ensemble(s: ScoreSet, e: int) -> EnsembleSelection:
     diagnostics: list[list[tuple[str, float]]] = []
 
     while len(pool) < e:
-        remaining = [i for i in range(s.n) if i not in pool]
-        sims = {i: _avg_similarity_to_pool(s, i, pool) for i in remaining}
-        diagnostics.append([(s.model_ids[i], float(sims[i])) for i in remaining])
-        best = min(
-            remaining,
-            key=lambda i: (sims[i], -s.comet[i], s.model_ids[i]),
-        )
-        pool.append(best)
+        # Candidates by average similarity to the pool, its float (the
+        # diagnostics' value) first: rounding is monotonic, so this is the
+        # exact order, and Fractions are compared only where floats tie.
+        # Ties prefer higher comet, then smaller id.
+        step = []
+        for i in range(s.n):
+            if i not in pool:
+                avg = _avg_similarity_to_pool(s, i, pool)
+                step.append((float(avg), avg, -s.comet[i], s.model_ids[i], i))
+        diagnostics.append([(m, sim) for sim, _, _, m, _ in step])
+        pool.append(min(step)[-1])
 
     return EnsembleSelection(
         selected=[s.model_ids[i] for i in pool],
-        weighted_scores=[float(v) for v in scores],
+        weighted_scores=list(map(_score_float, s.model_ids, scores)),
         step_diagnostics=diagnostics,
     )

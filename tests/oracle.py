@@ -9,7 +9,8 @@ paths.
 - chatprep: chat parsing and context building one turn at a time;
 - denoise: one chat-line split, and one numpy `Generator` per chosen
   record;
-- ensemble: exact `Fraction` arithmetic, one term at a time;
+- ensemble: exact `Fraction` arithmetic, one term at a time, and one
+  float conversion per weighted score;
 - attention: out-of-place kernels over the whole grid.
 
 Errors are worded as chatmt words them, so `outcome` compares the
@@ -30,7 +31,7 @@ import numpy as np
 from chatmt.corpus import BitextPair, ChatRecord, CorpusError, Dialogue
 from chatmt.chatprep import TagError
 from chatmt.denoise import DenoiseFormatError, TargetSpans
-from chatmt.ensemble import EnsembleSelection
+from chatmt.ensemble import EnsembleSelection, ScoreSet
 from chatmt.filtering import _CHAR_MAP, DROP_REASONS, DROP_RULES
 
 
@@ -424,6 +425,18 @@ def run_pipeline(bitext: bytes, chat: bytes, fmt: str, filter_cfg, context_cfg,
     return filtered, prepped, run_denoise(prepped, fmt, fmt, denoise_cfg)
 
 
+def run_bsce(data: bytes, e: int) -> bytes:
+    """bsce-select's `--out` bytes for a valid scores file and an ensemble
+    size in range, or the CorpusError of a weighted score no float holds."""
+    obj = json.loads(data)
+    s = ScoreSet.from_lists(obj["models"], obj["comet"], obj["pairwise"])
+    try:
+        sel = select_ensemble(s, e)
+    except OverflowError as exc:
+        raise CorpusError(f"bad scores file: {exc}") from None
+    return (json.dumps(sel.as_dict(), ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
 # ------------------------------------------------------------ ensemble
 
 def select_ensemble(s, e: int) -> EnsembleSelection:
@@ -447,8 +460,14 @@ def select_ensemble(s, e: int) -> EnsembleSelection:
                for i in remaining}
         diagnostics.append([(s.model_ids[i], float(avg[i])) for i in remaining])
         pool.append(min(remaining, key=lambda i: (avg[i], -comet[i], s.model_ids[i])))
-    return EnsembleSelection([s.model_ids[i] for i in pool], [float(v) for v in scores],
-                             diagnostics)
+    weighted = []
+    for model, score in zip(s.model_ids, scores):
+        try:
+            weighted.append(float(score))
+        except OverflowError:
+            raise OverflowError(f"the weighted score of model {model!r} is beyond "
+                                "float range") from None
+    return EnsembleSelection([s.model_ids[i] for i in pool], weighted, diagnostics)
 
 
 # ----------------------------------------------------------- attention

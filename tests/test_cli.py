@@ -429,6 +429,23 @@ def test_bsce_bad_scores_file_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_bsce_weighted_score_beyond_float_range_exits_2(tmp_path, capsys):
+    # Finite scores whose weighted scores are 0, 4M and 2M: b's is the
+    # first that no float holds.
+    big = 1.7976931348623157e308
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({
+        "models": ["a", "b", "c"], "comet": [0, 1, 0.5],
+        "pairwise": [[0, big, big], [-big, 0, -big], [0, 0, 0]],
+    }), encoding="utf-8")
+    out = tmp_path / "sel.json"
+    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", "2",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "data error: bad scores file: the weighted score of model 'b' is beyond float range\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, lines", [
     ("filter", ['{"source": "a", "target": "b"}', '{"source": "a \\ud800", "target": "b"}']),
     ("denoise", ['{"source": "a", "target": "b"}', '{"source": "a", "target": "\\uDFFF b"}']),

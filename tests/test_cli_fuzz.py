@@ -2,12 +2,14 @@
 near-valid records must each map to exit 0, 1 or 2 with no exception and
 no traceback. A failed run changes no file (outputs that existed before
 keep their bytes) and leaves no temp file, and a run that succeeds
-changes only its outputs. filter, chatprep, denoise and the pipeline's
-fixed config also exit as the oracle does on the same files: 0 with its
-output bytes, or 2 with its error line."""
+changes only its outputs. filter, chatprep, denoise, the pipeline's
+fixed config and bsce-select on a valid scores file also exit as the
+oracle does on the same files: 0 with its output bytes, or 2 with its
+error line."""
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -171,10 +173,35 @@ def test_fuzz_chatprep(content, mode, n_prev, tags):
            lambda files: {"out.tsv": oracle.run_chatprep(files["chat.jsonl"], "tsv", cfg)})
 
 
+@st.composite
+def denoise_files(draw, fmt: str) -> bytes:
+    """A valid denoise input: 1-6 records whose targets are chat lines
+    with a payload (a leading tag or none, a context tail or none); a JSONL
+    record may instead carry an in-range target_payload_span."""
+    words = st.lists(st.sampled_from(["hi", "good day", "\xe9t\xe9", "a  b", "x"]),
+                     min_size=1, max_size=4).map(" ".join)
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        source = draw(words)
+        target = draw(st.sampled_from(["", "<agent> ", "<customer> ", "<BT> "])) + draw(words)
+        if draw(st.booleans()):
+            target += " <context begins> " + draw(words)
+        if fmt == "tsv":
+            lines.append(f"{source}\t{target}\n".encode())
+            continue
+        record = {"source": source, "target": target,
+                  "origin": draw(st.sampled_from(["genuine", "synthetic"]))}
+        if draw(st.booleans()):
+            start = draw(st.integers(0, len(target.split(" "))))
+            record["target_payload_span"] = [start, draw(st.integers(start, len(target.split(" "))))]
+        lines.append(jsonl([record]))
+    return b"".join(lines)
+
+
 @FUZZ
 @given(st.sampled_from(["tsv", "jsonl"]), st.booleans(), st.data())
 def test_fuzz_denoise(fmt, out_exists, data):
-    content = data.draw(tsv_files if fmt == "tsv" else jsonl_files(BITEXT_RECORD))
+    content = data.draw(denoise_files(fmt) | (tsv_files if fmt == "tsv" else jsonl_files(BITEXT_RECORD)))
     cfg = DenoiseConfig(pair_fraction=1.0, token_prob=0.5)
     run_in({f"in.{fmt}": content, **sentinels(["out.jsonl"] if out_exists else [])},
            ["denoise", "--in", f"in.{fmt}", "--out", "out.jsonl",
@@ -182,14 +209,46 @@ def test_fuzz_denoise(fmt, out_exists, data):
            lambda files: {"out.jsonl": oracle.run_denoise(files[f"in.{fmt}"], fmt, "jsonl", cfg)})
 
 
+@st.composite
+def scores_files(draw) -> tuple[bytes, int]:
+    """A valid scores file: 2-40 models with unique ids (no lone
+    surrogates) and finite scores from the whole float range, some shared
+    so that ties occur; and an ensemble size in range."""
+    n = draw(st.integers(2, 40))
+    ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+                        min_size=n, max_size=n, unique=True))
+    # ±the largest float makes weighted scores beyond float range common.
+    shared = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                           | st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308]),
+                           min_size=1, max_size=6))
+    # n*n hypothesis floats would overrun its buffer: the rest come from
+    # a seeded RNG, at any exponent.
+    rng = draw(st.randoms(use_true_random=False))
+
+    def score():
+        if rng.random() < 0.5:
+            return rng.choice(shared)
+        return math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1024))
+
+    scores = {"models": ids, "comet": [score() for _ in range(n)],
+              "pairwise": [[score() for _ in range(n)] for _ in range(n)]}
+    return json.dumps(scores).encode(), draw(st.integers(1, n))
+
+
 @FUZZ
-@given(st.one_of(st.binary(max_size=200), json_values.map(json.dumps).map(str.encode),
-                 near_valid(SCORES).map(json.dumps).map(str.encode)),
-       st.integers(0, 4))
-def test_fuzz_bsce_select(content, size):
+@given(st.one_of(
+    st.tuples(st.one_of(st.binary(max_size=200), json_values.map(json.dumps).map(str.encode),
+                        near_valid(SCORES).map(json.dumps).map(str.encode)),
+              st.integers(0, 4), st.just(False)),
+    scores_files().map(lambda case: (*case, True))))
+def test_fuzz_bsce_select(case):
+    content, size, valid = case
+    expected = None
+    if valid:
+        expected = lambda files: {"sel.json": oracle.run_bsce(files["scores.json"], size)}
     run_in({"scores.json": content},
            ["bsce-select", "--scores", "scores.json", "--ensemble-size", str(size),
-            "--out", "sel.json"], {"sel.json"})
+            "--out", "sel.json"], {"sel.json"}, expected)
 
 
 pipeline_configs = st.one_of(

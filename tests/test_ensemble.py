@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracle
+from oracle import outcome
 from chatmt.ensemble import (
     ScoreSet,
     _avg_self_similarity_exact,
@@ -191,3 +192,58 @@ def test_select_matches_fraction_per_term_reference(s):
         # the sign of zero), so equal text means bit-equal values.
         assert json.dumps(select_ensemble(s, e).as_dict()) == \
             json.dumps(oracle.select_ensemble(s, e).as_dict())
+
+
+BIG = 1.7976931348623157e308  # the largest finite float
+# Any finite float: an odd-or-even 53-bit mantissa at any exponent from
+# the subnormals' 2**-1074 up to the top binade; each is exact.
+wide_floats = st.builds(math.ldexp, st.integers(-2**53 + 1, 2**53 - 1),
+                        st.integers(-1074, 971))
+# Values near the top of the range, so partial sums leave it and fsum
+# raises OverflowError partway through a list.
+huge_floats = st.sampled_from([BIG, -BIG, 2.0**1023, -2.0**1023, 1e308, -1e308])
+
+
+@example([BIG, BIG, -BIG])
+@example([1.0, 1e-30, -1.0])
+@given(st.lists(st.one_of(finite, edge_floats, wide_floats, huge_floats), max_size=500))
+def test_exact_sum_over_the_whole_float_range(xs):
+    assert _exact_sum(xs) == sum(map(Fraction, xs), Fraction(0))
+
+
+def test_select_200_models_matches_oracle():
+    rng = random.Random(2024)
+    n = 200
+    s = ScoreSet.from_lists(
+        [f"m{i:03d}" for i in range(n)],
+        [rng.uniform(0.7, 0.8) for _ in range(n)],
+        [[0.0 if i == j else rng.uniform(0.6, 1.0) for j in range(n)] for i in range(n)],
+    )
+    assert json.dumps(select_ensemble(s, 8).as_dict()) == \
+        json.dumps(oracle.select_ensemble(s, 8).as_dict())
+
+
+def test_step_breaks_float_ties_by_exact_average():
+    # a is the top model and x joins next (x's row to a is 0). Then b and
+    # c both average 0.25 to the pool as floats, but b's exact average is
+    # larger by 1e-300 / 2, so c joins although b has the higher comet
+    # and the smaller id.
+    s = ScoreSet.from_lists(
+        ["a", "b", "c", "x"],
+        [1.0, 0.9, 0.1, 0.0],
+        [[0, 0, 0, 0], [0.5, 0, 0, 1e-300], [0.5, 0, 0, 0], [0, 0, 0, 0]],
+    )
+    sel = select_ensemble(s, 3)
+    assert sel.selected == ["a", "x", "c"]
+    assert dict(sel.step_diagnostics[1]) == {"b": 0.25, "c": 0.25}
+    assert sel.as_dict() == oracle.select_ensemble(s, 3).as_dict()
+
+
+def test_weighted_score_beyond_float_range_names_the_model():
+    # Weighted scores 0, 4 * BIG and 2 * BIG: b's is the first no float holds.
+    s = ScoreSet.from_lists(["a", "b", "c"], [0, 1, 0.5],
+                            [[0, BIG, BIG], [-BIG, 0, -BIG], [0, 0, 0]])
+    got = outcome(select_ensemble, s, 2)
+    assert got[:2] == (OverflowError,
+                       "the weighted score of model 'b' is beyond float range")
+    assert got == outcome(oracle.select_ensemble, s, 2)
