@@ -192,8 +192,9 @@ def denoise_files(draw, fmt: str) -> bytes:
         record = {"source": source, "target": target,
                   "origin": draw(st.sampled_from(["genuine", "synthetic"]))}
         if draw(st.booleans()):
-            start = draw(st.integers(0, len(target.split(" "))))
-            record["target_payload_span"] = [start, draw(st.integers(start, len(target.split(" "))))]
+            tokens = len(target.split(" "))
+            start = draw(st.integers(0, tokens))
+            record["target_payload_span"] = [start, draw(st.integers(start, tokens))]
         lines.append(jsonl([record]))
     return b"".join(lines)
 
@@ -201,7 +202,8 @@ def denoise_files(draw, fmt: str) -> bytes:
 @FUZZ
 @given(st.sampled_from(["tsv", "jsonl"]), st.booleans(), st.data())
 def test_fuzz_denoise(fmt, out_exists, data):
-    content = data.draw(denoise_files(fmt) | (tsv_files if fmt == "tsv" else jsonl_files(BITEXT_RECORD)))
+    content = data.draw((tsv_files if fmt == "tsv" else jsonl_files(BITEXT_RECORD))
+                        | denoise_files(fmt))
     cfg = DenoiseConfig(pair_fraction=1.0, token_prob=0.5)
     run_in({f"in.{fmt}": content, **sentinels(["out.jsonl"] if out_exists else [])},
            ["denoise", "--in", f"in.{fmt}", "--out", "out.jsonl",
@@ -236,16 +238,17 @@ def scores_files(draw) -> tuple[bytes, int]:
 
 
 @FUZZ
-@given(st.one_of(
-    st.tuples(st.one_of(st.binary(max_size=200), json_values.map(json.dumps).map(str.encode),
-                        near_valid(SCORES).map(json.dumps).map(str.encode)),
-              st.integers(0, 4), st.just(False)),
-    scores_files().map(lambda case: (*case, True))))
-def test_fuzz_bsce_select(case):
-    content, size, valid = case
+@given(st.booleans(), st.data())
+def test_fuzz_bsce_select(valid, data):
     expected = None
     if valid:
+        content, size = data.draw(scores_files())
         expected = lambda files: {"sel.json": oracle.run_bsce(files["scores.json"], size)}
+    else:
+        content = data.draw(st.one_of(st.binary(max_size=200),
+                                      json_values.map(json.dumps).map(str.encode),
+                                      near_valid(SCORES).map(json.dumps).map(str.encode)))
+        size = data.draw(st.integers(0, 4))
     run_in({"scores.json": content},
            ["bsce-select", "--scores", "scores.json", "--ensemble-size", str(size),
             "--out", "sel.json"], {"sel.json"}, expected)
@@ -268,7 +271,8 @@ READ = {"filter.input": "bitext.jsonl", "chatprep.input": "chat.jsonl", "config"
 
 
 @FUZZ
-@given(jsonl_files(BITEXT_RECORD), jsonl_files(CHAT_LINES[1]), pipeline_configs,
+@given(jsonl_files(BITEXT_RECORD) | denoise_files("jsonl"), jsonl_files(CHAT_LINES[1]) | chat_files(),
+       pipeline_configs,
        st.sets(st.sampled_from(sorted(WRITTEN.values()))), st.booleans())
 def test_fuzz_pipeline(bitext, chat, config, existing, with_report):
     sections = config.values() if isinstance(config, dict) else ()
