@@ -62,11 +62,6 @@ class ContextConfig:
             raise ValueError(f"unknown context mode {self.mode!r}")
 
 
-def check_no_reserved_tags(text: str, where: str = "input") -> None:
-    if _RESERVED_TAG.search(text):
-        raise TagError(f"{where} contains a reserved tag: {text!r}")
-
-
 def _own_language_side(rec: ChatRecord) -> tuple[str, str]:
     """(own-language text, translation text) for the turn's speaker."""
     src_is_own = (
@@ -161,9 +156,10 @@ def prepare_chat_corpus(
     dialogues: Iterable[Dialogue], cfg: ContextConfig
 ) -> Iterator[BitextPair]:
     """Map whole dialogues to training pairs, ordered by (dialogue,
-    turn_index). Rejects utterances that already contain reserved tags;
-    they would make the tagged lines ambiguous. Each dialogue's context
-    texts are taken once, by context_sides, for all its turns."""
+    turn_index). Rejects utterances that already contain reserved tags,
+    naming the turn's input line; they would make the tagged lines
+    ambiguous. Each dialogue's context texts are taken once, by
+    context_sides, for all its turns."""
     search = _RESERVED_TAG.search
     for d in dialogues:
         for rec in d.turns:
@@ -171,9 +167,9 @@ def prepare_chat_corpus(
             # only for a text that holds a tag.
             src, tgt = rec.src_text, rec.tgt_text
             if ("<" in src and search(src)) or ("<" in tgt and search(tgt)):
-                where = f"{d.dialogue_id}/{rec.turn_index}"
-                check_no_reserved_tags(src, f"{where} src_text")
-                check_no_reserved_tags(tgt, f"{where} tgt_text")
+                name, text = ("src_text", src) if search(src) else ("tgt_text", tgt)
+                raise TagError(f"{d.dialogue_id}/{rec.turn_index} {name} contains a "
+                               f"reserved tag: {text!r}", rec.line)
         sides = context_sides(d.turns, cfg.mode) if cfg.n_prev else None
         for turn_index in range(len(d.turns)):
             yield build_context(d, turn_index, cfg, sides)

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 from . import __version__
 from .corpus import (
     BITEXT_FORMATS,
+    FAIL_MODES,
     CorpusError,
     ParseStats,
     parse_bitext,
@@ -30,7 +31,7 @@ from .corpus import (
     write_bitext,
 )
 from .chatprep import ContextConfig, MIXED_LANGUAGE, SAME_LANGUAGE, prepare_chat_corpus
-from .denoise import DenoiseConfig, DenoiseFormatError, chosen_count, denoise_corpus
+from .denoise import DenoiseConfig, chosen_count, denoise_corpus
 from .ensemble import ScoreSet, select_ensemble
 from .filtering import FilterConfig, filter_corpus
 
@@ -39,7 +40,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-FAIL_MODES = ("fail_fast", "skip_and_count")
 # An option's config field is also its CLI flag's dest and its pipeline key.
 _STAGE_CONFIGS = {"filter": FilterConfig, "chatprep": ContextConfig, "denoise": DenoiseConfig}
 # CLI and pipeline spellings of config values, by option.
@@ -168,19 +168,17 @@ def _stage_config(config_cls, values: dict):
 
 
 # ------------------------------------------------------------ stages
-# A stage runner takes its paths, its config, the dict it stages its output
-# in and formats (None infers the format from the file suffix). Its report's
-# `seconds` covers reading, parsing, the transform and writing, not the rename.
+# A stage runner takes its paths, checked by its caller, its config, the
+# dict it stages its output in and formats (None infers the format from the
+# file suffix). Its report's `seconds` covers reading, parsing, the
+# transform and writing, not the rename.
 
 def _run_filter(infile: str, outfile: str, cfg: FilterConfig, staged: dict,
                 in_format: str | None = None, out_format: str | None = None,
                 fail_mode: str = FAIL_MODES[0]) -> dict:
     started = time.monotonic()
-    _require_output(outfile)
-    _require_input(infile)
     stats = ParseStats()
-    on_error = "skip" if fail_mode == "skip_and_count" else "raise"
-    pairs = parse_bitext(_read_lines(infile), _infer_format(infile, in_format), on_error, stats)
+    pairs = parse_bitext(_read_lines(infile), _infer_format(infile, in_format), fail_mode, stats)
     kept, report = filter_corpus(pairs, cfg)
     _atomic_write_lines(outfile, write_bitext(kept, _infer_format(outfile, out_format)), staged)
     return {
@@ -195,8 +193,6 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, staged: dict,
 def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig, staged: dict,
                   out_format: str | None = None) -> dict:
     started = time.monotonic()
-    _require_output(outfile)
-    _require_input(infile)
     dialogues = parse_chat(_read_lines(infile))
     pairs = prepare_chat_corpus(dialogues, cfg)
     written = _atomic_write_lines(
@@ -213,13 +209,8 @@ def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig, staged: dict,
 def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, staged: dict,
                  in_format: str | None = None, out_format: str | None = None) -> dict:
     started = time.monotonic()
-    _require_output(outfile)
-    _require_input(infile)
     pairs = list(parse_bitext(_read_lines(infile), _infer_format(infile, in_format)))
-    try:
-        noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
-    except DenoiseFormatError as exc:
-        raise CorpusError(exc.reason, pairs[exc.record].line) from None
+    noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
     _atomic_write_lines(outfile, write_bitext(noised, _infer_format(outfile, out_format)), staged)
     changed = sum(1 for a, b in zip(pairs, noised) if a.target != b.target)
     return {
@@ -251,9 +242,6 @@ def _cmd_denoise(args, staged: dict) -> dict:
 
 def _run_bsce(args, staged: dict) -> dict:
     started = time.monotonic()
-    if args.outfile:
-        _require_output(args.outfile)
-    _require_input(args.scores)
     try:
         with open(args.scores, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -317,7 +305,6 @@ def _stage_section(cfg: dict, stage: str) -> dict:
 
 
 def _run_pipeline(args, staged: dict) -> dict:
-    _require_input(args.config)
     with open(args.config, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -338,17 +325,16 @@ def _run_pipeline(args, staged: dict) -> dict:
     den_options = {"seed": cfg["seed"], **den} if "seed" in cfg else den
     denoise_cfg = _stage_config(DenoiseConfig, den_options)
     den_input = den.get("input", chat["output"])
-    inputs = [("config", args.config), ("filter.input", filt["input"]),
-              ("chatprep.input", chat["input"])]
+    inputs = [("filter.input", filt["input"]), ("chatprep.input", chat["input"])]
     # denoise reading chatprep's output is the pipeline's designed flow.
     reads_chatprep = os.path.realpath(den_input) == os.path.realpath(chat["output"])
     if not reads_chatprep:
         inputs.append(("denoise.input", den_input))
     _require_distinct_outputs([(f"{stage}.output", section["output"]) for stage, section
                                in zip(_STAGE_CONFIGS, (filt, chat, den))]
-                              + [("--report", args.report)], inputs)
-    _require_input(filt["input"])
-    _require_input(chat["input"])
+                              + [("--report", args.report)], [("config", args.config), *inputs])
+    for _, path in inputs:
+        _require_input(path)
 
     reports = [
         _run_filter(filt["input"], filt["output"], filter_cfg, staged,
@@ -430,14 +416,20 @@ def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # The paths each command names on its command line, each checked
+        # once before anything is read; pipeline checks its stages' paths
+        # once it has read its config.
+        named = [(flag, getattr(args, dest, None)) for flag, dest in
+                 (("--in", "infile"), ("--out", "outfile"), ("--scores", "scores"),
+                  ("config", "config"))]
         if args.report:
             _require_output(args.report)
-            # The paths each command names on its command line; pipeline
-            # checks its stages' paths once it has read its config.
-            _require_distinct_outputs([("--report", args.report)], [
-                (flag, getattr(args, dest, None)) for flag, dest in
-                (("--in", "infile"), ("--out", "outfile"), ("--scores", "scores"),
-                 ("config", "config"))])
+            _require_distinct_outputs([("--report", args.report)], named)
+        if getattr(args, "outfile", None):
+            _require_output(args.outfile)
+        for flag, path in named:
+            if path and flag != "--out":
+                _require_input(path)
         with _staged_outputs() as staged:
             report = args.func(args, staged)
             if args.report:

@@ -21,6 +21,8 @@ CUSTOMER = "customer"
 SPEAKERS = (AGENT, CUSTOMER)
 
 BITEXT_FORMATS = ("tsv", "jsonl")
+# What parse_bitext does with a malformed line: stop at it, or skip it.
+FAIL_MODES = ("fail_fast", "skip_and_count")
 
 _CHAT_STR_FIELDS = ("dialogue_id", "speaker", "src_text", "tgt_text", "src_lang", "tgt_lang")
 # The C scanner behind json.loads, without its wrapper's per-call checks.
@@ -103,7 +105,7 @@ class Dialogue:
 @dataclass
 class ParseStats:
     """Filled in by parse_bitext: `skipped` counts the malformed lines
-    dropped under on_error="skip"."""
+    dropped under skip_and_count."""
 
     skipped: int = 0
 
@@ -198,20 +200,20 @@ def _parse_jsonl_line(raw: str, line: int) -> BitextPair:
 def parse_bitext(
     lines: Iterable[str],
     fmt: str = "tsv",
-    on_error: str = "raise",
+    fail_mode: str = FAIL_MODES[0],
     stats: ParseStats | None = None,
 ) -> Iterator[BitextPair]:
     """Yield pairs from TSV or JSONL lines, in input order, each with its
     1-based input line in `line`.
 
-    on_error="raise" fails fast with the line number;
-    on_error="skip" drops malformed lines, a line that is not UTF-8
+    fail_fast stops at the first malformed line, naming it;
+    skip_and_count drops malformed lines, a line that is not UTF-8
     included, and counts them in `stats`.
     """
     if fmt not in BITEXT_FORMATS:
         raise ValueError(f"unknown bitext format {fmt!r}")
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"unknown error mode {on_error!r}")
+    if fail_mode not in FAIL_MODES:
+        raise ValueError(f"unknown fail mode {fail_mode!r}")
     parse_line = _parse_tsv_line if fmt == "tsv" else _parse_jsonl_line
     for lineno, raw in enumerate(lines, start=1):
         try:
@@ -221,7 +223,7 @@ def parse_bitext(
             if raw or fmt == "tsv":
                 yield parse_line(raw, lineno)
         except CorpusError:
-            if on_error == "raise":
+            if fail_mode == "fail_fast":
                 raise
             if stats is not None:
                 stats.skipped += 1
@@ -311,7 +313,6 @@ def parse_chat(lines: Iterable[str]) -> list[Dialogue]:
                 if index != expected:
                     raise CorpusError(
                         f"dialogue {did!r}: turn indices not contiguous "
-                        f"(expected {expected}, found {index})"
-                    )
+                        f"(expected {expected}, found {index})", turns[index].line)
         dialogues.append(Dialogue(did, tuple(map(turns.__getitem__, range(len(turns))))))
     return dialogues

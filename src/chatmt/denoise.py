@@ -42,11 +42,12 @@ if TYPE_CHECKING:
 
 class DenoiseFormatError(CorpusError):
     """Target line cannot be split into tag / payload / context spans.
-    `record` is the 0-based index of the pair in denoise_corpus's input,
-    when the error comes from there."""
+    From denoise_corpus, `record` is the pair's 0-based index and `line`
+    its input line; the message names the line, else the record."""
 
-    def __init__(self, reason: str, record: int | None = None):
-        super().__init__(reason if record is None else f"record {record}: {reason}")
+    def __init__(self, reason: str, record: int | None = None, line: int | None = None):
+        super().__init__(reason if record is None or line is not None
+                         else f"record {record}: {reason}", line)
         self.reason = reason
         self.record = record
 
@@ -384,7 +385,7 @@ def denoise_corpus(
     out = list(pairs)
     block: list[tuple[int, TargetSpans]] = []
     block_tokens = 0
-    # A check or split that fails names the record i it was on.
+    # A check or split that fails names the record i it was on, and its line.
     try:
         for i, pair in enumerate(pairs):
             span = payload_spans[i] if payload_spans else None
@@ -401,7 +402,7 @@ def denoise_corpus(
                 _noise_block(out, block, cfg)
                 block, block_tokens = [], 0
     except DenoiseFormatError as exc:
-        raise DenoiseFormatError(exc.reason, i) from exc
+        raise DenoiseFormatError(exc.reason, i, pair.line) from exc
     if block:
         _noise_block(out, block, cfg)
     return out

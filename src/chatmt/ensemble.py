@@ -42,6 +42,10 @@ class ScoreSet:
         n = len(self.model_ids)
         if not all(isinstance(m, str) for m in self.model_ids):
             raise ValueError("model ids must be strings")
+        # UTF-8 cannot encode a lone surrogate (a JSON \ud800 escape).
+        bad = [m for m in self.model_ids if m.encode("utf-8", "replace").decode("utf-8") != m]
+        if bad:
+            raise ValueError(f"model id {bad[0]!r} is not valid Unicode")
         if n < 2:
             raise ValueError("need at least 2 candidate models")
         if len(set(self.model_ids)) != n:
@@ -55,6 +59,9 @@ class ScoreSet:
 
     @classmethod
     def from_lists(cls, model_ids, comet, pairwise) -> "ScoreSet":
+        # A string or a mapping is iterable too, but holds no list of ids.
+        if not isinstance(model_ids, (list, tuple)):
+            raise ValueError("models must be a list of model ids")
         return cls(
             model_ids=tuple(model_ids),
             comet=_scores(comet),

@@ -119,9 +119,9 @@ def _jsonl_pair(text: str, line: int) -> BitextPair:
     return BitextPair(source, target, origin, None if span is None else tuple(span), line)
 
 
-def parse_bitext(lines: list[bytes], fmt: str, on_error: str = "raise") -> list[BitextPair]:
+def parse_bitext(lines: list[bytes], fmt: str, fail_mode: str = "fail_fast") -> list[BitextPair]:
     """The pairs of TSV or JSONL lines (a blank JSONL line is no record);
-    on_error="skip" drops each malformed line."""
+    fail_mode="skip_and_count" drops each malformed line."""
     pairs = []
     for lineno, raw in enumerate(lines, start=1):
         try:
@@ -131,7 +131,7 @@ def parse_bitext(lines: list[bytes], fmt: str, on_error: str = "raise") -> list[
             elif text:
                 pairs.append(_jsonl_pair(text, lineno))
         except CorpusError:
-            if on_error == "raise":
+            if fail_mode == "fail_fast":
                 raise
     return pairs
 
@@ -197,7 +197,7 @@ def parse_chat(lines: list[bytes]) -> list[Dialogue]:
             if rec.turn_index != expected:
                 raise CorpusError(
                     f"dialogue {did!r}: turn indices not contiguous "
-                    f"(expected {expected}, found {rec.turn_index})")
+                    f"(expected {expected}, found {rec.turn_index})", rec.line)
         dialogues.append(Dialogue(dialogue_id=did, turns=tuple(recs)))
     return dialogues
 
@@ -245,7 +245,7 @@ def prepare_chat_corpus(dialogues, cfg):
                 text = getattr(r, name)
                 if any(tag in text for tag in RESERVED_TAGS):
                     raise TagError(f"{d.dialogue_id}/{r.turn_index} {name} contains a "
-                                   f"reserved tag: {text!r}")
+                                   f"reserved tag: {text!r}", r.line)
         for r in d.turns:
             yield build_context(d, r.turn_index, cfg)
 
@@ -380,7 +380,7 @@ def denoise_corpus(pairs, cfg, payload_spans=None) -> list[BitextPair]:
         try:
             spans.append(split_target(pair.target, payload_spans[i] if payload_spans else None))
         except DenoiseFormatError as exc:
-            raise DenoiseFormatError(exc.reason, i) from exc
+            raise DenoiseFormatError(exc.reason, i, pair.line) from exc
     chosen = choose_pairs(len(pairs), cfg)
     out = list(pairs)
     for i in sorted(chosen):
@@ -397,8 +397,7 @@ def denoise_corpus(pairs, cfg, payload_spans=None) -> list[BitextPair]:
 # exits 2 with.
 
 def run_filter(data: bytes, in_fmt: str, out_fmt: str, cfg, fail_mode="fail_fast") -> bytes:
-    on_error = "skip" if fail_mode == "skip_and_count" else "raise"
-    kept, _ = filter_corpus(parse_bitext(read_lines(data), in_fmt, on_error), cfg)
+    kept, _ = filter_corpus(parse_bitext(read_lines(data), in_fmt, fail_mode), cfg)
     return "".join(write_bitext(kept, out_fmt)).encode("utf-8")
 
 
@@ -409,10 +408,7 @@ def run_chatprep(data: bytes, out_fmt: str, cfg) -> bytes:
 
 def run_denoise(data: bytes, in_fmt: str, out_fmt: str, cfg) -> bytes:
     pairs = parse_bitext(read_lines(data), in_fmt)
-    try:
-        noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
-    except DenoiseFormatError as exc:
-        raise CorpusError(exc.reason, pairs[exc.record].line) from None
+    noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
     return "".join(write_bitext(noised, out_fmt)).encode("utf-8")
 
 
@@ -427,8 +423,12 @@ def run_pipeline(bitext: bytes, chat: bytes, fmt: str, filter_cfg, context_cfg,
 
 def run_bsce(data: bytes, e: int) -> bytes:
     """bsce-select's `--out` bytes for a valid scores file and an ensemble
-    size in range, or the CorpusError of a weighted score no float holds."""
+    size in range, or the CorpusError of a model id holding a lone
+    surrogate or of a weighted score no float holds."""
     obj = json.loads(data)
+    for model in obj["models"]:
+        if any(0xD800 <= ord(c) <= 0xDFFF for c in model):
+            raise CorpusError(f"bad scores file: model id {model!r} is not valid Unicode")
     s = ScoreSet.from_lists(obj["models"], obj["comet"], obj["pairwise"])
     try:
         sel = select_ensemble(s, e)

@@ -8,13 +8,17 @@ import subprocess
 import sys
 import tempfile
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from chatmt import cli
 from chatmt.cli import _build_parser, main
+from chatmt.chatprep import ContextConfig
 from chatmt.corpus import write_bitext
+from chatmt.denoise import DenoiseConfig
+from chatmt.filtering import FilterConfig
 from conftest import make_micro_corpus
 
 
@@ -446,6 +450,34 @@ def test_bsce_weighted_score_beyond_float_range_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# Whether the model holding a lone surrogate is selected or not, the file
+# is refused before selecting.
+@pytest.mark.parametrize("comet", [[0.3, 0.2], [0.2, 0.3]])
+def test_bsce_model_id_with_lone_surrogate_exits_2(tmp_path, capsys, comet):
+    scores = tmp_path / "scores.json"
+    scores.write_text('{"models": ["a\\ud800", "b"], "comet": %s, '
+                      '"pairwise": [[0, 1], [1, 0]]}' % json.dumps(comet), encoding="utf-8")
+    out = tmp_path / "s.json"
+    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", "1",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "data error: bad scores file: model id 'a\\ud800' is not valid Unicode\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
+def test_bsce_models_not_a_list_exits_2(tmp_path, capsys, models):
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({"models": models, "comet": [0.1, 0.2],
+                                  "pairwise": [[0, 1], [1, 0]]}), encoding="utf-8")
+    out = tmp_path / "s.json"
+    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", "1",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "data error: bad scores file: models must be a list of model ids\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, lines", [
     ("filter", ['{"source": "a", "target": "b"}', '{"source": "a \\ud800", "target": "b"}']),
     ("denoise", ['{"source": "a", "target": "b"}', '{"source": "a", "target": "\\uDFFF b"}']),
@@ -719,6 +751,16 @@ def test_chatprep_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, bad_line
     assert run(["chatprep", "--in", str(chat), "--out", str(tmp_path / "out.tsv")]) == 2
     assert capsys.readouterr().err.startswith(
         f"data error: line {bad_line}: tab, newline or carriage return")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chat.jsonl"]
+
+
+def test_chatprep_reserved_tag_names_its_line(tmp_path, capsys):
+    chat = tmp_path / "chat.jsonl"
+    bad = {**CHAT_LINES[1], "tgt_text": "a <SEP> b"}
+    chat.write_text(f"{json.dumps(CHAT_LINES[0])}\n{json.dumps(bad)}\n", encoding="utf-8")
+    assert run(["chatprep", "--in", str(chat), "--out", str(tmp_path / "out.tsv")]) == 2
+    assert capsys.readouterr().err == (
+        "data error: line 2: d1/1 tgt_text contains a reserved tag: 'a <SEP> b'\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chat.jsonl"]
 
 
@@ -1030,6 +1072,20 @@ def test_pipeline_failing_stage_changes_no_file(tmp_path, capsys, break_stage, m
     assert _dir_state(tmp_path) == before
 
 
+def test_pipeline_checks_denoise_input_before_any_stage_runs(tmp_path, capsys):
+    argv = _pipeline_over_old_outputs(tmp_path)
+    _break_chatprep(tmp_path)
+    missing = tmp_path / "missing.tsv"
+    cfg_path = tmp_path / "pipeline.json"
+    cfg = json.loads(cfg_path.read_text())
+    cfg["denoise"]["input"] = str(missing)
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    before = _dir_state(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: input path does not exist: {missing}\n")
+    assert _dir_state(tmp_path) == before
+
+
 def test_pipeline_interrupted_changes_no_file(tmp_path, monkeypatch):
     def interrupt(pairs, cfg, spans):
         raise KeyboardInterrupt
@@ -1112,3 +1168,25 @@ def test_stage_failing_mid_read_closes_its_input(tmp_path, monkeypatch, command,
     assert run([command, "--in", str(src), "--out", str(tmp_path / "out.tsv")]) == 2
     assert [fh.name for fh in handles] == [str(src)]
     assert all(fh.closed for fh in handles)
+
+
+def test_cli_and_pipeline_take_the_config_defaults(tmp_path):
+    """README: pipeline options take the same defaults as the CLI flags of
+    the same name; both are the config dataclasses' defaults."""
+    cfg_path, _ = make_pipeline_config(tmp_path)
+    paths = json.loads(cfg_path.read_text())
+    bitext, chat = paths["filter"]["input"], paths["chatprep"]["input"]
+    defaults = {"filter": {**asdict(FilterConfig()), "fail_mode": "fail_fast"},
+                "chatprep": asdict(ContextConfig()), "denoise": asdict(DenoiseConfig())}
+    report = tmp_path / "report.json"
+    for stage, infile in (("filter", bitext), ("chatprep", chat),
+                          ("denoise", tmp_path / "prepped.tsv")):
+        assert run([stage, "--in", str(infile), "--out", str(tmp_path / "prepped.tsv"),
+                    "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["config"] == defaults[stage]
+    cfg_path.write_text(json.dumps({
+        stage: {key: paths[stage][key] for key in ("input", "output") if key in paths[stage]}
+        for stage in defaults}), encoding="utf-8")
+    assert run(["pipeline", str(cfg_path), "--report", str(report)]) == 0
+    assert [s["config"] for s in json.loads(report.read_text())["stages"]] == \
+        list(defaults.values())

@@ -38,7 +38,7 @@ def test_parse_tsv_too_many_tabs_fail_fast():
 def test_parse_tsv_skip_mode_counts():
     lines = ["a\tb\n", "broken line\n", "c\td\n"]
     stats = ParseStats()
-    pairs = list(parse_bitext(lines, "tsv", on_error="skip", stats=stats))
+    pairs = list(parse_bitext(lines, "tsv", fail_mode="skip_and_count", stats=stats))
     assert [p.source for p in pairs] == ["a", "c"]
     assert stats.skipped == 1
 
@@ -153,11 +153,11 @@ def test_parse_reads_lines_and_names_or_skips_the_first_invalid_one(rows, last, 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.tsv"
         path.write_bytes(data)
-        for on_error in ("skip", "raise"):
+        for fail_mode in ("skip_and_count", "fail_fast"):
             got = outcome(lambda: [(p, p.line) for p in
-                                   parse_bitext(_read_lines(path), "tsv", on_error)])
+                                   parse_bitext(_read_lines(path), "tsv", fail_mode)])
             assert got == outcome(lambda: [(p, p.line) for p in oracle.parse_bitext(
-                oracle.read_lines(data), "tsv", on_error)])
+                oracle.read_lines(data), "tsv", fail_mode)])
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -185,6 +185,16 @@ def test_parse_chat_groups_and_sorts():
 def test_parse_chat_contiguity_error():
     with pytest.raises(CorpusError, match="d1"):
         parse_chat([_chat_line("d1", 0), _chat_line("d1", 2)])
+
+
+def test_parse_chat_contiguity_error_names_the_first_turn_out_of_place():
+    # d1's turns 0, 3, 2: sorted, turn 2 is the first out of place, on line 4.
+    lines = [_chat_line("d1", 0), _chat_line("d2", 0), _chat_line("d1", 3), _chat_line("d1", 2)]
+    with pytest.raises(CorpusError) as info:
+        parse_chat(lines)
+    assert str(info.value) == \
+        "line 4: dialogue 'd1': turn indices not contiguous (expected 1, found 2)"
+    assert info.value.line == 4
 
 
 def test_parse_chat_duplicate_turn_error():

@@ -179,6 +179,17 @@ class TestDenoiseCorpus:
         with pytest.raises(DenoiseFormatError, match="record 0"):
             denoise_corpus(pairs, cfg)
 
+    @pytest.mark.parametrize("pair_fraction", [0.0, 1.0])
+    def test_error_on_parsed_pairs_names_the_line_and_the_record(self, pair_fraction):
+        # A blank JSONL line is no record, so pair 1 is read from line 3.
+        pairs = list(parse_bitext(['{"source": "s", "target": "ok"}\n', "\n",
+                                   '{"source": "s", "target": "<agent> <context begins> x"}\n'],
+                                  "jsonl"))
+        with pytest.raises(DenoiseFormatError) as info:
+            denoise_corpus(pairs, DenoiseConfig(pair_fraction=pair_fraction))
+        assert str(info.value) == "line 3: empty payload in target '<agent> <context begins> x'"
+        assert (info.value.record, info.value.line) == (1, 3)
+
     @pytest.mark.parametrize("pair_fraction", [0.0, 0.5, 1.0])
     def test_first_unparseable_record_whether_chosen_or_not(self, pair_fraction):
         pairs = make_corpus(8, with_structure=True)
