@@ -130,12 +130,18 @@ def _infer_format(path: str, explicit: str | None) -> str:
 def _require_input(path: str) -> None:
     if not os.path.exists(path):
         raise UsageError(f"input path does not exist: {path}")
+    if os.path.isdir(path):
+        raise UsageError(f"input path is a directory: {path}")
 
 
 def _require_output(path: str) -> None:
+    """Refuse an output the commit's rename could not put in place, or
+    that it would replace with a regular file (a FIFO, a device)."""
     if not os.path.basename(path) or os.path.isdir(path) \
             or not os.path.isdir(os.path.dirname(path) or "."):
         raise UsageError(f"output must be a file in an existing directory: {path}")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise UsageError(f"output exists and is not a regular file: {path}")
 
 
 def _require_distinct_outputs(outputs: Iterable[tuple[str, str | None]],

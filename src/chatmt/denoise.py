@@ -9,22 +9,23 @@ tags, and context spans are never touched.
 
 Randomness is pinned to numpy's PCG64. The pair selection uses
 SeedSequence(seed); record i draws from the stream of
-PCG64(SeedSequence(seed, spawn_key=(i,))), so output is a pure function
-of (corpus, config) regardless of processing order. Building those
-numpy objects for every chosen record would cost more than the noising,
-so denoise computes the same draws in numpy, for one block of chosen
-records at a time, in input order (a block holds about _BLOCK_TOKENS
-payload tokens, which bounds its arrays):
+PCG64(SeedSequence(seed, spawn_key=(i,))) (`_record_rng`), so output is
+a pure function of (corpus, config) for one numpy version, whatever the
+processing order. Building those numpy objects for every chosen record
+would cost more than the noising, so denoise computes the same draws in
+numpy, for one block of chosen records at a time, in input order (a
+block holds about _BLOCK_TOKENS payload tokens, which bounds its arrays):
 - `_record_states` copies the SeedSequence words PCG64 is seeded from
   (`generate_state(4, np.uint64)`) for every record of the block;
 - `_pcg_draws` runs PCG64's seeding and its 128-bit LCG on uint64
-  halves, jumping straight to any draw, and emits its XSL-RR output;
+  halves, jumping straight to any draw, and emits its XSL-RR output
+  (the one place PCG64's seeding is restated);
 - `_record_draws` marks a hit where the draw's double falls below
   token_prob, and `_picks` takes numpy's Lemire step for each hit's
   `integers(n)`, so only records with hits are touched in Python.
 A record whose pick falls in Lemire's rejection zone, where numpy draws
 again, or that has 2**32 tokens or more, runs `denoise_tokens` itself on
-the stream `_record_rng` sets a generator to. Tests check each step
+`_record_rng(seed, i)`, numpy's own generator. Tests check each step
 against numpy's own construction.
 """
 from __future__ import annotations
@@ -74,6 +75,14 @@ def _selection_rng(seed: int) -> np.random.Generator:
     import numpy as np
 
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def _record_rng(seed: int, index: int) -> np.random.Generator:
+    """Record index's generator, built as numpy documents it."""
+    import numpy as np
+
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -139,24 +148,6 @@ def _record_states(seed: int, indices: Sequence[int]) -> np.ndarray:
     return np.stack([out[2 * k] | out[2 * k + 1] << 32 for k in range(4)], axis=1)
 
 
-def _record_rng(rng: np.random.Generator, words: np.ndarray) -> np.random.Generator:
-    """Set rng's PCG64 as PCG64 seeds itself from one row of
-    _record_states and return it: the stream of a fresh PCG64 built from
-    that record's SeedSequence."""
-    w0, w1, w2, w3 = words.tolist()
-    # PCG64's set_seed: inc = 2 * (w2, w3) + 1; from state 0, one LCG step
-    # (state * mult + inc) gives inc; add (w0, w1); one more LCG step.
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
-
-
 def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit products of two uint64 arrays, from
     their 32-bit limbs."""
@@ -181,13 +172,15 @@ def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pcg_draws(words: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """The 64-bit output of draw draws[e] (1-based) of the PCG64 that
-    _record_rng seeds from words[e], for each e."""
+    """The 64-bit output of draw draws[e] (1-based) of a PCG64 seeded
+    from words[e], a row of _record_states, for each e."""
     import numpy as np
 
     # t LCG steps take state s to M**t * s + S_t * inc, with M the
     # multiplier and S_t = 1 + M + ... + M**(t-1) = (M**t - 1) / (M - 1).
-    # set_seed's last step starts from w + inc, so draw j is j + 1 steps
+    # PCG64's set_seed takes inc = 2 * (w2, w3) + 1; from state 0, one
+    # step gives inc, w = (w0, w1) is added and one more step is taken.
+    # That last step starts from w + inc, so draw j is j + 1 steps
     # from there: M**(j+1) * (w + inc) + S_(j+1) * inc, which is
     # M**(j+1) * w + S_(j+2) * inc. Powers are taken mod (M - 1) * 2**128,
     # which keeps the division by M - 1 exact.
@@ -226,7 +219,7 @@ def _picks(words: np.ndarray, lengths: np.ndarray, ranks: np.ndarray):
 
 def _record_draws(words: np.ndarray, lengths: np.ndarray, token_prob: float):
     """What denoise_tokens draws for each record i of a block, with
-    lengths[i] tokens, from the stream of _record_rng(rng, words[i]).
+    lengths[i] tokens, from the PCG64 seeded from words[i].
 
     Returns (exact, record, position, pick): the records that need
     denoise_tokens itself (a pick in the rejection zone, or 2**32 tokens
@@ -355,11 +348,9 @@ def _noise_block(out: list[BitextPair], block: list[tuple[int, TargetSpans]],
         if tokens is None:
             tokens = noised[r] = list(payload)
         tokens[position] = payload[pick]
-    if exact.any():
-        # Its seed does not matter: _record_rng sets the whole state.
-        rng = np.random.Generator(np.random.PCG64(0))
-        for r in np.flatnonzero(exact).tolist():
-            noised[r] = denoise_tokens(block[r][1].payload, cfg, _record_rng(rng, words[r]))
+    for r in np.flatnonzero(exact).tolist():
+        i, spans = block[r]
+        noised[r] = denoise_tokens(spans.payload, cfg, _record_rng(cfg.seed, i))
     for r, tokens in noised.items():
         i, spans = block[r]
         target = spans.head + " ".join(tokens) + spans.tail

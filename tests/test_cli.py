@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -1190,3 +1191,78 @@ def test_cli_and_pipeline_take_the_config_defaults(tmp_path):
     assert run(["pipeline", str(cfg_path), "--report", str(report)]) == 0
     assert [s["config"] for s in json.loads(report.read_text())["stages"]] == \
         list(defaults.values())
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("chatmt ")]
+    assert commands
+    parser = _build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["filter", "--in", "{dir}", "--out", "{tmp}/o.tsv"],
+    ["chatprep", "--in", "{dir}", "--out", "{tmp}/o.tsv"],
+    ["denoise", "--in", "{dir}", "--out", "{tmp}/o.tsv"],
+    ["bsce-select", "--scores", "{dir}", "--ensemble-size", "1", "--out", "{tmp}/o.json"],
+    ["pipeline", "{dir}"],
+], ids=lambda argv: argv[0])
+def test_input_that_is_a_directory_exits_1(tmp_path, capsys, argv):
+    directory = tmp_path / "in.d"
+    directory.mkdir()
+    assert run([arg.format(dir=directory, tmp=tmp_path) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: input path is a directory: {directory}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["in.d"]
+
+
+@pytest.mark.parametrize("stage", ["filter", "chatprep", "denoise"])
+def test_pipeline_stage_input_that_is_a_directory_exits_1_before_any_stage_runs(
+        tmp_path, capsys, monkeypatch, stage):
+    argv = _pipeline_over_old_outputs(tmp_path)
+    directory = tmp_path / "in.d"
+    directory.mkdir()
+    cfg_path = tmp_path / "pipeline.json"
+    cfg = json.loads(cfg_path.read_text())
+    cfg[stage]["input"] = str(directory)
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    ran = []
+    for runner in ("_run_filter", "_run_chatprep", "_run_denoise"):
+        monkeypatch.setattr(cli, runner, lambda *args, runner=runner: ran.append(runner))
+    names, before = sorted(p.name for p in tmp_path.iterdir()), _files(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: input path is a directory: {directory}\n")
+    assert ran == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == names and _files(tmp_path) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("fifo, argv", [
+    ("out.tsv", ["filter", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"]),
+    ("out.tsv", ["chatprep", "--in", "{tmp}/chat.jsonl", "--out", "{tmp}/out.tsv"]),
+    ("out.tsv", ["denoise", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"]),
+    ("out.json", ["bsce-select", "--scores", "{tmp}/scores.json", "--ensemble-size", "1",
+                  "--out", "{tmp}/out.json"]),
+    ("report.json", ["filter", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/o.tsv",
+                     "--report", "{tmp}/report.json"]),
+    ("filtered.tsv", ["pipeline", "{tmp}/pipeline.json"]),
+    ("prepped.tsv", ["pipeline", "{tmp}/pipeline.json"]),
+    ("noised.tsv", ["pipeline", "{tmp}/pipeline.json"]),
+    ("report.json", ["pipeline", "{tmp}/pipeline.json", "--report", "{tmp}/report.json"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_output_that_is_a_fifo_exits_1_and_stays_a_fifo(tmp_path, capsys, fifo, argv):
+    make_pipeline_config(tmp_path)
+    (tmp_path / "scores.json").write_text(json.dumps({
+        "models": ["a", "b"], "comet": [0.1, 0.2], "pairwise": [[0, 0.5], [0.5, 0]],
+    }), encoding="utf-8")
+    fifo = tmp_path / fifo
+    os.mkfifo(fifo)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output exists and is not a regular file: {fifo}\n")
+    assert fifo.is_fifo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == names

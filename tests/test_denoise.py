@@ -329,13 +329,10 @@ def _examples(test):
 def test_record_states_match_numpy(seed, indices):
     states = _record_states(seed, indices)
     assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
-    rng = np.random.Generator(np.random.PCG64(0))
     for index, row in zip(indices, states):
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
         assert row.tolist() == seq.generate_state(4, np.uint64).tolist()
-        # Leave a 32-bit word buffered, which a fresh PCG64 does not have.
-        rng.integers(5)
-        assert _record_rng(rng, row).bit_generator.state == np.random.PCG64(seq).state
+        assert _record_rng(seed, index).bit_generator.state == np.random.PCG64(seq).state
 
 
 @st.composite
@@ -474,6 +471,19 @@ def test_a_rejected_pick_sends_its_whole_record_to_the_exact_path(monkeypatch):
     assert records.tolist() == [1] and positions.tolist() == [0] and picks.tolist() == [0]
 
 
+class _RejectEvery:
+    """Stands in for st.data() in an example: the True it draws forces
+    every pick into the rejection zone (it broadcasts over the picks)."""
+
+    def draw(self, strategy):
+        return True
+
+
+# Seed 0 chooses records 1 and 2 of 3, so each exact-path record's place
+# in its block differs from its input index.
+@example(([BitextPair(f"s{i}", target) for i, target in
+           enumerate(["x y z", "a b c d e f", "g h i j k l"])], None),
+         0.7, 1.0, 0, _RejectEvery())
 @given(_corpora(), _fractions, _fractions, st.integers(0, 2**64 - 1), st.data())
 def test_exact_path_records_match_per_record_seed_sequences(
         corpus, pair_fraction, token_prob, seed, data):
@@ -491,6 +501,34 @@ def test_exact_path_records_match_per_record_seed_sequences(
         patch.setattr(denoise, "_picks", rejecting)
         assert outcome(denoise_corpus, pairs, cfg, spans) == \
             outcome(oracle.denoise_corpus, pairs, cfg, spans)
+
+
+@pytest.mark.parametrize("rejected", [False, True])
+@pytest.mark.parametrize("block_tokens", [None, 5])
+def test_record_rng_is_built_once_per_exact_path_record(monkeypatch, rejected, block_tokens):
+    # Every token hits; either every pick is rejected, so that every chosen
+    # record takes the exact path, or none is. perfbench's
+    # denoise.rngs_built counts these calls.
+    calls = []
+
+    def counted(seed, index):
+        calls.append((seed, index))
+        return _record_rng(seed, index)
+
+    monkeypatch.setattr(denoise, "_record_rng", counted)
+    monkeypatch.setattr(denoise, "_picks", lambda words, n, ranks: (
+        np.zeros_like(ranks), np.full(len(ranks), rejected)))
+    if block_tokens:
+        monkeypatch.setattr(denoise, "_BLOCK_TOKENS", block_tokens)
+    pairs = make_corpus(20, n_tokens=3)
+    cfg = DenoiseConfig(pair_fraction=0.5, token_prob=1.0, seed=7)
+    noised = denoise_corpus(pairs, cfg)
+    chosen = sorted(choose_pairs(len(pairs), cfg))
+    assert calls == ([(cfg.seed, i) for i in chosen] if rejected else [])
+    if rejected:
+        assert noised == oracle.denoise_corpus(pairs, cfg)
+    else:
+        assert all(noised[i].target == " ".join([f"w{i}_0"] * 3) for i in chosen)
 
 
 @pytest.mark.parametrize("block_tokens, n_tokens", [
