@@ -72,11 +72,11 @@ def _file_mode(path: Path) -> int:
 
 
 def _atomic_write_lines(path: str | Path, lines: Iterable[str], staged: dict) -> int:
-    """Write the lines to a temp file beside path, staged[path], for
-    _staged_outputs to commit; return their count. The temp keeps path's
-    suffix, so a stage that reads it infers the same format."""
-    path = Path(path)
-    fd, staged[path] = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+    """Write the lines to a temp file beside the file path resolves to,
+    staged[path], for _staged_outputs to commit; return their count. The
+    temp keeps path's suffix, so a stage reading it infers the format."""
+    path, real = Path(path), Path(os.path.realpath(path))
+    fd, staged[path] = tempfile.mkstemp(dir=real.parent, prefix=real.name + ".",
                                         suffix=path.suffix)
     count = 0
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -92,16 +92,16 @@ def _atomic_write_json(path: str | Path, obj, staged: dict) -> None:
 @contextlib.contextmanager
 def _staged_outputs():
     """Yield the dict a command stages its outputs in. If the block succeeds,
-    rename each temp over its path in the order written, giving it the mode
-    _file_mode reads (mkstemp creates it 0600). Then, or if anything failed,
-    remove every temp left; a failed rename leaves the earlier ones done."""
+    rename each temp over the file its path resolves to, in the order written,
+    with the mode _file_mode reads (mkstemp makes it 0600). Then, or on a
+    failure, remove every temp left; a failed rename leaves earlier ones done."""
     staged: dict[Path, str] = {}
     try:
         yield staged
         for path, tmp in list(staged.items()):
             try:
                 os.chmod(tmp, _file_mode(path))
-                os.replace(tmp, path)
+                os.replace(tmp, os.path.realpath(path))
             except OSError as exc:
                 # Name the output, not the temp removed below.
                 raise OSError(exc.errno, exc.strerror, str(path)) from None
@@ -135,12 +135,13 @@ def _require_input(path: str) -> None:
 
 
 def _require_output(path: str) -> None:
-    """Refuse an output the commit's rename could not put in place, or
-    that it would replace with a regular file (a FIFO, a device)."""
-    if not os.path.basename(path) or os.path.isdir(path) \
-            or not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse an output whose resolved path the commit's rename could not
+    put in place, or would replace with a regular file (a FIFO, a device)."""
+    real = os.path.realpath(path)
+    if not os.path.basename(path) or os.path.isdir(real) \
+            or not os.path.isdir(os.path.dirname(real)):
         raise UsageError(f"output must be a file in an existing directory: {path}")
-    if os.path.exists(path) and not os.path.isfile(path):
+    if os.path.lexists(real) and not os.path.isfile(real):
         raise UsageError(f"output exists and is not a regular file: {path}")
 
 

@@ -15,8 +15,9 @@ processing order. Building those numpy objects for every chosen record
 would cost more than the noising, so denoise computes the same draws in
 numpy, for one block of chosen records at a time, in input order (a
 block holds about _BLOCK_TOKENS payload tokens, which bounds its arrays):
-- `_record_states` copies the SeedSequence words PCG64 is seeded from
-  (`generate_state(4, np.uint64)`) for every record of the block;
+- `_record_states` takes the seed's mixed pool from numpy's
+  `SeedSequence(seed).pool` and restates only each record's steps: its
+  spawn key (i,) and `generate_state(4, np.uint64)`, PCG64's seed words;
 - `_pcg_draws` runs PCG64's seeding and its 128-bit LCG on uint64
   halves, jumping straight to any draw, and emits its XSL-RR output
   (the one place PCG64's seeding is restated);
@@ -99,8 +100,8 @@ _POWER_MOD = (_PCG_MULT - 1) << 128
 
 
 def _hashmix(value, const: int, mult: int):
-    """One SeedSequence hash step on a Python int or a uint32 array;
-    returns the hashed value and the next hash constant."""
+    """One SeedSequence hash step on a uint32 array; returns the hashed
+    values and the next hash constant."""
     const_next = const * mult & _MASK32
     value = (value ^ const) * const_next & _MASK32
     return value ^ value >> 16, const_next
@@ -116,18 +117,11 @@ def _record_states(seed: int, indices: Sequence[int]) -> np.ndarray:
     np.uint64) for each i in indices, one uint64 row per index."""
     import numpy as np
 
-    # With a spawn key, SeedSequence pads the seed's 32-bit words with
-    # zeros to its pool size of 4. Mixing them into the pool depends on
-    # the seed alone, and the hash constant's sequence on nothing at all.
-    pool = [seed & _MASK32, seed >> 32, 0, 0]
-    const = _INIT_A
-    for i in range(4):
-        pool[i], const = _hashmix(pool[i], const, _MULT_A)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
+    # A spawn key pads the seed's words with zeros to the pool size, and
+    # SeedSequence(seed) hashes missing words as zeros: both mix one pool,
+    # whose 16 hash steps (4 words in, 12 cross-mixes) leave this constant.
+    pool = np.random.SeedSequence(seed).pool
+    const = _INIT_A * pow(_MULT_A, 16, 2**32) & _MASK32
 
     # The spawn key (i,) adds i's 32-bit words: one below 2**32, else two.
     idx = np.asarray(indices, dtype=np.uint64)

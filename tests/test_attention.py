@@ -222,18 +222,59 @@ class TestInPlaceKernels:
         assert out.dtype == np.float64
         assert np.abs(out - oracle.talking_heads_attention(q, k, v, wl, ws)).max() <= 1e-12
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+    # Integer weights with float biases: an integer input's products are
+    # integer, so _add_bias adds each bias out of place.
+    @pytest.mark.parametrize("dtype, bias_dtype", [
+        (np.int64, np.int64), (np.float32, np.float32), (np.float64, np.float64),
+        (np.int64, np.float64),
+    ], ids=["int64", "float32", "float64", "int64-float64-biases"])
     @pytest.mark.parametrize("use_activation", [True, False])
-    def test_ffn_apply_equals_its_formula(self, dtype, use_activation):
+    def test_ffn_apply_equals_its_formula(self, dtype, bias_dtype, use_activation):
         rng = np.random.default_rng(12)
         d, d_ff = 5, 7
         w1, b1, w2, b2, x = (rng.integers(-4, 5, size=shape).astype(dtype) for shape in
                              ((d, d_ff), d_ff, (d_ff, d), d, (6, d)))
+        b1, b2 = b1.astype(bias_dtype), b2.astype(bias_dtype)
         ffn = FfnParams(w1=w1, b1=b1, w2=w2, b2=b2, use_activation=use_activation)
         for inp in (x, x.astype(np.int64), x.astype(np.float32), x.astype(np.float64)):
-            out = _unchanged_after(ffn.apply, inp)
+            out = _unchanged_after(lambda inp, *_: ffn.apply(inp), inp, w1, b1, w2, b2)
             want = oracle.ffn(inp, ffn)
             assert out.dtype == want.dtype and np.array_equal(out, want)
+
+
+_Z = np.zeros
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: standard_attention(_Z((2, 3, 4)), _Z((5, 4)), _Z((5, 2))), "q, k, v must be 2-D"),
+    (lambda: standard_attention(_Z((3, 4)), _Z((5, 3)), _Z((5, 2))), "q and k widths differ"),
+    (lambda: standard_attention(_Z((3, 4)), _Z((5, 4)), _Z((6, 2))),
+     "k and v row counts differ"),
+    (lambda: talking_heads_attention(_Z((3, 4)), _Z((2, 5, 4)), _Z((2, 5, 2)), _Z((2, 2)),
+                                     _Z((2, 2))), "q, k, v must be stacked per head, 3-D"),
+    (lambda: talking_heads_attention(_Z((2, 3, 4)), _Z((3, 5, 4)), _Z((2, 5, 2)), _Z((2, 2)),
+                                     _Z((2, 2))), "head counts differ"),
+    (lambda: talking_heads_attention(_Z((2, 3, 4)), _Z((2, 5, 4)), _Z((3, 5, 2)), _Z((2, 2)),
+                                     _Z((2, 2))), "head counts differ"),
+    (lambda: talking_heads_attention(_Z((2, 3, 4)), _Z((2, 5, 3)), _Z((2, 5, 2)), _Z((2, 2)),
+                                     _Z((2, 2))), "per-head shapes incompatible"),
+    (lambda: talking_heads_attention(_Z((2, 3, 4)), _Z((2, 5, 4)), _Z((2, 6, 2)), _Z((2, 2)),
+                                     _Z((2, 2))), "per-head shapes incompatible"),
+    (lambda: talking_heads_attention(_Z((2, 3, 4)), _Z((2, 5, 4)), _Z((2, 5, 2)), _Z((2, 2)),
+                                     _Z((3, 3))), "head-mixing matrices must be 2x2"),
+    (lambda: aan_context(_Z(4), FfnParams.identity(4)), r"y must be a \(t, d\) matrix"),
+    (lambda: aan_context(_Z((0, 4)), FfnParams.identity(4)), r"y must be a \(t, d\) matrix"),
+    (lambda: FfnParams(w1=_Z((4, 3)), b1=_Z(3), w2=_Z((2, 4)), b2=_Z(4)),
+     "W1/W2 inner dimensions do not match"),
+    (lambda: FfnParams(w1=_Z((4, 3)), b1=_Z(4), w2=_Z((3, 4)), b2=_Z(4)), "b1 shape mismatch"),
+    (lambda: FfnParams(w1=_Z((4, 3)), b1=_Z(3), w2=_Z((3, 4)), b2=_Z(3)), "b2 shape mismatch"),
+    (lambda: FfnParams.identity(4).apply(_Z((2, 3))), "input width 3 != W1 rows 4"),
+], ids=["standard-2d", "standard-widths", "standard-rows", "talking-3d", "talking-k-heads",
+        "talking-v-heads", "talking-widths", "talking-rows", "talking-mixing", "aan-1d",
+        "aan-no-rows", "ffn-inner", "ffn-b1", "ffn-b2", "ffn-input-width"])
+def test_shape_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestEmptyAndBlockedShapes:

@@ -113,6 +113,14 @@ class TestBuildContext:
         with pytest.raises(ValueError):
             ContextConfig(n_prev=4)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_prev": -1}, "n_prev must be in 0..3"),
+        ({"mode": "x"}, "unknown context mode 'x'"),
+    ])
+    def test_config_refusals(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ContextConfig(**kwargs)
+
 
 class TestStripTags:
     @pytest.mark.parametrize(

@@ -199,7 +199,9 @@ GOOD_JSONL = '{"source": "s", "target": "a b c", "target_payload_span": [0, 3]}'
     '{"source": "s", "target": "a b c", "target_payload_span": [true, 2]}',
     '{"source": "s", "target": "a b c", "target_payload_span": [1, 4]}',
     '{"source": "s", "target": "a b c", "origin": "weird"}',
-], ids=["no_target", "not_object", "span_str", "span_bool", "span_past_end", "bad_origin"])
+    '{"source": 1, "target": "a b c"}',
+], ids=["no_target", "not_object", "span_str", "span_bool", "span_past_end", "bad_origin",
+        "source_not_a_string"])
 def test_denoise_bad_jsonl_exits_2(tmp_path, capsys, bad):
     src = tmp_path / "in.jsonl"
     src.write_text(f"{GOOD_JSONL}\n{bad}\n", encoding="utf-8")
@@ -221,6 +223,32 @@ def test_bsce_select(tmp_path):
                 "--ensemble-size", "2", "--out", str(out)]) == 0
     sel = json.loads(out.read_text())
     assert sel["selected"] == ["m3", "m1"]
+
+
+def test_bsce_select_without_out_prints_the_selection(tmp_path, capsys):
+    scores, out = tmp_path / "scores.json", tmp_path / "sel.json"
+    scores.write_text(json.dumps(GOOD_SCORES), encoding="utf-8")
+    argv = ["bsce-select", "--scores", str(scores), "--ensemble-size", "2"]
+    assert run([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.json", "sel.json"]
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--pair-fraction", "1.5", "pair_fraction"),
+    ("--token-prob", "-0.1", "token_prob"),
+    ("--seed", "-1", "seed"),
+    ("--seed", str(2**64), "seed"),
+])
+def test_denoise_config_out_of_range_exits_1(tmp_path, capsys, flag, value, field):
+    src, out = tmp_path / "in.tsv", tmp_path / "out.tsv"
+    write_micro_corpus(src)
+    assert run(["denoise", "--in", str(src), "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["in.tsv"]
 
 
 def test_bsce_ensemble_size_zero_exits_1(tmp_path):
@@ -422,8 +450,9 @@ GOOD_SCORES = {"models": ["a", "b", "c"], "comet": [0.1, 0.2, 0.3],
     json.dumps({**GOOD_SCORES, "pairwise": [[0, 0.5], [0.5, 0], [0.6, 0.7]]}),
     json.dumps({"models": ["a"], "comet": [0.1], "pairwise": [[0]]}),
     "[" * 100_000 + "]" * 100_000,
+    json.dumps({**GOOD_SCORES, "comet": [0.1, 0.2]}),
 ], ids=["malformed", "non_numeric", "bool", "nan", "duplicate_ids", "non_string_id",
-        "shape", "one_model", "deep"])
+        "shape", "one_model", "deep", "short_comet"])
 def test_bsce_bad_scores_file_exits_2(tmp_path, capsys, text):
     scores = tmp_path / "scores.json"
     scores.write_text(text, encoding="utf-8")
@@ -1204,6 +1233,35 @@ def test_readme_cli_block_parses():
         assert parser.parse_args(argv[1:]).command == argv[1]
 
 
+def test_readme_cli_section_names_every_flag():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for p in sub.choices.values() for action in p._actions
+             for flag in action.option_strings} - {"-h", "--help"}
+    assert flags <= named, sorted(flags - named)
+
+
+# The pipeline also takes the report's own mode values and the CLI's
+# spellings of speaker_tags.
+@pytest.mark.parametrize("key, value, resolved", [
+    ("mode", "same_language", "same_language"),
+    ("mode", "mixed_language", "mixed_language"),
+    ("speaker_tags", "on", True),
+    ("speaker_tags", "off", False),
+])
+def test_pipeline_takes_every_spelling_of_chatprep_options(tmp_path, key, value, resolved):
+    cfg_path, _ = make_pipeline_config(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["chatprep"][key] = value
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert run(["pipeline", str(cfg_path), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["stages"][1]["config"][key] == resolved
+
+
 @pytest.mark.parametrize("argv", [
     ["filter", "--in", "{dir}", "--out", "{tmp}/o.tsv"],
     ["chatprep", "--in", "{dir}", "--out", "{tmp}/o.tsv"],
@@ -1266,3 +1324,66 @@ def test_output_that_is_a_fifo_exits_1_and_stays_a_fifo(tmp_path, capsys, fifo, 
     assert err.startswith(f"error: output exists and is not a regular file: {fifo}\n")
     assert fifo.is_fifo()
     assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+# An output that is a symlink is written through: the file it resolves to
+# gets the bytes, and the link stays.
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    src = tmp_path / "in.tsv"
+    write_micro_corpus(src)
+    assert run(["filter", "--in", str(src), "--out", str(tmp_path / "plain.tsv")]) == 0
+    target, link = tmp_path / "real.tsv", tmp_path / "link.tsv"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    assert run(["filter", "--in", str(src), "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tsv", "link.tsv", "plain.tsv",
+                                                          "real.tsv"]
+
+
+def test_output_through_a_dangling_symlink_creates_its_target(tmp_path):
+    src = tmp_path / "in.tsv"
+    write_micro_corpus(src)
+    (tmp_path / "d").mkdir()
+    link = tmp_path / "link.tsv"
+    link.symlink_to(tmp_path / "d" / "new.tsv")
+    assert run(["filter", "--in", str(src), "--out", str(link)]) == 0
+    assert link.is_symlink() and (tmp_path / "d" / "new.tsv").is_file()
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["new.tsv"]
+
+
+# A data error would show that the bad input was read.
+@pytest.mark.parametrize("target, message", [
+    ("missing/new.tsv", "output must be a file in an existing directory"),
+    ("link.tsv", "output exists and is not a regular file"),
+], ids=["into-a-missing-directory", "loop"])
+def test_output_through_a_symlink_it_cannot_write_exits_1_before_reading(
+        tmp_path, capsys, target, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not a record\n", encoding="utf-8")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    assert run(["filter", "--in", str(bad), "--out", str(link)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}: {link}\n")
+    assert link.is_symlink() and os.readlink(link) == target
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "link.tsv"]
+
+
+@pytest.mark.parametrize("output", ["filtered.tsv", "prepped.tsv", "noised.tsv"])
+def test_pipeline_stage_output_through_a_symlink(tmp_path, output):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    plain_cfg, plain_outputs = make_pipeline_config(plain)
+    assert run(["pipeline", str(plain_cfg)]) == 0
+    cfg_path, outputs = make_pipeline_config(tmp_path)
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / output
+    (tmp_path / output).symlink_to(target)
+    assert run(["pipeline", str(cfg_path)]) == 0
+    assert (tmp_path / output).is_symlink()
+    assert [p.read_bytes() for p in outputs] == [p.read_bytes() for p in plain_outputs]
+    assert [p.name for p in (tmp_path / "real").iterdir()] == [output]
