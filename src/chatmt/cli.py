@@ -40,8 +40,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-# An option's config field is also its CLI flag's dest and its pipeline key.
-_STAGE_CONFIGS = {"filter": FilterConfig, "chatprep": ContextConfig, "denoise": DenoiseConfig}
 # CLI and pipeline spellings of config values, by option.
 _SPELLINGS = {
     "mode": {"same": SAME_LANGUAGE, "mixed": MIXED_LANGUAGE},
@@ -230,19 +228,22 @@ def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, staged: dict,
     }
 
 
-def _cmd_filter(args, staged: dict) -> dict:
-    return _run_filter(args.infile, args.outfile, _stage_config(FilterConfig, vars(args)),
-                       staged, args.in_format, args.out_format, args.fail_mode)
+# A stage's config class, runner, format flags and help. Its options are
+# its config's fields: each is its CLI flag (`--` and the name with `-` for
+# `_`), the flag's dest and default, and its pipeline key.
+_STAGES = {
+    "filter": (FilterConfig, _run_filter, ("in", "out"), "apply the corpus filtering rules"),
+    "chatprep": (ContextConfig, _run_chatprep, ("out",), "build the speaker/context corpus"),
+    "denoise": (DenoiseConfig, _run_denoise, ("in", "out"), "generate the target-denoised corpus"),
+}
 
 
-def _cmd_chatprep(args, staged: dict) -> dict:
-    return _run_chatprep(args.infile, args.outfile, _stage_config(ContextConfig, vars(args)),
-                         staged, args.out_format)
-
-
-def _cmd_denoise(args, staged: dict) -> dict:
-    return _run_denoise(args.infile, args.outfile, _stage_config(DenoiseConfig, vars(args)),
-                        staged, args.in_format, args.out_format)
+def _cmd_stage(args, staged: dict) -> dict:
+    config_cls, runner, _, _ = _STAGES[args.command]
+    passed = {key: value for key, value in vars(args).items()
+              if key in ("in_format", "out_format", "fail_mode")}
+    return runner(args.infile, args.outfile, _stage_config(config_cls, vars(args)), staged,
+                  **passed)
 
 
 # ----------------------------------------------------------- bsce-select
@@ -255,10 +256,6 @@ def _run_bsce(args, staged: dict) -> dict:
         score_set = ScoreSet.from_lists(obj["models"], obj["comet"], obj["pairwise"])
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CorpusError(f"bad scores file: {exc}") from exc
-    if not 1 <= args.ensemble_size <= score_set.n:
-        raise UsageError(
-            f"--ensemble-size must be in 1..{score_set.n}, got {args.ensemble_size}"
-        )
     try:
         selection = select_ensemble(score_set, args.ensemble_size)
     except OverflowError as exc:
@@ -296,7 +293,7 @@ def _stage_section(cfg: dict, stage: str) -> dict:
     """One stage's pipeline section, with its keys, paths and format checked."""
     section = _config_section(
         cfg.get(stage, {}), stage,
-        {"input", "output", "format", *(f.name for f in fields(_STAGE_CONFIGS[stage]))},
+        {"input", "output", "format", *(f.name for f in fields(_STAGES[stage][0]))},
         # denoise reads chatprep's output unless given its own input.
         ("output",) if stage == "denoise" else ("input", "output"),
     )
@@ -317,7 +314,7 @@ def _run_pipeline(args, staged: dict) -> dict:
             obj = json.load(fh)
         except RecursionError:
             raise ValueError("pipeline config: JSON nested too deeply") from None
-    cfg = _config_section(obj, "the top level", {"seed", "fail_mode", *_STAGE_CONFIGS})
+    cfg = _config_section(obj, "the top level", {"seed", "fail_mode", *_STAGES})
     fail_mode = cfg.get("fail_mode", FAIL_MODES[0])
     if fail_mode not in FAIL_MODES:
         raise UsageError(
@@ -325,7 +322,7 @@ def _run_pipeline(args, staged: dict) -> dict:
             f"got {fail_mode!r}"
         )
     # Check every section and build every config before any stage writes.
-    filt, chat, den = (_stage_section(cfg, stage) for stage in _STAGE_CONFIGS)
+    filt, chat, den = (_stage_section(cfg, stage) for stage in _STAGES)
     filter_cfg = _stage_config(FilterConfig, filt)
     context_cfg = _stage_config(ContextConfig, chat)
     # The top-level seed is denoise's default seed.
@@ -338,7 +335,7 @@ def _run_pipeline(args, staged: dict) -> dict:
     if not reads_chatprep:
         inputs.append(("denoise.input", den_input))
     _require_distinct_outputs([(f"{stage}.output", section["output"]) for stage, section
-                               in zip(_STAGE_CONFIGS, (filt, chat, den))]
+                               in zip(_STAGES, (filt, chat, den))]
                               + [("--report", args.report)], [("config", args.config), *inputs])
     for _, path in inputs:
         _require_input(path)
@@ -370,31 +367,18 @@ def _build_parser() -> _ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    def files(p, *formats):
+    for name, (config_cls, _, formats, help) in _STAGES.items():
+        p = command(name, _cmd_stage, help)
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", dest="outfile", required=True)
         for fmt in formats:
             p.add_argument(f"--{fmt}-format", choices=BITEXT_FORMATS, default=None)
-
-    p = command("filter", _cmd_filter, "apply the corpus filtering rules")
-    files(p, "in", "out")
-    p.add_argument("--max-words", type=int, default=FilterConfig.max_words)
-    p.add_argument("--max-word-chars", type=int, default=FilterConfig.max_word_chars)
-    p.add_argument("--max-ratio", type=float, default=FilterConfig.max_ratio)
-    p.add_argument("--fail-mode", choices=FAIL_MODES, default=FAIL_MODES[0])
-
-    p = command("chatprep", _cmd_chatprep, "build the speaker/context corpus")
-    files(p, "out")
-    p.add_argument("--n-prev", type=int, choices=(0, 1, 2, 3), default=ContextConfig.n_prev)
-    p.add_argument("--mode", choices=_SPELLINGS["mode"], default=ContextConfig.mode)
-    p.add_argument("--speaker-tags", choices=_SPELLINGS["speaker_tags"],
-                   default=ContextConfig.speaker_tags)
-
-    p = command("denoise", _cmd_denoise, "generate the target-denoised corpus")
-    files(p, "in", "out")
-    p.add_argument("--seed", type=int, default=DenoiseConfig.seed)
-    p.add_argument("--pair-fraction", type=float, default=DenoiseConfig.pair_fraction)
-    p.add_argument("--token-prob", type=float, default=DenoiseConfig.token_prob)
+        for f in fields(config_cls):
+            kind = ({"choices": _SPELLINGS[f.name]} if f.name in _SPELLINGS
+                    else {"type": {"int": int, "float": float}[f.type]})
+            p.add_argument("--" + f.name.replace("_", "-"), default=f.default, **kind)
+        if name == "filter":
+            p.add_argument("--fail-mode", choices=FAIL_MODES, default=FAIL_MODES[0])
 
     p = command("bsce-select", _run_bsce, "greedy diversity-aware ensemble selection")
     p.add_argument("--scores", required=True)

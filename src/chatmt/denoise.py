@@ -363,7 +363,8 @@ def denoise_corpus(
     byte-identical to the input. A noised target left blank keeps its
     input. Every record is checked as if chosen, in input order, so that
     the seed cannot decide what is accepted: a span must be in range and
-    a target without one must split."""
+    a target without one must split. A pair's payload_span marks its
+    payload; payload_spans, where given, overrides the pairs' spans."""
     if payload_spans is not None and len(payload_spans) != len(pairs):
         raise ValueError("payload_spans length must match pairs")
     chosen = choose_pairs(len(pairs), cfg)
@@ -373,7 +374,7 @@ def denoise_corpus(
     # A check or split that fails names the record i it was on, and its line.
     try:
         for i, pair in enumerate(pairs):
-            span = payload_spans[i] if payload_spans else None
+            span = pair.payload_span if payload_spans is None else payload_spans[i]
             if i not in chosen:
                 if span is None:
                     _check_chat_line(pair.target)

@@ -378,7 +378,8 @@ def denoise_corpus(pairs, cfg, payload_spans=None) -> list[BitextPair]:
     spans = []
     for i, pair in enumerate(pairs):
         try:
-            spans.append(split_target(pair.target, payload_spans[i] if payload_spans else None))
+            span = pair.payload_span if payload_spans is None else payload_spans[i]
+            spans.append(split_target(pair.target, span))
         except DenoiseFormatError as exc:
             raise DenoiseFormatError(exc.reason, i, pair.line) from exc
     chosen = choose_pairs(len(pairs), cfg)

@@ -9,12 +9,12 @@ import subprocess
 import sys
 import tempfile
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
-from chatmt import cli
+from chatmt import __version__, cli
 from chatmt.cli import _build_parser, main
 from chatmt.chatprep import ContextConfig
 from chatmt.corpus import write_bitext
@@ -236,28 +236,47 @@ def test_bsce_select_without_out_prints_the_selection(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.json", "sel.json"]
 
 
-@pytest.mark.parametrize("flag, value, field", [
-    ("--pair-fraction", "1.5", "pair_fraction"),
-    ("--token-prob", "-0.1", "token_prob"),
-    ("--seed", "-1", "seed"),
-    ("--seed", str(2**64), "seed"),
-])
-def test_denoise_config_out_of_range_exits_1(tmp_path, capsys, flag, value, field):
-    src, out = tmp_path / "in.tsv", tmp_path / "out.tsv"
-    write_micro_corpus(src)
-    assert run(["denoise", "--in", str(src), "--out", str(out), flag, value]) == 1
+# A value outside its config field's range is refused by the config
+# dataclass, with the field's name, and not by the flag.
+_OUT_OF_RANGE = [
+    ("denoise", "--pair-fraction", "1.5", "pair_fraction"),
+    ("denoise", "--token-prob", "-0.1", "token_prob"),
+    ("denoise", "--seed", "-1", "seed"),
+    ("denoise", "--seed", str(2**64), "seed"),
+    ("chatprep", "--n-prev", "4", "n_prev"),
+    ("chatprep", "--n-prev", "-1", "n_prev"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, field", _OUT_OF_RANGE,
+                         ids=["-".join(case[1:]) for case in _OUT_OF_RANGE])
+def test_denoise_config_out_of_range_exits_1(tmp_path, capsys, command, flag, value, field):
+    src, out = tmp_path / "in.txt", tmp_path / "out.tsv"
+    (write_chat if command == "chatprep" else write_micro_corpus)(src)
+    assert run([command, "--in", str(src), "--out", str(out), flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field} ") and err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["in.tsv"]
+    assert [p.name for p in tmp_path.iterdir()] == ["in.txt"]
 
 
-def test_bsce_ensemble_size_zero_exits_1(tmp_path):
+def _bsce_size_out_of_range_exits_1(tmp_path, capsys, size):
     scores = tmp_path / "scores.json"
     scores.write_text(json.dumps({
         "models": ["a", "b"], "comet": [0.1, 0.2],
         "pairwise": [[0, 0.5], [0.5, 0]],
     }), encoding="utf-8")
-    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", "0"]) == 1
+    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", str(size),
+                "--out", str(tmp_path / "sel.json")]) == 1
+    assert capsys.readouterr().err == f"config error: ensemble size {size} out of range 1..2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.json"]
+
+
+def test_bsce_ensemble_size_zero_exits_1(tmp_path, capsys):
+    _bsce_size_out_of_range_exits_1(tmp_path, capsys, 0)
+
+
+def test_bsce_ensemble_size_above_the_model_count_exits_1(tmp_path, capsys):
+    _bsce_size_out_of_range_exits_1(tmp_path, capsys, 3)
 
 
 def make_pipeline_config(tmp_path, seed=11):
@@ -1220,6 +1239,42 @@ def test_cli_and_pipeline_take_the_config_defaults(tmp_path):
     assert run(["pipeline", str(cfg_path), "--report", str(report)]) == 0
     assert [s["config"] for s in json.loads(report.read_text())["stages"]] == \
         list(defaults.values())
+
+
+@pytest.mark.parametrize("command, config_cls, own_flags", [
+    ("filter", FilterConfig, ["--in-format", "--out-format", "--fail-mode"]),
+    ("chatprep", ContextConfig, ["--out-format"]),
+    ("denoise", DenoiseConfig, ["--in-format", "--out-format"]),
+], ids=["filter", "chatprep", "denoise"])
+def test_stage_flags_are_its_config_fields(command, config_cls, own_flags):
+    """A stage's flags are its paths and formats (filter's --fail-mode
+    too) and one flag per config field, with the field's default."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = {flag: a for a in sub.choices[command]._actions for flag in a.option_strings}
+    field_flags = {"--" + f.name.replace("_", "-"): f for f in fields(config_cls)}
+    assert sorted(actions) == sorted(["-h", "--help", "--report", "--in", "--out",
+                                      *own_flags, *field_flags])
+    for flag, f in field_flags.items():
+        assert (actions[flag].dest, actions[flag].default) == (f.name, f.default)
+
+
+def test_python_m_chatmt_prints_its_version_and_every_commands_help():
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def chatmt(*argv):
+        # -B, so that the run writes no bytecode into the checkout.
+        return subprocess.run([sys.executable, "-B", "-m", "chatmt", *argv], env=env,
+                              capture_output=True, text=True)
+
+    result = chatmt("--version")
+    assert (result.returncode, result.stdout) == (0, f"chatmt {__version__}\n")
+    for command in ("filter", "chatprep", "denoise", "bsce-select", "pipeline"):
+        result = chatmt(command, "--help")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith(f"usage: chatmt {command} ")
 
 
 def test_readme_cli_block_parses():

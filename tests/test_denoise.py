@@ -217,12 +217,40 @@ class TestDenoiseCorpus:
             with pytest.raises(DenoiseFormatError, match=r"record 3: span"):
                 denoise_corpus(pairs, cfg, spans)
 
+    def test_pairs_own_spans_without_the_argument(self):
+        # Split as a chat line, the last "keep" would be payload too.
+        pairs = [BitextPair("s", "keep keep a b c d e f g h i j keep", payload_span=(2, 12))
+                 for _ in range(4)]
+        cfg = DenoiseConfig(pair_fraction=1.0, token_prob=1.0, seed=1)
+        out = denoise_corpus(pairs, cfg)
+        assert out == denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
+        assert out == oracle.denoise_corpus(pairs, cfg)
+        assert out != pairs
+        for pair in out:
+            tokens = pair.target.split(" ")
+            assert tokens[:2] + tokens[12:] == ["keep"] * 3
+
     def test_blank_noised_target_keeps_its_input(self):
         # Seed 12 draws the empty token for both tokens of " x".
         cfg = DenoiseConfig(pair_fraction=1.0, token_prob=1.0, seed=12)
         assert denoise_tokens(["", "x"], cfg, record_rng(12, 0)) == ["", ""]
         pairs = [BitextPair("s", " x")]
         assert denoise_corpus(pairs, cfg) == pairs
+
+
+# Guards of the library API that no CLI path reaches.
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(parse_bitext(["s\tt\n"], "csv")), "unknown bitext format 'csv'"),
+    (lambda: list(parse_bitext(["s\tt\n"], "tsv", "raise")), "unknown fail mode 'raise'"),
+    (lambda: list(write_bitext([BitextPair("s", "t")], "csv")), "unknown bitext format 'csv'"),
+    (lambda: choose_pairs(-1, DenoiseConfig()), "n must be >= 0"),
+    (lambda: denoise_corpus([BitextPair("s", "t")], DenoiseConfig(), []),
+     "payload_spans length must match pairs"),
+], ids=["parse-format", "parse-fail-mode", "write-format", "choose-negative", "spans-length"])
+def test_api_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_golden_small_corpus():
