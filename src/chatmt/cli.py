@@ -71,11 +71,9 @@ def _file_mode(path: Path) -> int:
 
 def _atomic_write_lines(path: str | Path, lines: Iterable[str], staged: dict) -> int:
     """Write the lines to a temp file beside the file path resolves to,
-    staged[path], for _staged_outputs to commit; return their count. The
-    temp keeps path's suffix, so a stage reading it infers the format."""
+    staged[path], for _staged_outputs to commit; return their count."""
     path, real = Path(path), Path(os.path.realpath(path))
-    fd, staged[path] = tempfile.mkstemp(dir=real.parent, prefix=real.name + ".",
-                                        suffix=path.suffix)
+    fd, staged[path] = tempfile.mkstemp(dir=real.parent, prefix=real.name + ".")
     count = 0
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
         for count, line in enumerate(lines, 1):
@@ -340,15 +338,18 @@ def _run_pipeline(args, staged: dict) -> dict:
     for _, path in inputs:
         _require_input(path)
 
+    chat_format = _infer_format(chat["output"], chat.get("format"))
     reports = [
         _run_filter(filt["input"], filt["output"], filter_cfg, staged,
                     filt.get("format"), filt.get("format"), fail_mode),
-        _run_chatprep(chat["input"], chat["output"], context_cfg, staged, chat.get("format")),
+        _run_chatprep(chat["input"], chat["output"], context_cfg, staged, chat_format),
     ]
-    # chatprep's output stays a staged temp until the whole run succeeds.
-    reports.append(_run_denoise(staged[Path(chat["output"])] if reads_chatprep else den_input,
-                                den["output"], denoise_cfg, staged,
-                                den.get("format"), den.get("format")))
+    # chatprep's output stays a staged temp until the whole run succeeds;
+    # denoise reads it in chatprep's format, and denoise.format sets its output.
+    reports.append(_run_denoise(
+        staged[Path(chat["output"])] if reads_chatprep else den_input, den["output"],
+        denoise_cfg, staged, chat_format if reads_chatprep else den.get("format"),
+        den.get("format")))
     return {"command": "pipeline", "config_path": args.config, "stages": reports}
 
 

@@ -206,7 +206,8 @@ def parse_bitext(
     """Yield pairs from TSV or JSONL lines, in input order, each with its
     1-based input line in `line`.
 
-    fail_fast stops at the first malformed line, naming it;
+    A JSONL line that is empty or whitespace only is no record, as in
+    parse_chat. fail_fast stops at the first malformed line, naming it;
     skip_and_count drops malformed lines, a line that is not UTF-8
     included, and counts them in `stats`.
     """
@@ -220,7 +221,7 @@ def parse_bitext(
             if not raw.isascii():
                 _check_utf8(raw, lineno)
             raw = raw.rstrip("\n").rstrip("\r")
-            if raw or fmt == "tsv":
+            if fmt == "tsv" or raw and not raw.isspace():
                 yield parse_line(raw, lineno)
         except CorpusError:
             if fail_mode == "fail_fast":

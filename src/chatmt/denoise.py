@@ -1,11 +1,12 @@
 """Target-denoising corpus generation.
 
-A fixed fraction of pairs is chosen (exact count, floor(fraction * n),
-sampled without replacement) and, within each chosen pair, every target
-payload token is independently replaced with probability
-token_prob by a token drawn uniformly from the original target
-payload (self-replacement allowed). Sources, unchosen pairs, speaker
-tags, and context spans are never touched.
+A fixed fraction of pairs is chosen (exact count, floor(fraction * n)
+with the fraction read as the decimal it is written as, so 0.29 of 10**8
+pairs is 29000000; sampled without replacement) and, within each chosen
+pair, every target payload token is independently replaced with
+probability token_prob by a token drawn uniformly from the original
+target payload (self-replacement allowed). Sources, unchosen pairs,
+speaker tags, and context spans are never touched.
 
 Randomness is pinned to numpy's PCG64. The pair selection uses
 SeedSequence(seed); record i draws from the stream of
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .corpus import BitextPair, CorpusError, check_field_types
@@ -240,10 +242,10 @@ def _record_draws(words: np.ndarray, lengths: np.ndarray, token_prob: float):
 
 
 def chosen_count(n: int, cfg: DenoiseConfig) -> int:
-    """floor(pair_fraction * n): how many of n pairs choose_pairs picks."""
-    # Tiny nudge so exact-integer products (0.3 * 10000) are not floored
-    # away by binary rounding of pair_fraction.
-    return min(math.floor(cfg.pair_fraction * n + 1e-9), n)
+    """floor(pair_fraction * n): how many of n pairs choose_pairs picks,
+    with pair_fraction read as the decimal its repr writes, not as the
+    binary float, whose error would floor a whole count away."""
+    return math.floor(Fraction(repr(cfg.pair_fraction)) * n)
 
 
 def choose_pairs(n: int, cfg: DenoiseConfig) -> set[int]:

@@ -21,6 +21,7 @@ second reference in a test module (tests/test_oracle.py checks that).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -120,7 +121,8 @@ def _jsonl_pair(text: str, line: int) -> BitextPair:
 
 
 def parse_bitext(lines: list[bytes], fmt: str, fail_mode: str = "fail_fast") -> list[BitextPair]:
-    """The pairs of TSV or JSONL lines (a blank JSONL line is no record);
+    """The pairs of TSV or JSONL lines (a JSONL line that is empty or
+    whitespace is no record);
     fail_mode="skip_and_count" drops each malformed line."""
     pairs = []
     for lineno, raw in enumerate(lines, start=1):
@@ -128,7 +130,7 @@ def parse_bitext(lines: list[bytes], fmt: str, fail_mode: str = "fail_fast") -> 
             text = decode(raw, lineno).rstrip("\r\n")
             if fmt == "tsv":
                 pairs.append(_tsv_pair(text, lineno))
-            elif text:
+            elif text.strip():
                 pairs.append(_jsonl_pair(text, lineno))
         except CorpusError:
             if fail_mode == "fail_fast":
@@ -337,7 +339,7 @@ def record_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def choose_pairs(n: int, cfg) -> set[int]:
-    k = int(cfg.pair_fraction * n + 1e-9)
+    k = math.floor(Fraction(repr(cfg.pair_fraction)) * n)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     return {int(i) for i in rng.choice(n, size=k, replace=False)} if k else set()
 
@@ -413,13 +415,15 @@ def run_denoise(data: bytes, in_fmt: str, out_fmt: str, cfg) -> bytes:
     return "".join(write_bitext(noised, out_fmt)).encode("utf-8")
 
 
-def run_pipeline(bitext: bytes, chat: bytes, fmt: str, filter_cfg, context_cfg,
+def run_pipeline(bitext: bytes, chat: bytes, filter_fmt: str, chatprep_fmt: str,
+                 denoise_fmt: str, filter_cfg, context_cfg,
                  denoise_cfg) -> tuple[bytes, bytes, bytes]:
-    """filter's, chatprep's and denoise's outputs, all in one format;
-    denoise reads chatprep's output."""
-    filtered = run_filter(bitext, fmt, fmt, filter_cfg)
-    prepped = run_chatprep(chat, fmt, context_cfg)
-    return filtered, prepped, run_denoise(prepped, fmt, fmt, denoise_cfg)
+    """filter's, chatprep's and denoise's outputs, each in its stage's
+    format (filter's for both its sides); denoise reads chatprep's output
+    in chatprep's format."""
+    filtered = run_filter(bitext, filter_fmt, filter_fmt, filter_cfg)
+    prepped = run_chatprep(chat, chatprep_fmt, context_cfg)
+    return filtered, prepped, run_denoise(prepped, chatprep_fmt, denoise_fmt, denoise_cfg)
 
 
 def run_bsce(data: bytes, e: int) -> bytes:

@@ -640,10 +640,12 @@ _TAB = {"source": "x\ty", "target": "z"}
 @pytest.mark.parametrize("lines, flags, bad_line", [
     ([{"source": "a", "target": "b"}, _TAB], [], 2),
     ([{"source": "a", "target": "b"}, None, _TAB], [], 3),
+    ([{"source": "a", "target": "b"}, " \t ", _TAB], [], 3),
     (["not json", {"source": "a", "target": "b"}, _TAB], ["--fail-mode", "skip_and_count"], 3),
     ([{"source": "a", "target": "b c d e f"}, {"source": "x\ty\u00a0", "target": "z"}, _TAB],
      [], 2),
-], ids=["plain", "blank-line-before", "skipped-line-before", "first-of-its-normal-form"])
+], ids=["plain", "blank-line-before", "whitespace-line-before", "skipped-line-before",
+        "first-of-its-normal-form"])
 def test_filter_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, lines, flags, bad_line):
     src = tmp_path / "in.jsonl"
     # None is a blank line and a string a raw one.
@@ -1186,15 +1188,34 @@ def test_failed_rename_keeps_earlier_renames_and_no_temp(tmp_path, capsys, monke
     assert sorted(os.listdir(tmp_path)) == ["in.tsv", "o.tsv"]
 
 
-def test_pipeline_denoise_reads_chatprep_staged_output_by_its_suffix(tmp_path):
-    # denoise has no input and no format, so it infers JSONL from the
-    # suffix of chatprep's staged temp.
-    cfg_path = _edit_pipeline_paths(tmp_path, {"chatprep": {"output": "p.jsonl"}})
+@pytest.mark.parametrize("named_input", [False, True], ids=["no_input", "named_input"])
+@pytest.mark.parametrize("den_suffix", [".tsv", ".jsonl"])
+@pytest.mark.parametrize("den_format", [None, "tsv", "jsonl"])
+@pytest.mark.parametrize("chat_suffix", [".tsv", ".jsonl"])
+@pytest.mark.parametrize("chat_format", [None, "tsv", "jsonl"])
+def test_pipeline_denoise_reads_chatprep_output_in_chatprep_format(
+        tmp_path, monkeypatch, chat_format, chat_suffix, den_format, den_suffix, named_input):
+    """denoise reads chatprep's output in the format chatprep wrote it in,
+    as `chatmt denoise` alone reads the committed file with that
+    `--in-format`; denoise.format sets only denoise's output."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path, _ = make_pipeline_config(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    prepped, noised = f"p{chat_suffix}", f"n{den_suffix}"
+    cfg["chatprep"]["output"], cfg["denoise"]["output"] = prepped, noised
+    if named_input:
+        cfg["denoise"]["input"] = "./" + prepped
+    for stage, fmt in (("chatprep", chat_format), ("denoise", den_format)):
+        if fmt:
+            cfg[stage]["format"] = fmt
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert run(["pipeline", str(cfg_path)]) == 0
-    alone = tmp_path / "alone.tsv"
-    assert run(["denoise", "--in", str(tmp_path / "p.jsonl"), "--out", str(alone), "--seed", "11",
-                "--pair-fraction", "0.5", "--token-prob", "0.5"]) == 0
-    assert (tmp_path / "noised.tsv").read_bytes() == alone.read_bytes()
+    alone = f"alone{den_suffix}"
+    assert run(["denoise", "--in", prepped, "--out", alone,
+                "--in-format", chat_format or chat_suffix[1:],
+                *(["--out-format", den_format] if den_format else []),
+                "--seed", "11", "--pair-fraction", "0.5", "--token-prob", "0.5"]) == 0
+    assert (tmp_path / noised).read_bytes() == (tmp_path / alone).read_bytes()
 
 
 @pytest.mark.parametrize("command, suffix, row", [

@@ -3,11 +3,13 @@ near-valid records must each map to exit 0, 1 or 2 with no exception and
 no traceback. A failed run changes no file (outputs that existed before
 keep their bytes) and leaves no temp file, and a run that succeeds
 changes only its outputs. filter, chatprep, denoise, the pipeline's
-fixed config and bsce-select on a valid scores file also exit as the
-oracle does on the same files: 0 with its output bytes, or 2 with its
-error line."""
+fixed config in each of its chatprep and denoise output suffixes and
+formats, and bsce-select on a valid scores file also exit as the oracle
+does on the same files: 0 with its output bytes, or 2 with its error
+line."""
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -257,8 +259,30 @@ def test_fuzz_bsce_select(valid, data):
             "--out", "sel.json"], {"sel.json"}, expected)
 
 
+def _variant(chat_out: str, chat_fmt, den_out: str, den_fmt) -> dict:
+    """PIPELINE with chatprep's and denoise's output and format (None: no
+    `format` key) replaced."""
+    sections = {}
+    for stage, output, fmt in (("chatprep", chat_out, chat_fmt), ("denoise", den_out, den_fmt)):
+        section = {key: value for key, value in PIPELINE[stage].items() if key != "format"}
+        sections[stage] = {**section, "output": output, **({"format": fmt} if fmt else {})}
+    return {**PIPELINE, **sections}
+
+
+# PIPELINE is one of its variants. A config is held to the oracle when it
+# is one of them as JSON (Python's == takes True for 1.0).
+PIPELINE_VARIANTS = [_variant(*v) for v in itertools.product(
+    ["p.tsv", "p.jsonl"], [None, "tsv", "jsonl"], ["n.tsv", "n.jsonl"], [None, "tsv", "jsonl"])]
+_VARIANTS_JSON = {json.dumps(v, sort_keys=True) for v in PIPELINE_VARIANTS}
+
+
+def _stage_format(section: dict) -> str:
+    """The format a valid stage section names, or its output's suffix."""
+    return section.get("format") or section["output"].rsplit(".", 1)[1]
+
+
 pipeline_configs = st.one_of(
-    st.just(PIPELINE),
+    st.sampled_from(PIPELINE_VARIANTS),
     near_valid(PIPELINE),
     st.sampled_from(["filter", "chatprep", "denoise"]).flatmap(
         lambda stage: near_valid(PIPELINE[stage]).map(lambda sec: {**PIPELINE, stage: sec})),
@@ -278,17 +302,22 @@ READ = {"filter.input": "bitext.jsonl", "chatprep.input": "chat.jsonl", "config"
 @example(b"", b"", {**PIPELINE, "denoise": {**PIPELINE["denoise"], "pair_fraction": True}},
          set(), False)
 @example(b"", b"", {**PIPELINE, "seed": 3.0}, set(), False)
+# chatprep writes TSV into p.jsonl, which denoise reads as TSV.
+@example(jsonl([BITEXT_RECORD]), jsonl(CHAT_LINES), _variant("p.jsonl", "tsv", "n.jsonl", None),
+         set(), False)
 @given(jsonl_files(BITEXT_RECORD) | denoise_files("jsonl"), jsonl_files(CHAT_LINES[1]) | chat_files(),
        pipeline_configs,
-       st.sets(st.sampled_from(sorted(WRITTEN.values()))), st.booleans())
+       st.sets(st.sampled_from(sorted({*WRITTEN.values(), "p.tsv", "n.tsv"}))), st.booleans())
 def test_fuzz_pipeline(bitext, chat, config, existing, with_report):
     sections = config.values() if isinstance(config, dict) else ()
     outputs = {s["output"] for s in sections if isinstance(s, dict) and isinstance(s.get("output"), str)}
     argv = ["pipeline", "cfg.json"] + (["--report", "r.json"] if with_report else [])
     expected = None
-    if json.dumps(config, sort_keys=True) == json.dumps(PIPELINE, sort_keys=True):
-        expected = lambda files: dict(zip(("f.jsonl", "p.jsonl", "n.jsonl"), oracle.run_pipeline(
-            files["bitext.jsonl"], files["chat.jsonl"], "jsonl", *PIPELINE_CONFIGS)))
+    if json.dumps(config, sort_keys=True) in _VARIANTS_JSON:
+        stages = [config[stage] for stage in ("filter", "chatprep", "denoise")]
+        expected = lambda files: dict(zip([s["output"] for s in stages], oracle.run_pipeline(
+            files["bitext.jsonl"], files["chat.jsonl"], *map(_stage_format, stages),
+            *PIPELINE_CONFIGS)))
     run_in({"bitext.jsonl": bitext, "chat.jsonl": chat, "cfg.json": json.dumps(config).encode(),
             **sentinels(existing)},
            argv, outputs | ({"r.json"} if with_report else set()), expected)

@@ -50,6 +50,14 @@ class TestChoosePairs:
         assert len(chosen) == 10
         assert all(0 <= i < 20 for i in chosen)
 
+    # The float product 0.29 * 10**8 is 28999999.999999996.
+    @pytest.mark.parametrize("n, pair_fraction, count", [
+        (100, 0.29, 29), (10_000, 0.3, 3000), (10**8, 0.29, 29_000_000),
+        (10**8, 0.57, 57_000_000), (10**8, 0.58, 58_000_000), (10**8, 1.0, 10**8),
+    ])
+    def test_count_reads_pair_fraction_as_written(self, n, pair_fraction, count):
+        assert chosen_count(n, DenoiseConfig(pair_fraction=pair_fraction)) == count
+
 
 @given(st.integers(0, 300), st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0))
 def test_chosen_count_is_the_reports_count(n, pair_fraction):
