@@ -1,6 +1,7 @@
 import argparse
 import errno
 import gc
+import itertools
 import json
 import os
 import re
@@ -20,7 +21,7 @@ from chatmt.chatprep import ContextConfig
 from chatmt.corpus import write_bitext
 from chatmt.denoise import DenoiseConfig
 from chatmt.filtering import FilterConfig
-from conftest import make_micro_corpus
+from conftest import make_micro_corpus, oracle_outputs, run_in
 
 
 def run(argv):
@@ -51,6 +52,213 @@ def write_chat(path):
     with open(path, "w", encoding="utf-8") as fh:
         for obj in CHAT_LINES:
             fh.write(json.dumps(obj) + "\n")
+
+
+def _lines(*lines) -> bytes:
+    """A file of lines: a record as its JSON, a string as it is."""
+    return "".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
+                   for line in lines).encode()
+
+
+def _rows(*lines):
+    """Row i of an input: lines[i % len(lines)]."""
+    return lambda i: lines[i % len(lines)]
+
+
+def _turns(*ends):
+    """Row i of a chat input: turn i of one dialogue, ended by ends[i % len(ends)]."""
+    return lambda i: json.dumps({**CHAT_LINES[0], "turn_index": i}).encode() + ends[i % len(ends)]
+
+
+# A row of CASES: a command line, its input files (name: bytes), the
+# stderr line or its prefix (None: the oracle's run, from
+# conftest.oracle_outputs), the input line the data error names (README;
+# None where the run exits 0 or reads a scores file, whose errors name no
+# line), and a sweep of flags to values: the row runs once for each
+# combination.
+def _stage(command, data, line, *flags, src="in.jsonl", out="out.jsonl", sweep=None):
+    return [command, "--in", src, "--out", out, *flags], {src: data}, None, line, sweep
+
+
+def _scores(scores, message, size="1"):
+    data = scores.encode() if isinstance(scores, str) else json.dumps(scores).encode()
+    argv = ["bsce-select", "--scores", "scores.json", "--ensemble-size", size, "--out", "sel.json"]
+    return argv, {"scores.json": data}, "data error: bad scores file: " + message, None, None
+
+
+AB = {"source": "a", "target": "b"}
+GOOD_SCORES = {"models": ["a", "b", "c"], "comet": [0.1, 0.2, 0.3],
+               "pairwise": [[0, 0.5, 0.6], [0.5, 0, 0.7], [0.6, 0.7, 0]]}
+BAD_TARGET = "a <context begins> b <context begins> c"
+# Lines 2 and 3 hold targets denoise cannot split; which of them a seed
+# chose used to decide the exit code.
+UNSPLITTABLE_TSV = ("s1\t<agent> hallo\n"
+                    "s2\t<agent> <context begins> x\n"
+                    "s3\t<customer> a <context begins> b <context begins> c\n"
+                    "s4\td e\n")
+_TAB = {"source": "x\ty", "target": "z"}
+_LONG_INT = "1" * 5000  # past int()'s default limit of 4300 digits
+_BIG = 1.7976931348623157e308
+
+# The CLI's data errors, one row each: a new one goes in as a row.
+CASES = {
+    "filter-no-tab": _stage("filter", b"no tab here\n", 1, src="in.tsv", out="o.tsv"),
+    **{f"denoise-{name}": _stage("denoise", _lines(
+        {"source": "s", "target": "a b c", "target_payload_span": [0, 3]}, bad), 2)
+       for name, bad in [
+           ("no-target", '{"source": "s"}'),
+           ("not-object", "[1, 2]"),
+           ("span-str", '{"source": "s", "target": "a b c", "target_payload_span": ["x", 2]}'),
+           ("span-bool", '{"source": "s", "target": "a b c", "target_payload_span": [true, 2]}'),
+           ("span-past-end", '{"source": "s", "target": "a b c", "target_payload_span": [1, 4]}'),
+           ("bad-origin", '{"source": "s", "target": "a b c", "origin": "weird"}'),
+           ("source-not-a-string", '{"source": 1, "target": "a b c"}')]},
+    # Invalid UTF-8 on line n, inside and past the first read buffer; then
+    # a malformed line n - 1 before it, which is the one named.
+    **{f"{name}-invalid-utf8-line{n}": _stage(
+        command, b"".join(map(row, range(n - 1))) + b"\xff\xfe" + row(n - 1), n,
+        src=f"in.{fmt}", out="out.tsv")
+       for name, command, fmt, row in [
+           ("filter-tsv", "filter", "tsv", _rows(b"a\tb\n")),
+           ("filter-jsonl", "filter", "jsonl", _rows(b'{"source": "a", "target": "b"}\n')),
+           ("denoise-tsv", "denoise", "tsv", _rows(b"a\tb\n")),
+           ("chatprep-jsonl", "chatprep", "jsonl", _turns(b"\n")),
+           # The reader also ends a line at a lone CR, and at CRLF once.
+           ("filter-tsv-cr", "filter", "tsv", _rows(b"a\tb\r")),
+           ("filter-tsv-crlf-cr", "filter", "tsv", _rows(b"a\tb\r\n", b"c\td\r")),
+           ("chatprep-jsonl-crlf-cr", "chatprep", "jsonl", _turns(b"\r\n", b"\r"))]
+       for n in (3, 5000)},
+    **{f"{command}-faulty-line-before-invalid-utf8-line{n}": _stage(
+        command, b"".join(map(row, range(n - 2))) + b"not a record\n\xff\xfe" + row(n - 1), n - 1,
+        src=f"in.{fmt}", out="out.tsv")
+       for command, fmt, row in [("filter", "tsv", _rows(b"a\tb\n")),
+                                 ("denoise", "tsv", _rows(b"a\tb\r\n", b"c\td\r")),
+                                 ("chatprep", "jsonl", _turns(b"\n"))]
+       for n in (3, 5000)},
+    **{f"chatprep-{field}-{type(value).__name__}": _stage(
+        "chatprep", _lines(CHAT_LINES[0], {**CHAT_LINES[0], "turn_index": 1, field: value}), 2,
+        out="out.tsv")
+       for field, value in [("dialogue_id", 1), ("src_text", 5), ("tgt_text", None),
+                            ("src_lang", 1), ("tgt_lang", ["en"]),
+                            # beside a genuine turn 0, it would pass as turn 1
+                            ("turn_index", True)]},
+    **{f"bsce-{name}": _scores(scores, message) for name, scores, message in [
+        ("malformed", '{"models": ["a", "b"], "comet": [0.1,',
+         "Expecting value: line 1 column 38 (char 37)\n"),
+        ("non-numeric", {**GOOD_SCORES, "comet": [0.1, "x", 0.3]},
+         "scores must be numbers, got a str\n"),
+        ("bool", {**GOOD_SCORES, "comet": [0.1, True, 0.3]},
+         "scores must be numbers, got a bool\n"),
+        ("nan", '{"models": ["a", "b"], "comet": [0.1, NaN], "pairwise": [[0, 1], [1, 0]]}',
+         "all scores must be finite\n"),
+        ("duplicate-ids", {**GOOD_SCORES, "models": ["a", "b", "a"]}, "model ids must be unique\n"),
+        ("non-string-id", {**GOOD_SCORES, "models": ["a", 2, "c"]}, "model ids must be strings\n"),
+        ("shape", {**GOOD_SCORES, "pairwise": [[0, 0.5], [0.5, 0], [0.6, 0.7]]},
+         "pairwise must be 3x3\n"),
+        ("one-model", {"models": ["a"], "comet": [0.1], "pairwise": [[0]]},
+         "need at least 2 candidate models\n"),
+        # The interpreter words the recursion error.
+        ("deep", "[" * 100_000 + "]" * 100_000, ""),
+        ("short-comet", {**GOOD_SCORES, "comet": [0.1, 0.2]},
+         "comet length must match model count\n"),
+        *[(f"models-{type(models).__name__}", {"models": models, "comet": [0.1, 0.2],
+                                               "pairwise": [[0, 1], [1, 0]]},
+           "models must be a list of model ids\n") for models in ("ab", {"a": 1, "b": 2})],
+        # Whether the model holding a lone surrogate is selected or not,
+        # the file is refused before selecting.
+        *[(f"surrogate-id-{name}", '{"models": ["a\\ud800", "b"], "comet": %s, '
+           '"pairwise": [[0, 1], [1, 0]]}' % comet, "model id 'a\\ud800' is not valid Unicode\n")
+          for name, comet in [("selected", [0.3, 0.2]), ("not-selected", [0.2, 0.3])]]]},
+    # Finite scores whose weighted scores are 0, 4M and 2M: b's is the first
+    # that no float holds.
+    "bsce-weighted-score-beyond-float-range": _scores(
+        {"models": ["a", "b", "c"], "comet": [0, 1, 0.5],
+         "pairwise": [[0, _BIG, _BIG], [-_BIG, 0, -_BIG], [0, 0, 0]]},
+        "the weighted score of model 'b' is beyond float range\n", size="2"),
+    "filter-lone-surrogate": _stage(
+        "filter", _lines(AB, '{"source": "a \\ud800", "target": "b"}'), 2),
+    "denoise-lone-surrogate": _stage(
+        "denoise", _lines(AB, '{"source": "a", "target": "\\uDFFF b"}'), 2),
+    "chatprep-lone-surrogate": _stage(
+        "chatprep", _lines(CHAT_LINES[0], {**CHAT_LINES[1], "tgt_text": "x \udfff"}), 2),
+    # The reader splits lines on \r, so a TSV holding one would not read back.
+    "filter-carriage-return-to-tsv": _stage("filter", _lines({"source": "a\rb", "target": "c"}), 1,
+                                            out="out.tsv"),
+    "filter-carriage-return-to-jsonl": _stage("filter", _lines({"source": "a\rb", "target": "c"}),
+                                              None),
+    # A kept pair is the first input pair with its normalized sides.
+    **{f"filter-tsv-cannot-hold-{name}": _stage("filter", _lines(*lines), n, *flags, out="out.tsv")
+       for name, lines, flags, n in [
+           ("plain", [AB, _TAB], [], 2),
+           ("blank-line-before", [AB, "", _TAB], [], 3),
+           ("whitespace-line-before", [AB, " \t ", _TAB], [], 3),
+           ("skipped-line-before", ["not json", AB, _TAB], ["--fail-mode", "skip_and_count"], 3),
+           ("first-of-its-normal-form", [{"source": "a", "target": "b c d e f"},
+                                         {"source": "x\ty\u00a0", "target": "z"}, _TAB], [], 2)]},
+    "denoise-bad-target-tsv": _stage("denoise", _lines("s\ta b", f"s\t{BAD_TARGET}", "s\tc d"), 2,
+                                     "--pair-fraction", "1", src="in.tsv", out="out.tsv"),
+    "denoise-bad-target-jsonl-blank": _stage(
+        "denoise", _lines({"source": "s", "target": "a b"}, "",
+                          {"source": "s", "target": BAD_TARGET}), 3, "--pair-fraction", "1"),
+    "denoise-bad-target-jsonl-blanks": _stage(
+        "denoise", _lines("", {"source": "s", "target": "a b"}, "", "",
+                          {"source": "s", "target": BAD_TARGET}, ""), 5, "--pair-fraction", "1"),
+    "denoise-first-unsplittable-target": _stage(
+        "denoise", UNSPLITTABLE_TSV.encode(), 2, src="in.tsv", out="out.tsv",
+        sweep={"--seed": range(16), "--pair-fraction": (0, 0.5, 1)}),
+    **{f"chatprep-blank-{field}-{name}": _stage(
+        "chatprep", _lines(CHAT_LINES[0], {**CHAT_LINES[0], "turn_index": 1, field: blank}), 2,
+        "--speaker-tags", "off", "--n-prev", "0", out="out.tsv")
+       for field in ("src_text", "tgt_text")
+       for name, blank in [("empty", ""), ("spaces", "  "), ("tab", "\t")]},
+    # Pairs are written by dialogue: d1's turns 0 and 1 (lines 1 and 3),
+    # then d2's turn 0 (line 2), which has no context.
+    "chatprep-tsv-cannot-hold-src-tab": _stage(
+        "chatprep", _lines(CHAT_LINES[0], CHAT_LINES[2], {**CHAT_LINES[1], "src_text": "a\tb"}), 3,
+        out="out.tsv"),
+    "chatprep-tsv-cannot-hold-tgt-cr": _stage(
+        "chatprep", _lines(CHAT_LINES[0], {**CHAT_LINES[2], "tgt_text": "c\rd"}, CHAT_LINES[1]), 2,
+        out="out.tsv"),
+    "chatprep-reserved-tag": _stage(
+        "chatprep", _lines(CHAT_LINES[0], {**CHAT_LINES[1], "tgt_text": "a <SEP> b"}), 2,
+        out="out.tsv"),
+    "denoise-tsv-cannot-hold-target-cr": _stage(
+        "denoise", _lines({"source": "s1", "target": "a b"}, {"source": "s2", "target": "c\rd e"}),
+        2, "--pair-fraction", "1.0", "--token-prob", "0.15", out="x.tsv"),
+    # At token prob 1 every target is noised: the rebuilt pair keeps its line.
+    "denoise-tsv-cannot-hold-source-tab-after-blank": _stage(
+        "denoise", _lines({"source": "s1", "target": "a b"}, "",
+                          {"source": "s\t2", "target": "c d"}, {"source": "s3", "target": "e f"}),
+        3, "--pair-fraction", "1.0",
+        out="x.tsv", sweep={"--token-prob": (0.15, 1)}),
+    # Chat and bitext JSONL word a line alike.
+    **{f"chatprep-{name}": _stage("chatprep", _lines(CHAT_LINES[0], line), 2, out="out.tsv")
+       for name, line in [("array", "[1, 2]"), ("string", '"text"'),
+                          ("missing-speaker",
+                           {k: v for k, v in CHAT_LINES[1].items() if k != "speaker"})]},
+    **{f"{command}-overlong-integer": _stage(command, _lines(
+        AB, '{"source": "a", "target": "b", "n": %s}' % _LONG_INT), 2)
+       for command in ("filter", "denoise")},
+    "chatprep-overlong-integer": _stage("chatprep", _lines(
+        CHAT_LINES[0], json.dumps(CHAT_LINES[1])[:-1] + ', "n": %s}' % _LONG_INT), 2),
+}
+
+
+@pytest.mark.parametrize("argv, files, expect, line, sweep", CASES.values(), ids=CASES.keys())
+def test_cli_case(argv, files, expect, line, sweep):
+    """The row's exit code, stderr line and output bytes, each run through
+    conftest.run_in: a failed run changes no file."""
+    sweep = sweep or {}
+    for values in itertools.product(*sweep.values()):
+        swept = argv + [text for flag, value in zip(sweep, values) for text in (flag, str(value))]
+        code, err = run_in(files, swept, {swept[swept.index("--out") + 1]},
+                           oracle_outputs(swept) if expect is None else None)
+        if expect is not None:
+            assert code == 2 and err.startswith(expect) and err.count("\n") == 1, err
+        elif line is None:
+            assert code == 0, err
+        if line is not None:
+            assert err.startswith(f"data error: line {line}: "), err
 
 
 def test_version():
@@ -101,12 +309,6 @@ def test_filter_reports_drop_sub_reason(tmp_path, line, reason):
 def test_filter_missing_input_exits_1(tmp_path):
     assert run(["filter", "--in", str(tmp_path / "nope.tsv"),
                 "--out", str(tmp_path / "o.tsv")]) == 1
-
-
-def test_filter_malformed_data_exits_2(tmp_path):
-    src = tmp_path / "in.tsv"
-    src.write_text("no tab here\n", encoding="utf-8")
-    assert run(["filter", "--in", str(src), "--out", str(tmp_path / "o.tsv")]) == 2
 
 
 def test_filter_skip_mode(tmp_path):
@@ -187,28 +389,6 @@ def test_denoise_in_range_span_succeeds_for_every_seed(tmp_path, first, kept, se
     assert run(["denoise", "--in", str(src), "--out", str(out), "--seed", str(seed),
                 "--pair-fraction", "0.5", "--token-prob", "1.0"]) == 0
     assert json.loads(out.read_text().splitlines()[0])["target"] == kept
-
-
-GOOD_JSONL = '{"source": "s", "target": "a b c", "target_payload_span": [0, 3]}'
-
-
-@pytest.mark.parametrize("bad", [
-    '{"source": "s"}',
-    '[1, 2]',
-    '{"source": "s", "target": "a b c", "target_payload_span": ["x", 2]}',
-    '{"source": "s", "target": "a b c", "target_payload_span": [true, 2]}',
-    '{"source": "s", "target": "a b c", "target_payload_span": [1, 4]}',
-    '{"source": "s", "target": "a b c", "origin": "weird"}',
-    '{"source": 1, "target": "a b c"}',
-], ids=["no_target", "not_object", "span_str", "span_bool", "span_past_end", "bad_origin",
-        "source_not_a_string"])
-def test_denoise_bad_jsonl_exits_2(tmp_path, capsys, bad):
-    src = tmp_path / "in.jsonl"
-    src.write_text(f"{GOOD_JSONL}\n{bad}\n", encoding="utf-8")
-    out = tmp_path / "out.jsonl"
-    assert run(["denoise", "--in", str(src), "--out", str(out)]) == 2
-    assert "line 2" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_bsce_select(tmp_path):
@@ -385,162 +565,6 @@ def test_pipeline_wrong_typed_option_exits_1(tmp_path, capsys, stage, key, value
     assert not any(p.exists() for p in outputs)
 
 
-def _rows(*lines):
-    """Row i of an input: lines[i % len(lines)]."""
-    return lambda i: lines[i % len(lines)]
-
-
-def _turns(*ends):
-    """Row i of a chat input: turn i of one dialogue, ended by ends[i % len(ends)]."""
-    return lambda i: json.dumps({**CHAT_LINES[0], "turn_index": i}).encode() + ends[i % len(ends)]
-
-
-@pytest.mark.parametrize("command, suffix, row", [
-    ("filter", ".tsv", _rows(b"a\tb\n")),
-    ("filter", ".jsonl", _rows(b'{"source": "a", "target": "b"}\n')),
-    ("denoise", ".tsv", _rows(b"a\tb\n")),
-    ("chatprep", ".jsonl", _turns(b"\n")),
-    # The reader also ends a line at a lone CR, and at CRLF once.
-    ("filter", ".tsv", _rows(b"a\tb\r")),
-    ("filter", ".tsv", _rows(b"a\tb\r\n", b"c\td\r")),
-    ("chatprep", ".jsonl", _turns(b"\r\n", b"\r")),
-], ids=["filter-tsv", "filter-jsonl", "denoise-tsv", "chatprep-jsonl",
-        "filter-tsv-cr", "filter-tsv-crlf-cr", "chatprep-jsonl-crlf-cr"])
-@pytest.mark.parametrize("bad_line", [3, 5000])  # inside and past the first read buffer
-def test_invalid_utf8_exits_2_with_line(tmp_path, capsys, command, suffix, row, bad_line):
-    src = tmp_path / f"in{suffix}"
-    before = b"".join(row(i) for i in range(bad_line - 1))
-    src.write_bytes(before + b"\xff\xfe" + row(bad_line - 1))
-    out = tmp_path / "out.tsv"
-    assert run([command, "--in", str(src), "--out", str(out)]) == 2
-    assert f"line {bad_line}: invalid UTF-8: " in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, suffix, row", [
-    ("filter", ".tsv", _rows(b"a\tb\n")),
-    ("denoise", ".tsv", _rows(b"a\tb\r\n", b"c\td\r")),
-    ("chatprep", ".jsonl", _turns(b"\n")),
-], ids=["filter", "denoise", "chatprep"])
-@pytest.mark.parametrize("bad_line", [3, 5000])  # inside and past the first read buffer
-def test_first_faulty_line_wins_over_later_invalid_utf8(tmp_path, capsys, command, suffix, row,
-                                                        bad_line):
-    # Line bad_line - 1 is malformed; bad_line, in the same read buffer,
-    # holds bytes that are not UTF-8.
-    src = tmp_path / f"in{suffix}"
-    before = b"".join(row(i) for i in range(bad_line - 2))
-    src.write_bytes(before + b"not a record\n" + b"\xff\xfe" + row(bad_line - 1))
-    out = tmp_path / "out.tsv"
-    assert run([command, "--in", str(src), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: line {bad_line - 1}: ") and "UTF-8" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("field, value", [
-    ("dialogue_id", 1),
-    ("src_text", 5),
-    ("tgt_text", None),
-    ("src_lang", 1),
-    ("tgt_lang", ["en"]),
-    ("turn_index", True),  # beside a genuine turn 0, it would pass as turn 1
-])
-def test_chatprep_wrong_typed_field_exits_2(tmp_path, capsys, field, value):
-    chat = tmp_path / "chat.jsonl"
-    bad = {**CHAT_LINES[0], "turn_index": 1, field: value}
-    chat.write_text(f"{json.dumps(CHAT_LINES[0])}\n{json.dumps(bad)}\n", encoding="utf-8")
-    out = tmp_path / "out.tsv"
-    assert run(["chatprep", "--in", str(chat), "--out", str(out)]) == 2
-    assert "line 2:" in capsys.readouterr().err
-    assert not out.exists()
-
-
-GOOD_SCORES = {"models": ["a", "b", "c"], "comet": [0.1, 0.2, 0.3],
-               "pairwise": [[0, 0.5, 0.6], [0.5, 0, 0.7], [0.6, 0.7, 0]]}
-
-
-@pytest.mark.parametrize("text", [
-    '{"models": ["a", "b"], "comet": [0.1,',
-    json.dumps({**GOOD_SCORES, "comet": [0.1, "x", 0.3]}),
-    json.dumps({**GOOD_SCORES, "comet": [0.1, True, 0.3]}),
-    '{"models": ["a", "b"], "comet": [0.1, NaN], "pairwise": [[0, 1], [1, 0]]}',
-    json.dumps({**GOOD_SCORES, "models": ["a", "b", "a"]}),
-    json.dumps({**GOOD_SCORES, "models": ["a", 2, "c"]}),
-    json.dumps({**GOOD_SCORES, "pairwise": [[0, 0.5], [0.5, 0], [0.6, 0.7]]}),
-    json.dumps({"models": ["a"], "comet": [0.1], "pairwise": [[0]]}),
-    "[" * 100_000 + "]" * 100_000,
-    json.dumps({**GOOD_SCORES, "comet": [0.1, 0.2]}),
-], ids=["malformed", "non_numeric", "bool", "nan", "duplicate_ids", "non_string_id",
-        "shape", "one_model", "deep", "short_comet"])
-def test_bsce_bad_scores_file_exits_2(tmp_path, capsys, text):
-    scores = tmp_path / "scores.json"
-    scores.write_text(text, encoding="utf-8")
-    out = tmp_path / "sel.json"
-    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", "1",
-                "--out", str(out)]) == 2
-    assert "data error" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_bsce_weighted_score_beyond_float_range_exits_2(tmp_path, capsys):
-    # Finite scores whose weighted scores are 0, 4M and 2M: b's is the
-    # first that no float holds.
-    big = 1.7976931348623157e308
-    scores = tmp_path / "scores.json"
-    scores.write_text(json.dumps({
-        "models": ["a", "b", "c"], "comet": [0, 1, 0.5],
-        "pairwise": [[0, big, big], [-big, 0, -big], [0, 0, 0]],
-    }), encoding="utf-8")
-    out = tmp_path / "sel.json"
-    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", "2",
-                "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "data error: bad scores file: the weighted score of model 'b' is beyond float range\n")
-    assert not out.exists()
-
-
-# Whether the model holding a lone surrogate is selected or not, the file
-# is refused before selecting.
-@pytest.mark.parametrize("comet", [[0.3, 0.2], [0.2, 0.3]])
-def test_bsce_model_id_with_lone_surrogate_exits_2(tmp_path, capsys, comet):
-    scores = tmp_path / "scores.json"
-    scores.write_text('{"models": ["a\\ud800", "b"], "comet": %s, '
-                      '"pairwise": [[0, 1], [1, 0]]}' % json.dumps(comet), encoding="utf-8")
-    out = tmp_path / "s.json"
-    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", "1",
-                "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "data error: bad scores file: model id 'a\\ud800' is not valid Unicode\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("models", ["ab", {"a": 1, "b": 2}], ids=["string", "object"])
-def test_bsce_models_not_a_list_exits_2(tmp_path, capsys, models):
-    scores = tmp_path / "scores.json"
-    scores.write_text(json.dumps({"models": models, "comet": [0.1, 0.2],
-                                  "pairwise": [[0, 1], [1, 0]]}), encoding="utf-8")
-    out = tmp_path / "s.json"
-    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", "1",
-                "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "data error: bad scores file: models must be a list of model ids\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, lines", [
-    ("filter", ['{"source": "a", "target": "b"}', '{"source": "a \\ud800", "target": "b"}']),
-    ("denoise", ['{"source": "a", "target": "b"}', '{"source": "a", "target": "\\uDFFF b"}']),
-    ("chatprep", [json.dumps(CHAT_LINES[0]), json.dumps({**CHAT_LINES[1], "tgt_text": "x \udfff"})]),
-])
-def test_lone_surrogate_exits_2_with_line(tmp_path, capsys, command, lines):
-    src = tmp_path / "in.jsonl"
-    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    out = tmp_path / "out.jsonl"
-    assert run([command, "--in", str(src), "--out", str(out)]) == 2
-    assert "line 2:" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_jsonl_escapes_still_parse(tmp_path):
     src = tmp_path / "in.jsonl"
     src.write_text('{"source": "caf\\u00e9 \\ud83d\\ude00", "target": "C:\\\\users"}\n',
@@ -620,43 +644,6 @@ def test_readme_cli_block_names_every_subcommand():
     assert named == set(sub.choices)
 
 
-def test_filter_carriage_return_to_tsv_exits_2(tmp_path, capsys):
-    # The reader splits lines on \r, so a TSV holding one would not read back.
-    src = tmp_path / "in.jsonl"
-    src.write_text(json.dumps({"source": "a\rb", "target": "c"}) + "\n", encoding="utf-8")
-    out = tmp_path / "out.tsv"
-    assert run(["filter", "--in", str(src), "--out", str(out)]) == 2
-    assert "carriage return" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
-    out = tmp_path / "out.jsonl"
-    assert run(["filter", "--in", str(src), "--out", str(out)]) == 0
-    assert json.loads(out.read_text(encoding="utf-8"))["source"] == "a\rb"
-
-
-_TAB = {"source": "x\ty", "target": "z"}
-
-
-# A kept pair is the first input pair with its normalized sides.
-@pytest.mark.parametrize("lines, flags, bad_line", [
-    ([{"source": "a", "target": "b"}, _TAB], [], 2),
-    ([{"source": "a", "target": "b"}, None, _TAB], [], 3),
-    ([{"source": "a", "target": "b"}, " \t ", _TAB], [], 3),
-    (["not json", {"source": "a", "target": "b"}, _TAB], ["--fail-mode", "skip_and_count"], 3),
-    ([{"source": "a", "target": "b c d e f"}, {"source": "x\ty\u00a0", "target": "z"}, _TAB],
-     [], 2),
-], ids=["plain", "blank-line-before", "whitespace-line-before", "skipped-line-before",
-        "first-of-its-normal-form"])
-def test_filter_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, lines, flags, bad_line):
-    src = tmp_path / "in.jsonl"
-    # None is a blank line and a string a raw one.
-    src.write_text("".join(("" if line is None else line if isinstance(line, str)
-                            else json.dumps(line)) + "\n" for line in lines), encoding="utf-8")
-    assert run(["filter", "--in", str(src), "--out", str(tmp_path / "out.tsv"), *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: line {bad_line}: tab, newline or carriage return")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
-
-
 def _tab_input(path):
     path.write_text(json.dumps({"source": "a", "target": "b"}) + "\n" + json.dumps(_TAB) + "\n",
                     encoding="utf-8")
@@ -721,49 +708,6 @@ def test_pipeline_deeply_nested_config_exits_1(tmp_path, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-BAD_TARGET = "a <context begins> b <context begins> c"
-
-
-@pytest.mark.parametrize("suffix, lines, bad_line", [
-    (".tsv", ["s\ta b", f"s\t{BAD_TARGET}", "s\tc d"], 2),
-    (".jsonl", [json.dumps({"source": "s", "target": "a b"}), "",
-                json.dumps({"source": "s", "target": BAD_TARGET})], 3),
-    (".jsonl", ["", json.dumps({"source": "s", "target": "a b"}), "", "",
-                json.dumps({"source": "s", "target": BAD_TARGET}), ""], 5),
-], ids=["tsv", "jsonl-blank", "jsonl-blanks"])
-def test_denoise_bad_target_names_its_line(tmp_path, capsys, suffix, lines, bad_line):
-    src = tmp_path / f"in{suffix}"
-    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    out = tmp_path / f"out{suffix}"
-    assert run(["denoise", "--in", str(src), "--out", str(out), "--pair-fraction", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err == f"data error: line {bad_line}: multiple context indicators in target " \
-        f"{BAD_TARGET!r}\n"
-    assert not out.exists()
-
-
-# Lines 2 and 3 hold targets denoise cannot split; which of them a seed
-# chose used to decide the exit code.
-UNSPLITTABLE_TSV = ("s1\t<agent> hallo\n"
-                    "s2\t<agent> <context begins> x\n"
-                    "s3\t<customer> a <context begins> b <context begins> c\n"
-                    "s4\td e\n")
-
-
-@pytest.mark.parametrize("pair_fraction", ["0", "0.5", "1"])
-@pytest.mark.parametrize("seed", range(16))
-def test_denoise_first_unsplittable_target_exits_2_for_every_seed(tmp_path, capsys,
-                                                                 pair_fraction, seed):
-    src = tmp_path / "in.tsv"
-    src.write_text(UNSPLITTABLE_TSV, encoding="utf-8")
-    out = tmp_path / "out.tsv"
-    assert run(["denoise", "--in", str(src), "--out", str(out), "--seed", str(seed),
-                "--pair-fraction", pair_fraction]) == 2
-    assert capsys.readouterr().err == \
-        "data error: line 2: empty payload in target '<agent> <context begins> x'\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("seed", range(16))
 def test_denoise_output_reads_back_for_every_seed(tmp_path, seed):
     # Seed 12 noises " x" to " ", which the reader refuses as an empty side.
@@ -775,67 +719,6 @@ def test_denoise_output_reads_back_for_every_seed(tmp_path, seed):
     assert run(["denoise", "--in", str(out), "--out", str(tmp_path / "again.tsv"), *args]) == 0
     if seed == 12:
         assert out.read_text(encoding="utf-8") == "s\t x\n"
-
-
-@pytest.mark.parametrize("field", ["src_text", "tgt_text"])
-@pytest.mark.parametrize("blank", ["", "  ", "\t"])
-def test_chatprep_blank_text_exits_2(tmp_path, capsys, field, blank):
-    chat = tmp_path / "chat.jsonl"
-    bad = {**CHAT_LINES[0], "turn_index": 1, field: blank}
-    chat.write_text(f"{json.dumps(CHAT_LINES[0])}\n{json.dumps(bad)}\n", encoding="utf-8")
-    out = tmp_path / "out.tsv"
-    assert run(["chatprep", "--in", str(chat), "--out", str(out),
-                "--speaker-tags", "off", "--n-prev", "0"]) == 2
-    assert capsys.readouterr().err == f"data error: line 2: empty {field}\n"
-    assert not out.exists()
-
-
-# Pairs are written by dialogue: d1's turns 0 and 1 (lines 1 and 3), then
-# d2's turn 0 (line 2), which has no context.
-@pytest.mark.parametrize("bad_line, field, value", [(3, "src_text", "a\tb"),
-                                                    (2, "tgt_text", "c\rd")])
-def test_chatprep_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, bad_line, field, value):
-    chat = tmp_path / "chat.jsonl"
-    lines = [CHAT_LINES[0], CHAT_LINES[2], CHAT_LINES[1]]
-    lines[bad_line - 1] = {**lines[bad_line - 1], field: value}
-    chat.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
-    assert run(["chatprep", "--in", str(chat), "--out", str(tmp_path / "out.tsv")]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"data error: line {bad_line}: tab, newline or carriage return")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["chat.jsonl"]
-
-
-def test_chatprep_reserved_tag_names_its_line(tmp_path, capsys):
-    chat = tmp_path / "chat.jsonl"
-    bad = {**CHAT_LINES[1], "tgt_text": "a <SEP> b"}
-    chat.write_text(f"{json.dumps(CHAT_LINES[0])}\n{json.dumps(bad)}\n", encoding="utf-8")
-    assert run(["chatprep", "--in", str(chat), "--out", str(tmp_path / "out.tsv")]) == 2
-    assert capsys.readouterr().err == (
-        "data error: line 2: d1/1 tgt_text contains a reserved tag: 'a <SEP> b'\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["chat.jsonl"]
-
-
-_SOURCE_TAB = [{"source": "s1", "target": "a b"}, None, {"source": "s\t2", "target": "c d"},
-               {"source": "s3", "target": "e f"}]
-
-
-@pytest.mark.parametrize("lines, token_prob, bad_line", [
-    ([{"source": "s1", "target": "a b"}, {"source": "s2", "target": "c\rd e"}], "0.15", 2),
-    (_SOURCE_TAB, "0.15", 3),
-    # Every target noised: the rebuilt pair keeps its line.
-    (_SOURCE_TAB, "1", 3),
-], ids=["target-cr", "blank-then-source-tab", "noised-source-tab"])
-def test_denoise_text_tsv_cannot_hold_names_its_line(tmp_path, capsys, lines, token_prob,
-                                                     bad_line):
-    src = tmp_path / "in.jsonl"
-    src.write_text("".join((json.dumps(obj) if obj else "") + "\n" for obj in lines),
-                   encoding="utf-8")
-    out = tmp_path / "x.tsv"
-    assert run(["denoise", "--in", str(src), "--out", str(out), "--pair-fraction", "1.0",
-                "--token-prob", token_prob]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: line {bad_line}: tab, newline or carriage return")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
 def _stage_argv(tmp_path, stage, n):
@@ -1009,42 +892,6 @@ def test_single_stage_may_rewrite_its_input_in_place(tmp_path):
     assert run(["filter", "--in", str(src), "--out", str(expected)]) == 0
     assert run(["filter", "--in", str(src), "--out", str(src)]) == 0
     assert src.read_bytes() == expected.read_bytes()
-
-
-@pytest.mark.parametrize("line, message", [
-    ("[1, 2]", "line 2: expected a JSON object"),
-    ('"text"', "line 2: expected a JSON object"),
-    (json.dumps({k: v for k, v in CHAT_LINES[1].items() if k != "speaker"}),
-     "line 2: missing field 'speaker'"),
-], ids=["array", "string", "missing_speaker"])
-def test_chatprep_bad_record_exits_2_in_bitext_reader_words(tmp_path, capsys, line, message):
-    chat = tmp_path / "chat.jsonl"
-    chat.write_text(f"{json.dumps(CHAT_LINES[0])}\n{line}\n", encoding="utf-8")
-    out = tmp_path / "out.tsv"
-    assert run(["chatprep", "--in", str(chat), "--out", str(out)]) == 2
-    assert f"data error: {message}\n" in capsys.readouterr().err
-    assert not out.exists()
-
-
-_LONG_INT = "1" * 5000  # past int()'s default limit of 4300 digits
-
-
-@pytest.mark.parametrize("command, lines", [
-    ("filter", ['{"source": "a", "target": "b"}',
-                '{"source": "a", "target": "b", "n": %s}' % _LONG_INT]),
-    ("denoise", ['{"source": "a", "target": "b"}',
-                 '{"source": "a", "target": "b", "n": %s}' % _LONG_INT]),
-    ("chatprep", [json.dumps(CHAT_LINES[0]),
-                  json.dumps(CHAT_LINES[1])[:-1] + ', "n": %s}' % _LONG_INT]),
-])
-def test_jsonl_overlong_integer_exits_2_with_line(tmp_path, capsys, command, lines):
-    src = tmp_path / "in.jsonl"
-    src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    out = tmp_path / "out.jsonl"
-    assert run([command, "--in", str(src), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "line 2: invalid JSON: Exceeds the limit" in err
-    assert not out.exists()
 
 
 def _mode(path):

@@ -4,28 +4,26 @@ no traceback. A failed run changes no file (outputs that existed before
 keep their bytes) and leaves no temp file, and a run that succeeds
 changes only its outputs. filter, chatprep, denoise, the pipeline's
 fixed config in each of its chatprep and denoise output suffixes and
-formats, and bsce-select on a valid scores file also exit as the oracle
-does on the same files: 0 with its output bytes, or 2 with its error
-line."""
-import contextlib
-import io
+formats (on valid corpora), and bsce-select on a valid scores file also
+exit as the oracle does on the same files: 0 with its output bytes, or 2
+with its error line."""
 import itertools
 import json
 import math
-import os
-import tempfile
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle
 from chatmt.chatprep import MIXED_LANGUAGE, SAME_LANGUAGE, RESERVED_TAGS, ContextConfig
-from chatmt.cli import main
 from chatmt.denoise import DenoiseConfig
 from chatmt.filtering import FilterConfig
-from oracle import outcome
+from conftest import run_in, sentinels
 from test_cli import CHAT_LINES
 
-FUZZ = settings(max_examples=60, deadline=None)
+# Tier-1 draws 60 examples a test; the sweep profile (tests/conftest.py)
+# draws its own count.
+FUZZ = (settings(deadline=None) if settings.get_current_profile_name() == "sweep"
+        else settings(max_examples=60, deadline=None))
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -84,58 +82,6 @@ tsv_files = st.one_of(
     st.lists(st.tuples(nasty_text, nasty_text), max_size=5).map(
         lambda rows: "".join(f"{s}\t{t}\n" for s, t in rows).encode("utf-8", "surrogatepass")),
 )
-
-
-def snapshot(d: str) -> dict:
-    """Each entry of d: a symlink's target, or a file's bytes."""
-    out = {}
-    for name in os.listdir(d):
-        path = os.path.join(d, name)
-        if os.path.islink(path):
-            out[name] = ("symlink", os.readlink(path))
-        else:
-            with open(path, "rb") as fh:
-                out[name] = fh.read()
-    return out
-
-
-def sentinels(names) -> dict[str, bytes]:
-    """Files named like outputs, each holding bytes no run writes."""
-    return {name: b"sentinel " + name.encode() + b"\n" for name in names}
-
-
-def run_in(files: dict[str, bytes], argv: list[str], outputs: set[str], expected=None) -> None:
-    """Run `argv` in a fresh working directory holding `files`, then check
-    the exit code, stderr and which files were created, changed or removed:
-    only `outputs`, and only by a run that succeeds. `expected(files)`, if
-    given, is the oracle's run: the output bytes by file name, or the
-    CorpusError the run must exit 2 with."""
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as d:
-        for name, data in files.items():
-            with open(os.path.join(d, name), "wb") as fh:
-                fh.write(data)
-        before = snapshot(d)
-        err = io.StringIO()
-        os.chdir(d)
-        try:
-            with contextlib.redirect_stderr(err):
-                code = main(argv)
-        finally:
-            os.chdir(cwd)
-        after = snapshot(d)
-    assert code in (0, 1, 2), err.getvalue()
-    assert "Traceback" not in err.getvalue()
-    changed = {name for name in before.keys() | after.keys()
-               if before.get(name) != after.get(name)}
-    assert changed <= (outputs if code == 0 else set()), err.getvalue()
-    if expected is not None:
-        want = outcome(expected, files)
-        if want[0] == "ok":
-            assert (code, {name: after.get(name) for name in want[1]}) == (0, want[1]), \
-                err.getvalue()
-        else:
-            assert (code, err.getvalue()) == (2, f"data error: {want[1]}\n")
 
 
 @FUZZ
@@ -229,13 +175,13 @@ def scores_files(draw) -> tuple[bytes, int]:
                            | st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308]),
                            min_size=1, max_size=6))
     # n*n hypothesis floats would overrun its buffer: the rest come from
-    # a seeded RNG, at any exponent.
+    # a seeded RNG, at any exponent that keeps ±1.0 finite.
     rng = draw(st.randoms(use_true_random=False))
 
     def score():
         if rng.random() < 0.5:
             return rng.choice(shared)
-        return math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1024))
+        return math.ldexp(rng.uniform(-1, 1), rng.randint(-1074, 1023))
 
     scores = {"models": ids, "comet": [score() for _ in range(n)],
               "pairwise": [[score() for _ in range(n)] for _ in range(n)]}
@@ -297,23 +243,38 @@ WRITTEN = {"filter.output": "f.jsonl", "chatprep.output": "p.jsonl",
 READ = {"filter.input": "bitext.jsonl", "chatprep.input": "chat.jsonl", "config": "cfg.json"}
 
 
+def _is_variant(config) -> bool:
+    return json.dumps(config, sort_keys=True) in _VARIANTS_JSON
+
+
+@st.composite
+def pipeline_runs(draw) -> tuple[bytes, bytes, object]:
+    """A config, then its bitext and chat inputs. A config held to the
+    oracle gets valid corpora, so that its run reaches denoise."""
+    config = draw(pipeline_configs)
+    if _is_variant(config):
+        return draw(denoise_files("jsonl")), draw(chat_files()), config
+    return (draw(jsonl_files(BITEXT_RECORD) | denoise_files("jsonl")),
+            draw(jsonl_files(CHAT_LINES[1]) | chat_files()), config)
+
+
 @FUZZ
 # Configs equal to PIPELINE under Python's == that chatmt refuses (exit 1).
-@example(b"", b"", {**PIPELINE, "denoise": {**PIPELINE["denoise"], "pair_fraction": True}},
+@example((b"", b"", {**PIPELINE, "denoise": {**PIPELINE["denoise"], "pair_fraction": True}}),
          set(), False)
-@example(b"", b"", {**PIPELINE, "seed": 3.0}, set(), False)
+@example((b"", b"", {**PIPELINE, "seed": 3.0}), set(), False)
 # chatprep writes TSV into p.jsonl, which denoise reads as TSV.
-@example(jsonl([BITEXT_RECORD]), jsonl(CHAT_LINES), _variant("p.jsonl", "tsv", "n.jsonl", None),
+@example((jsonl([BITEXT_RECORD]), jsonl(CHAT_LINES), _variant("p.jsonl", "tsv", "n.jsonl", None)),
          set(), False)
-@given(jsonl_files(BITEXT_RECORD) | denoise_files("jsonl"), jsonl_files(CHAT_LINES[1]) | chat_files(),
-       pipeline_configs,
-       st.sets(st.sampled_from(sorted({*WRITTEN.values(), "p.tsv", "n.tsv"}))), st.booleans())
-def test_fuzz_pipeline(bitext, chat, config, existing, with_report):
+@given(pipeline_runs(), st.sets(st.sampled_from(sorted({*WRITTEN.values(), "p.tsv", "n.tsv"}))),
+       st.booleans())
+def test_fuzz_pipeline(run, existing, with_report):
+    bitext, chat, config = run
     sections = config.values() if isinstance(config, dict) else ()
     outputs = {s["output"] for s in sections if isinstance(s, dict) and isinstance(s.get("output"), str)}
     argv = ["pipeline", "cfg.json"] + (["--report", "r.json"] if with_report else [])
     expected = None
-    if json.dumps(config, sort_keys=True) in _VARIANTS_JSON:
+    if _is_variant(config):
         stages = [config[stage] for stage in ("filter", "chatprep", "denoise")]
         expected = lambda files: dict(zip([s["output"] for s in stages], oracle.run_pipeline(
             files["bitext.jsonl"], files["chat.jsonl"], *map(_stage_format, stages),
@@ -342,26 +303,10 @@ def test_fuzz_colliding_pipeline_paths(written, target, spelling, with_report):
     argv = ["pipeline", "cfg.json"]
     if with_report or "--report" in (written, target):
         argv += ["--report", paths["--report"]]
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as d:
-        for name, data in (("bitext.jsonl", jsonl([BITEXT_RECORD] * 3)),
-                           ("chat.jsonl", jsonl(CHAT_LINES)),
-                           ("cfg.json", json.dumps(config).encode())):
-            with open(os.path.join(d, name), "wb") as fh:
-                fh.write(data)
-        if spelling == "symlink":
-            os.symlink(target_path, os.path.join(d, paths[written]))
-        before = snapshot(d)
-        err = io.StringIO()
-        os.chdir(d)
-        try:
-            with contextlib.redirect_stderr(err):
-                code = main(argv)
-        finally:
-            os.chdir(cwd)
-        after = snapshot(d)
-    message = err.getvalue()
-    assert code == 1, message
-    assert "is the same file as" in message and "Traceback" not in message
+    files = {"bitext.jsonl": jsonl([BITEXT_RECORD] * 3), "chat.jsonl": jsonl(CHAT_LINES),
+             "cfg.json": json.dumps(config).encode()}
+    if spelling == "symlink":
+        files[paths[written]] = target_path
+    code, message = run_in(files, argv, set())
+    assert code == 1 and "is the same file as" in message, message
     assert f" {paths[written]} " in message and f" {target_path} " in message, message
-    assert after == before
