@@ -74,8 +74,8 @@ def _turns(*ends):
 # stderr line or its prefix (None: the oracle's run, from
 # conftest.oracle_outputs), the input line the data error names (README;
 # None where the run exits 0 or reads a scores file, whose errors name no
-# line), and a sweep of flags to values: the row runs once for each
-# combination.
+# line), and a sweep of flags to values: the row is one test case for
+# each combination.
 def _stage(command, data, line, *flags, src="in.jsonl", out="out.jsonl", sweep=None):
     return [command, "--in", src, "--out", out, *flags], {src: data}, None, line, sweep
 
@@ -244,21 +244,28 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("argv, files, expect, line, sweep", CASES.values(), ids=CASES.keys())
-def test_cli_case(argv, files, expect, line, sweep):
+def _sweep(cases):
+    """Each row of cases once per combination of its sweep's values."""
+    for name, (argv, files, expect, line, sweep) in cases.items():
+        sweep = sweep or {}
+        for values in itertools.product(*sweep.values()):
+            pairs = list(zip(sweep, map(str, values)))
+            yield pytest.param(argv + [text for pair in pairs for text in pair], files, expect,
+                               line, id="-".join([name, *(f"{f[2:]}={v}" for f, v in pairs)]))
+
+
+@pytest.mark.parametrize("argv, files, expect, line", _sweep(CASES))
+def test_cli_case(argv, files, expect, line):
     """The row's exit code, stderr line and output bytes, each run through
     conftest.run_in: a failed run changes no file."""
-    sweep = sweep or {}
-    for values in itertools.product(*sweep.values()):
-        swept = argv + [text for flag, value in zip(sweep, values) for text in (flag, str(value))]
-        code, err = run_in(files, swept, {swept[swept.index("--out") + 1]},
-                           oracle_outputs(swept) if expect is None else None)
-        if expect is not None:
-            assert code == 2 and err.startswith(expect) and err.count("\n") == 1, err
-        elif line is None:
-            assert code == 0, err
-        if line is not None:
-            assert err.startswith(f"data error: line {line}: "), err
+    code, err = run_in(files, argv, {argv[argv.index("--out") + 1]},
+                       oracle_outputs(argv) if expect is None else None)
+    if expect is not None:
+        assert code == 2 and err.startswith(expect) and err.count("\n") == 1, err
+    elif line is None:
+        assert code == 0, err
+    if line is not None:
+        assert err.startswith(f"data error: line {line}: "), err
 
 
 def test_version():
