@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import random
+import stat
 import tempfile
 from dataclasses import fields
 
@@ -73,13 +74,24 @@ def make_dialogue(rng: random.Random, dialogue_id: str, n_turns: int | None = No
     return Dialogue(dialogue_id=dialogue_id, turns=turns)
 
 
+# run_in's entries besides a file's bytes and a symlink's target (a str).
+DIRECTORY = ("directory",)  # an empty directory
+FIFO = ("fifo",)  # a named pipe
+
+
 def snapshot(d: str) -> dict:
-    """Each entry of d: a symlink's target, or a file's bytes."""
+    """Each entry of d: a symlink's target, a directory's own snapshot, FIFO
+    for a named pipe (opening it would block), or a file's bytes."""
     out = {}
     for name in os.listdir(d):
         path = os.path.join(d, name)
-        if os.path.islink(path):
+        mode = os.lstat(path).st_mode
+        if stat.S_ISLNK(mode):
             out[name] = ("symlink", os.readlink(path))
+        elif stat.S_ISDIR(mode):
+            out[name] = ("directory", snapshot(path))
+        elif stat.S_ISFIFO(mode):
+            out[name] = FIFO
         else:
             with open(path, "rb") as fh:
                 out[name] = fh.read()
@@ -91,10 +103,10 @@ def sentinels(names) -> dict[str, bytes]:
     return {name: b"sentinel " + name.encode() + b"\n" for name in names}
 
 
-def run_in(files: dict[str, bytes | str], argv: list[str], outputs: set[str],
+def run_in(files: dict[str, bytes | str | tuple], argv: list[str], outputs: set[str],
            expected=None) -> tuple[int, str]:
-    """Run `argv` in a fresh working directory holding `files` (bytes, or
-    a str: a symlink to that path), then check the exit code, stderr and
+    """Run `argv` in a fresh working directory holding `files` (bytes, a
+    str: a symlink to that path, DIRECTORY or FIFO), then check the exit code, stderr and
     which files were created, changed or removed: only `outputs`, and only
     by a run that succeeds. `expected(files)`, if given, is the oracle's
     run: the output bytes by file name, or the CorpusError the run must
@@ -102,11 +114,18 @@ def run_in(files: dict[str, bytes | str], argv: list[str], outputs: set[str],
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as d:
         for name, data in files.items():
+            path = os.path.join(d, name)
             if isinstance(data, str):
-                os.symlink(data, os.path.join(d, name))
-                continue
-            with open(os.path.join(d, name), "wb") as fh:
-                fh.write(data)
+                os.symlink(data, path)
+            elif data is DIRECTORY:
+                os.mkdir(path)
+            elif data is FIFO:
+                if not hasattr(os, "mkfifo"):
+                    pytest.skip("needs named pipes")
+                os.mkfifo(path)
+            else:
+                with open(path, "wb") as fh:
+                    fh.write(data)
         before = snapshot(d)
         err = io.StringIO()
         os.chdir(d)

@@ -21,7 +21,7 @@ from chatmt.chatprep import ContextConfig
 from chatmt.corpus import write_bitext
 from chatmt.denoise import DenoiseConfig
 from chatmt.filtering import FilterConfig
-from conftest import make_micro_corpus, oracle_outputs, run_in
+from conftest import DIRECTORY, FIFO, make_micro_corpus, oracle_outputs, run_in, sentinels
 
 
 def run(argv):
@@ -31,9 +31,11 @@ def run(argv):
         return exc.code
 
 
+MICRO_TSV = "".join(write_bitext(make_micro_corpus(), "tsv")).encode()
+
+
 def write_micro_corpus(path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(write_bitext(make_micro_corpus(), "tsv"))
+    Path(path).write_bytes(MICRO_TSV)
 
 
 CHAT_LINES = [
@@ -48,16 +50,23 @@ CHAT_LINES = [
 ]
 
 
-def write_chat(path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in CHAT_LINES:
-            fh.write(json.dumps(obj) + "\n")
-
-
 def _lines(*lines) -> bytes:
     """A file of lines: a record as its JSON, a string as it is."""
     return "".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
                    for line in lines).encode()
+
+
+# A pipeline config whose paths name PIPELINE_FILES and its outputs.
+PIPELINE = {
+    "seed": 11,
+    "filter": {"input": "bitext.tsv", "output": "filtered.tsv"},
+    "chatprep": {"input": "chat.jsonl", "output": "prepped.tsv",
+                 "n_prev": 2, "mode": "same", "speaker_tags": True},
+    "denoise": {"output": "noised.tsv", "pair_fraction": 0.5, "token_prob": 0.5},
+}
+# The files of a pipeline run in its working directory.
+PIPELINE_FILES = {"bitext.tsv": MICRO_TSV, "chat.jsonl": _lines(*CHAT_LINES),
+                  "pipeline.json": json.dumps(PIPELINE).encode()}
 
 
 def _rows(*lines):
@@ -86,6 +95,25 @@ def _scores(scores, message, size="1"):
     return argv, {"scores.json": data}, "data error: bad scores file: " + message, None, None
 
 
+def _refused(argv, files, message):
+    """A row the CLI refuses, with message as the first stderr line."""
+    return argv, files, message + "\n", None, None
+
+
+def _edit(**sections):
+    """PIPELINE with keys set in the named stages' sections."""
+    return {**PIPELINE, **{stage: {**PIPELINE[stage], **values}
+                           for stage, values in sections.items()}}
+
+
+def _pipeline(config, message, *flags, files=None):
+    """A row running the pipeline config (an object, or its JSON text) on
+    PIPELINE_FILES, with files added or replaced."""
+    text = config if isinstance(config, str) else json.dumps(config)
+    return _refused(["pipeline", "pipeline.json", *flags],
+                    {**PIPELINE_FILES, "pipeline.json": text.encode(), **(files or {})}, message)
+
+
 AB = {"source": "a", "target": "b"}
 GOOD_SCORES = {"models": ["a", "b", "c"], "comet": [0.1, 0.2, 0.3],
                "pairwise": [[0, 0.5, 0.6], [0.5, 0, 0.7], [0.6, 0.7, 0]]}
@@ -99,8 +127,13 @@ UNSPLITTABLE_TSV = ("s1\t<agent> hallo\n"
 _TAB = {"source": "x\ty", "target": "z"}
 _LONG_INT = "1" * 5000  # past int()'s default limit of 4300 digits
 _BIG = 1.7976931348623157e308
+TWO_SCORES = json.dumps({"models": ["a", "b"], "comet": [0.1, 0.2],
+                         "pairwise": [[0, 0.5], [0.5, 0]]}).encode()
+# The pipeline's outputs and report, there before it runs.
+OLD_OUTPUTS = sentinels(["filtered.tsv", "prepped.tsv", "noised.tsv", "report.json"])
 
-# The CLI's data errors, one row each: a new one goes in as a row.
+# The CLI's data, config and usage errors, one row each: a new one goes in
+# as a row.
 CASES = {
     "filter-no-tab": _stage("filter", b"no tab here\n", 1, src="in.tsv", out="o.tsv"),
     **{f"denoise-{name}": _stage("denoise", _lines(
@@ -241,6 +274,162 @@ CASES = {
        for command in ("filter", "denoise")},
     "chatprep-overlong-integer": _stage("chatprep", _lines(
         CHAT_LINES[0], json.dumps(CHAT_LINES[1])[:-1] + ', "n": %s}' % _LONG_INT), 2),
+    # Usage and config errors.
+    "unknown-flag": _refused(["filter", "--no-such-flag"], {},
+                             "error: chatmt filter: the following arguments are required: --in, --out"),
+    "missing-subcommand": _refused(
+        [], {}, "error: chatmt: the following arguments are required: command"),
+    "filter-missing-input": _refused(["filter", "--in", "nope.tsv", "--out", "o.tsv"], {},
+                                     "error: input path does not exist: nope.tsv"),
+    # A value outside its config field's range is refused by the config
+    # dataclass, with the field's name, and not by the flag.
+    **{f"{command}-{flag[2:]}-{value}": _refused(
+        [command, "--in", "in.txt", "--out", "out.tsv", flag, value],
+        {"in.txt": PIPELINE_FILES["chat.jsonl" if command == "chatprep" else "bitext.tsv"]},
+        f"config error: {message}")
+       for command, flag, value, message in [
+           ("denoise", "--pair-fraction", "1.5", "pair_fraction must be in [0, 1]"),
+           ("denoise", "--token-prob", "-0.1", "token_prob must be in [0, 1]"),
+           ("denoise", "--seed", "-1", "seed must fit in 64 unsigned bits"),
+           ("denoise", "--seed", str(2**64), "seed must fit in 64 unsigned bits"),
+           ("chatprep", "--n-prev", "4", "n_prev must be in 0..3"),
+           ("chatprep", "--n-prev", "-1", "n_prev must be in 0..3")]},
+    **{f"bsce-ensemble-size-{size}": _refused(
+        ["bsce-select", "--scores", "scores.json", "--ensemble-size", str(size), "--out", "sel.json"],
+        {"scores.json": TWO_SCORES}, f"config error: ensemble size {size} out of range 1..2")
+       for size in (0, 3)},
+    **{f"filter-max-ratio-{ratio}": _refused(
+        ["filter", "--in", "in.tsv", "--out", "out.tsv", f"--max-ratio={ratio}"],
+        {"in.tsv": b"one\ta b c d e f g h\n"},
+        f"config error: max_ratio must be finite and >= 1, got {float(ratio)!r}")
+       for ratio in ("nan", "inf", "-inf")},
+    "pipeline-missing-inputs": _pipeline(
+        _edit(filter={"input": "missing.tsv"}, chatprep={"input": "missing.jsonl"}),
+        "error: input path does not exist: missing.tsv"),
+    **{f"pipeline-{name}": _pipeline(config, message) for name, config, message in [
+        ("misspelled-key", _edit(filter={"max_wrods": 50}),
+         "error: pipeline config: unknown key 'max_wrods' in filter"),
+        ("unknown-fail-mode", {**PIPELINE, "fail_mode": "bogus"}, "error: pipeline config: "
+         "fail_mode must be one of fail_fast, skip_and_count, got 'bogus'"),
+        ("unknown-section", {**PIPELINE, "stages": []},
+         "error: pipeline config: unknown key 'stages' in the top level"),
+        ("section-not-an-object", {**PIPELINE, "chatprep": []},
+         "error: pipeline config: chatprep must be a JSON object"),
+        ("speaker-tags-yes", _edit(chatprep={"speaker_tags": "yes"}),
+         "config error: speaker_tags must be a boolean, got 'yes'"),
+        ("top-level-array", "[]", "error: pipeline config: the top level must be a JSON object"),
+        ("deeply-nested", "[" * 100_000, "config error: pipeline config: JSON nested too deeply"),
+        *[(f"{stage}-{key}-{type(value).__name__}", _edit(**{stage: {key: value}}),
+           f"config error: {key} must be {kind}, got {value!r}")
+          for stage, key, value, kind in [("filter", "max_words", "100", "an integer"),
+                                          ("filter", "max_word_chars", 40.0, "an integer"),
+                                          ("filter", "max_ratio", True, "a number"),
+                                          ("chatprep", "n_prev", "2", "an integer"),
+                                          ("chatprep", "mode", 1, "a string"),
+                                          ("denoise", "seed", 1.5, "an integer"),
+                                          ("denoise", "token_prob", "0.15", "a number")]],
+        *[(f"{stage}-{key}-not-a-string", _edit(**{stage: {key: value}}),
+           f"error: pipeline config: {stage}.{key} must be a string")
+          for stage, key, value in [("filter", "output", ["o"]), ("chatprep", "input", 5)]],
+        ("denoise-format-xml", _edit(denoise={"format": "xml"}),
+         "error: pipeline config: denoise.format must be one of tsv, jsonl"),
+        ("denoise-output-in-a-missing-directory", _edit(denoise={"output": "missing/n.tsv"}),
+         "error: output must be a file in an existing directory: missing/n.tsv")]},
+    # A data error would show that the bad input was read.
+    **{f"{name}-output-in-a-missing-directory": _refused(
+        argv, {"bad.jsonl": b"not a record\n"},
+        f"error: output must be a file in an existing directory: {argv[-1]}")
+       for name, argv in [
+           ("filter", ["filter", "--in", "bad.jsonl", "--out", "missing/x.tsv"]),
+           ("chatprep", ["chatprep", "--in", "bad.jsonl", "--out", "missing/x.tsv"]),
+           ("denoise", ["denoise", "--in", "bad.jsonl", "--out", "missing/x.tsv"]),
+           ("bsce-select", ["bsce-select", "--scores", "bad.jsonl", "--ensemble-size", "1",
+                            "--out", "missing/x.json"]),
+           ("report", ["filter", "--in", "bad.jsonl", "--out", "o.tsv",
+                       "--report", "missing/r.json"])]},
+    **{f"output-through-a-symlink-{name}": _refused(
+        ["filter", "--in", "bad.jsonl", "--out", "link.tsv"],
+        {"bad.jsonl": b"not a record\n", "link.tsv": target}, f"error: {message}: link.tsv")
+       for name, target, message in [
+           ("into-a-missing-directory", "missing/new.tsv",
+            "output must be a file in an existing directory"),
+           ("loop", "link.tsv", "output exists and is not a regular file")]},
+    **{f"{argv[0]}-output-{fifo}-is-a-fifo": _refused(
+        argv, {**PIPELINE_FILES, "scores.json": TWO_SCORES, fifo: FIFO},
+        f"error: output exists and is not a regular file: {fifo}")
+       for fifo, argv in [
+           ("out.tsv", ["filter", "--in", "bitext.tsv", "--out", "out.tsv"]),
+           ("out.tsv", ["chatprep", "--in", "chat.jsonl", "--out", "out.tsv"]),
+           ("out.tsv", ["denoise", "--in", "bitext.tsv", "--out", "out.tsv"]),
+           ("out.json", ["bsce-select", "--scores", "scores.json", "--ensemble-size", "1",
+                         "--out", "out.json"]),
+           ("report.json", ["filter", "--in", "bitext.tsv", "--out", "o.tsv",
+                            "--report", "report.json"]),
+           ("filtered.tsv", ["pipeline", "pipeline.json"]),
+           ("prepped.tsv", ["pipeline", "pipeline.json"]),
+           ("noised.tsv", ["pipeline", "pipeline.json"]),
+           ("report.json", ["pipeline", "pipeline.json", "--report", "report.json"])]},
+    # The report, written last, would replace a file the command reads or writes.
+    **{f"report-{argv[0]}-{clash}": _refused(
+        [*argv, "--report", clash],
+        {**PIPELINE_FILES, "out.tsv": b"keep me\n", "scores.json": TWO_SCORES},
+        f"error: --report {clash} is the same file as {clash} ({name})")
+       for argv, clash, name in [
+           (["filter", "--in", "bitext.tsv", "--out", "out.tsv"], "out.tsv", "--out"),
+           (["filter", "--in", "bitext.tsv", "--out", "out.tsv"], "bitext.tsv", "--in"),
+           (["chatprep", "--in", "chat.jsonl", "--out", "out.tsv"], "out.tsv", "--out"),
+           (["chatprep", "--in", "chat.jsonl", "--out", "out.tsv"], "chat.jsonl", "--in"),
+           (["denoise", "--in", "bitext.tsv", "--out", "out.tsv"], "out.tsv", "--out"),
+           (["denoise", "--in", "bitext.tsv", "--out", "out.tsv"], "bitext.tsv", "--in"),
+           (["bsce-select", "--scores", "scores.json", "--ensemble-size", "1",
+             "--out", "sel.json"], "sel.json", "--out"),
+           (["bsce-select", "--scores", "scores.json", "--ensemble-size", "1"], "scores.json",
+            "--scores"),
+           (["pipeline", "pipeline.json"], "pipeline.json", "config"),
+           (["pipeline", "pipeline.json"], "bitext.tsv", "filter.input"),
+           (["pipeline", "pipeline.json"], "chat.jsonl", "chatprep.input"),
+           (["pipeline", "pipeline.json"], "filtered.tsv", "filter.output"),
+           (["pipeline", "pipeline.json"], "prepped.tsv", "chatprep.output"),
+           (["pipeline", "pipeline.json"], "noised.tsv", "denoise.output")]},
+    "report-through-a-symlink-to-the-input": _refused(
+        ["filter", "--in", "in.tsv", "--out", "out.tsv", "--report", "link.json"],
+        {"in.tsv": MICRO_TSV, "link.json": "in.tsv"},
+        "error: --report link.json is the same file as in.tsv (--in)"),
+    # A turn gap in chat.jsonl: without the check, chatprep would fail after
+    # filter wrote.
+    **{f"pipeline-{name}": _pipeline(
+        _edit(**{stage: {key: path}}), f"error: {clash} is the same file as {path} ({other})",
+        files={"chat.jsonl": PIPELINE_FILES["chat.jsonl"]
+               + _lines({**CHAT_LINES[2], "turn_index": 5})})
+       for name, stage, key, path, clash, other in [
+           ("filter-in-place", "filter", "output", "bitext.tsv", "filter.output bitext.tsv",
+            "filter.input"),
+           ("filter-over-chat", "filter", "output", "chat.jsonl", "filter.output chat.jsonl",
+            "chatprep.input"),
+           ("chatprep-over-filter", "chatprep", "output", "filtered.tsv",
+            "chatprep.output filtered.tsv", "filter.output"),
+           ("denoise-over-chatprep", "denoise", "output", "prepped.tsv",
+            "denoise.output prepped.tsv", "chatprep.output"),
+           ("filter-over-denoise-input", "denoise", "input", "filtered.tsv",
+            "filter.output filtered.tsv", "denoise.input")]},
+    **{f"{argv[0]}-input-is-a-directory": _refused(
+        argv, {"in.d": DIRECTORY}, "error: input path is a directory: in.d") for argv in [
+        ["filter", "--in", "in.d", "--out", "o.tsv"],
+        ["chatprep", "--in", "in.d", "--out", "o.tsv"],
+        ["denoise", "--in", "in.d", "--out", "o.tsv"],
+        ["bsce-select", "--scores", "in.d", "--ensemble-size", "1", "--out", "o.json"],
+        ["pipeline", "in.d"]]},
+    # Every stage input is checked before any stage runs: filter's input
+    # (line 11) or chatprep's (line 2) would exit 2, and every output and the
+    # report exist already.
+    "pipeline-denoise-input-checked-before-any-stage-runs": _pipeline(
+        _edit(denoise={"input": "missing.tsv"}), "error: input path does not exist: missing.tsv",
+        "--report", "report.json", files={**OLD_OUTPUTS, "chat.jsonl": _lines(CHAT_LINES[0], "not json")}),
+    **{f"pipeline-{stage}-input-is-a-directory": _pipeline(
+        _edit(**{stage: {"input": "in.d"}}), "error: input path is a directory: in.d",
+        "--report", "report.json",
+        files={**OLD_OUTPUTS, "in.d": DIRECTORY, "bitext.tsv": MICRO_TSV + b"no tab\n"})
+       for stage in ("filter", "chatprep", "denoise")},
 }
 
 
@@ -254,30 +443,28 @@ def _sweep(cases):
                                line, id="-".join([name, *(f"{f[2:]}={v}" for f, v in pairs)]))
 
 
+# The exit code and the stderr after the error line, by the line's prefix.
+_ERRORS = {"data error": (2, ""), "config error": (1, ""),
+           "error": (1, _build_parser().format_usage())}
+
+
 @pytest.mark.parametrize("argv, files, expect, line", _sweep(CASES))
 def test_cli_case(argv, files, expect, line):
-    """The row's exit code, stderr line and output bytes, each run through
+    """The row's exit code, stderr and output bytes, each run through
     conftest.run_in: a failed run changes no file."""
-    code, err = run_in(files, argv, {argv[argv.index("--out") + 1]},
-                       oracle_outputs(argv) if expect is None else None)
-    if expect is not None:
-        assert code == 2 and err.startswith(expect) and err.count("\n") == 1, err
-    elif line is None:
-        assert code == 0, err
+    if expect is None:
+        code, err = run_in(files, argv, {argv[argv.index("--out") + 1]}, oracle_outputs(argv))
+        assert code == 0 or line is not None, err
+    else:
+        code, err = run_in(files, argv, set())
+        first, _, rest = err.partition("\n")
+        assert err.startswith(expect) and (code, rest) == _ERRORS[first.split(":")[0]], err
     if line is not None:
         assert err.startswith(f"data error: line {line}: "), err
 
 
 def test_version():
     assert run(["--version"]) == 0
-
-
-def test_unknown_flag_exits_1(tmp_path):
-    assert run(["filter", "--no-such-flag"]) == 1
-
-
-def test_missing_subcommand_exits_1():
-    assert run([]) == 1
 
 
 def test_filter_micro_corpus(tmp_path):
@@ -313,11 +500,6 @@ def test_filter_reports_drop_sub_reason(tmp_path, line, reason):
     assert rep["dropped_by_rule"]["length"] + rep["dropped_by_rule"]["ratio"] == 1
 
 
-def test_filter_missing_input_exits_1(tmp_path):
-    assert run(["filter", "--in", str(tmp_path / "nope.tsv"),
-                "--out", str(tmp_path / "o.tsv")]) == 1
-
-
 def test_filter_skip_mode(tmp_path):
     src = tmp_path / "in.tsv"
     src.write_text("a\tb\nbroken\nc\td\n", encoding="utf-8")
@@ -340,7 +522,7 @@ def test_filter_skip_mode_skips_a_line_that_is_not_utf8(tmp_path):
 def test_chatprep_outputs_context_lines(tmp_path):
     chat = tmp_path / "chat.jsonl"
     out = tmp_path / "out.tsv"
-    write_chat(chat)
+    chat.write_bytes(PIPELINE_FILES["chat.jsonl"])
     code = run(["chatprep", "--in", str(chat), "--out", str(out),
                 "--n-prev", "1"])
     assert code == 0
@@ -423,62 +605,12 @@ def test_bsce_select_without_out_prints_the_selection(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.json", "sel.json"]
 
 
-# A value outside its config field's range is refused by the config
-# dataclass, with the field's name, and not by the flag.
-_OUT_OF_RANGE = [
-    ("denoise", "--pair-fraction", "1.5", "pair_fraction"),
-    ("denoise", "--token-prob", "-0.1", "token_prob"),
-    ("denoise", "--seed", "-1", "seed"),
-    ("denoise", "--seed", str(2**64), "seed"),
-    ("chatprep", "--n-prev", "4", "n_prev"),
-    ("chatprep", "--n-prev", "-1", "n_prev"),
-]
-
-
-@pytest.mark.parametrize("command, flag, value, field", _OUT_OF_RANGE,
-                         ids=["-".join(case[1:]) for case in _OUT_OF_RANGE])
-def test_denoise_config_out_of_range_exits_1(tmp_path, capsys, command, flag, value, field):
-    src, out = tmp_path / "in.txt", tmp_path / "out.tsv"
-    (write_chat if command == "chatprep" else write_micro_corpus)(src)
-    assert run([command, "--in", str(src), "--out", str(out), flag, value]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field} ") and err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["in.txt"]
-
-
-def _bsce_size_out_of_range_exits_1(tmp_path, capsys, size):
-    scores = tmp_path / "scores.json"
-    scores.write_text(json.dumps({
-        "models": ["a", "b"], "comet": [0.1, 0.2],
-        "pairwise": [[0, 0.5], [0.5, 0]],
-    }), encoding="utf-8")
-    assert run(["bsce-select", "--scores", str(scores), "--ensemble-size", str(size),
-                "--out", str(tmp_path / "sel.json")]) == 1
-    assert capsys.readouterr().err == f"config error: ensemble size {size} out of range 1..2\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["scores.json"]
-
-
-def test_bsce_ensemble_size_zero_exits_1(tmp_path, capsys):
-    _bsce_size_out_of_range_exits_1(tmp_path, capsys, 0)
-
-
-def test_bsce_ensemble_size_above_the_model_count_exits_1(tmp_path, capsys):
-    _bsce_size_out_of_range_exits_1(tmp_path, capsys, 3)
-
-
-def make_pipeline_config(tmp_path, seed=11):
-    bitext = tmp_path / "bitext.tsv"
-    chat = tmp_path / "chat.jsonl"
-    write_micro_corpus(bitext)
-    write_chat(chat)
-    cfg = {
-        "seed": seed,
-        "filter": {"input": str(bitext), "output": str(tmp_path / "filtered.tsv")},
-        "chatprep": {"input": str(chat), "output": str(tmp_path / "prepped.tsv"),
-                     "n_prev": 2, "mode": "same", "speaker_tags": True},
-        "denoise": {"output": str(tmp_path / "noised.tsv"),
-                    "pair_fraction": 0.5, "token_prob": 0.5},
-    }
+def make_pipeline_config(tmp_path):
+    """PIPELINE_FILES in tmp_path, with PIPELINE naming each path in full."""
+    for name, data in PIPELINE_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    cfg = {key: {k: str(tmp_path / v) if k in ("input", "output") else v for k, v in value.items()}
+           if isinstance(value, dict) else value for key, value in PIPELINE.items()}
     path = tmp_path / "pipeline.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path, [tmp_path / n for n in ("filtered.tsv", "prepped.tsv", "noised.tsv")]
@@ -496,43 +628,6 @@ def test_pipeline_runs_and_is_deterministic(tmp_path):
     assert [s["command"] for s in rep["stages"]] == ["filter", "chatprep", "denoise"]
 
 
-def test_pipeline_missing_input_exits_1_before_writes(tmp_path):
-    cfg = {
-        "filter": {"input": str(tmp_path / "missing.tsv"),
-                   "output": str(tmp_path / "f.tsv")},
-        "chatprep": {"input": str(tmp_path / "missing.jsonl"),
-                     "output": str(tmp_path / "p.tsv")},
-        "denoise": {"output": str(tmp_path / "n.tsv")},
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert run(["pipeline", str(path)]) == 1
-    assert not (tmp_path / "f.tsv").exists()
-
-
-@pytest.mark.parametrize("edit, named", [
-    (lambda cfg: cfg["filter"].update(max_wrods=50), "max_wrods"),
-    (lambda cfg: cfg.update(fail_mode="bogus"), "fail_mode"),
-    (lambda cfg: cfg.update(stages=[]), "stages"),
-    (lambda cfg: cfg.update(chatprep=[]), "chatprep"),
-    (lambda cfg: cfg["chatprep"].update(speaker_tags="yes"), "speaker_tags"),
-])
-def test_pipeline_bad_config_exits_1_before_writes(tmp_path, capsys, edit, named):
-    cfg_path, outputs = make_pipeline_config(tmp_path)
-    cfg = json.loads(cfg_path.read_text())
-    edit(cfg)
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert run(["pipeline", str(cfg_path)]) == 1
-    assert named in capsys.readouterr().err
-    assert not any(p.exists() for p in outputs)
-
-
-def test_pipeline_top_level_array_exits_1(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text("[]", encoding="utf-8")
-    assert run(["pipeline", str(path)]) == 1
-
-
 def test_atomic_write_no_partial_output(tmp_path):
     # a data error mid-stage must not leave the destination file behind
     src = tmp_path / "in.tsv"
@@ -540,36 +635,6 @@ def test_atomic_write_no_partial_output(tmp_path):
     out = tmp_path / "out.tsv"
     assert run(["filter", "--in", str(src), "--out", str(out)]) == 2
     assert not out.exists()
-
-
-@pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
-def test_filter_non_finite_max_ratio_exits_1(tmp_path, capsys, ratio):
-    src = tmp_path / "in.tsv"
-    src.write_text("one\ta b c d e f g h\n", encoding="utf-8")
-    out = tmp_path / "out.tsv"
-    assert run(["filter", "--in", str(src), "--out", str(out), f"--max-ratio={ratio}"]) == 1
-    assert "max_ratio" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("stage, key, value, named", [
-    ("filter", "max_words", "100", "max_words"),
-    ("filter", "max_word_chars", 40.0, "max_word_chars"),
-    ("filter", "max_ratio", True, "max_ratio"),
-    ("chatprep", "n_prev", "2", "n_prev"),
-    ("chatprep", "mode", 1, "mode"),
-    ("denoise", "seed", 1.5, "seed"),
-    ("denoise", "token_prob", "0.15", "token_prob"),
-])
-def test_pipeline_wrong_typed_option_exits_1(tmp_path, capsys, stage, key, value, named):
-    cfg_path, outputs = make_pipeline_config(tmp_path)
-    cfg = json.loads(cfg_path.read_text())
-    cfg[stage][key] = value
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert run(["pipeline", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert named in err and "Traceback" not in err
-    assert not any(p.exists() for p in outputs)
 
 
 def test_jsonl_escapes_still_parse(tmp_path):
@@ -580,42 +645,6 @@ def test_jsonl_escapes_still_parse(tmp_path):
     assert run(["filter", "--in", str(src), "--out", str(out)]) == 0
     obj = json.loads(out.read_text(encoding="utf-8"))
     assert (obj["source"], obj["target"]) == ("caf\u00e9 \U0001F600", "C:\\users")
-
-
-@pytest.mark.parametrize("argv", [
-    ["filter", "--in", "{bad}", "--out", "{missing}/x.tsv"],
-    ["chatprep", "--in", "{bad}", "--out", "{missing}/x.tsv"],
-    ["denoise", "--in", "{bad}", "--out", "{missing}/x.tsv"],
-    ["bsce-select", "--scores", "{bad}", "--ensemble-size", "1", "--out", "{missing}/x.json"],
-    ["filter", "--in", "{bad}", "--out", "{tmp}/o.tsv", "--report", "{missing}/r.json"],
-], ids=["filter", "chatprep", "denoise", "bsce-select", "report"])
-def test_output_in_missing_directory_exits_1_before_reading(tmp_path, capsys, argv):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("not a record\n", encoding="utf-8")
-    paths = {"bad": bad, "missing": tmp_path / "missing", "tmp": tmp_path}
-    requested = next(arg for arg in argv if "{missing}" in arg).format(**paths)
-    assert run([arg.format(**paths) for arg in argv]) == 1
-    err = capsys.readouterr().err
-    assert re.search(f"{re.escape(requested)}$", err, re.MULTILINE)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
-
-
-@pytest.mark.parametrize("edit, named", [
-    (lambda cfg, tmp: cfg["filter"].update(output=["o"]), "filter.output"),
-    (lambda cfg, tmp: cfg["chatprep"].update(input=5), "chatprep.input"),
-    (lambda cfg, tmp: cfg["denoise"].update(format="xml"), "denoise.format"),
-    (lambda cfg, tmp: cfg["denoise"].update(output=str(tmp / "missing" / "n.tsv")),
-     "missing"),
-])
-def test_pipeline_bad_paths_exit_1_before_writes(tmp_path, capsys, edit, named):
-    cfg_path, outputs = make_pipeline_config(tmp_path)
-    cfg = json.loads(cfg_path.read_text())
-    edit(cfg, tmp_path)
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert run(["pipeline", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert named in err and "Traceback" not in err
-    assert not any(p.exists() for p in outputs)
 
 
 def test_pipeline_failing_stage_leaves_no_outputs(tmp_path, capsys):
@@ -705,14 +734,6 @@ def test_filter_huge_max_word_chars_exits_0(tmp_path, max_word_chars):
     assert run(["filter", "--in", str(src), "--out", str(out),
                 "--max-word-chars", str(max_word_chars)]) == 0
     assert out.read_text(encoding="utf-8") == text
-
-
-def test_pipeline_deeply_nested_config_exits_1(tmp_path, capsys):
-    path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000, encoding="utf-8")
-    assert run(["pipeline", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -806,52 +827,6 @@ def test_cli_import_leaves_numpy_unloaded():
     assert result.stdout == "False\n"
 
 
-def _files(root):
-    return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
-
-
-@pytest.mark.parametrize("argv, clash", [
-    (["filter", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"], "out.tsv"),
-    (["filter", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"], "bitext.tsv"),
-    (["chatprep", "--in", "{tmp}/chat.jsonl", "--out", "{tmp}/out.tsv"], "out.tsv"),
-    (["chatprep", "--in", "{tmp}/chat.jsonl", "--out", "{tmp}/out.tsv"], "chat.jsonl"),
-    (["denoise", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"], "out.tsv"),
-    (["denoise", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"], "bitext.tsv"),
-    (["bsce-select", "--scores", "{tmp}/scores.json", "--ensemble-size", "1",
-      "--out", "{tmp}/sel.json"], "sel.json"),
-    (["bsce-select", "--scores", "{tmp}/scores.json", "--ensemble-size", "1"], "scores.json"),
-    (["pipeline", "{tmp}/pipeline.json"], "pipeline.json"),
-    (["pipeline", "{tmp}/pipeline.json"], "bitext.tsv"),
-    (["pipeline", "{tmp}/pipeline.json"], "chat.jsonl"),
-    (["pipeline", "{tmp}/pipeline.json"], "filtered.tsv"),
-    (["pipeline", "{tmp}/pipeline.json"], "prepped.tsv"),
-    (["pipeline", "{tmp}/pipeline.json"], "noised.tsv"),
-], ids=lambda v: v if isinstance(v, str) else v[0])
-def test_report_on_a_path_the_command_uses_exits_1_before_reading(tmp_path, capsys, argv, clash):
-    make_pipeline_config(tmp_path)
-    (tmp_path / "out.tsv").write_text("keep me\n", encoding="utf-8")
-    (tmp_path / "scores.json").write_text(json.dumps({
-        "models": ["a", "b"], "comet": [0.1, 0.2], "pairwise": [[0, 0.5], [0.5, 0]],
-    }), encoding="utf-8")
-    before = _files(tmp_path)
-    report = str(tmp_path / clash)
-    assert run([arg.format(tmp=tmp_path) for arg in argv] + ["--report", report]) == 1
-    assert f"--report {report} is the same file as {report}" in capsys.readouterr().err
-    assert _files(tmp_path) == before
-
-
-def test_report_through_a_symlink_to_the_input_exits_1(tmp_path, capsys):
-    src = tmp_path / "in.tsv"
-    write_micro_corpus(src)
-    link = tmp_path / "link.json"
-    link.symlink_to(src)
-    before = src.read_bytes()
-    out = tmp_path / "out.tsv"
-    assert run(["filter", "--in", str(src), "--out", str(out), "--report", str(link)]) == 1
-    assert f"--report {link} is the same file as {src}" in capsys.readouterr().err
-    assert src.read_bytes() == before and not out.exists()
-
-
 def _edit_pipeline_paths(tmp_path, stages):
     """make_pipeline_config's config with stage paths set to files in tmp_path."""
     cfg_path, _ = make_pipeline_config(tmp_path)
@@ -860,30 +835,6 @@ def _edit_pipeline_paths(tmp_path, stages):
         cfg[stage].update({key: str(tmp_path / name) for key, name in section.items()})
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     return cfg_path
-
-
-@pytest.mark.parametrize("stages, output, other", [
-    # filter replaces its own input, and chatprep's data error used to
-    # make the cleanup unlink it.
-    ({"filter": {"output": "bitext.tsv"}}, "filter.output", "filter.input"),
-    # filter replaces the chat file before chatprep reads it.
-    ({"filter": {"output": "chat.jsonl"}}, "filter.output", "chatprep.input"),
-    # chatprep replaces filter's output (exit 0 before).
-    ({"chatprep": {"output": "filtered.tsv"}}, "chatprep.output", "filter.output"),
-    ({"denoise": {"output": "prepped.tsv"}}, "denoise.output", "chatprep.output"),
-    ({"denoise": {"input": "filtered.tsv"}}, "filter.output", "denoise.input"),
-], ids=["filter_in_place", "filter_over_chat", "chatprep_over_filter",
-        "denoise_over_chatprep", "filter_over_denoise_input"])
-def test_pipeline_path_clash_exits_1_before_reading(tmp_path, capsys, stages, output, other):
-    cfg_path = _edit_pipeline_paths(tmp_path, stages)
-    # A turn gap: without the check, chatprep would fail after filter wrote.
-    with open(tmp_path / "chat.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({**CHAT_LINES[2], "turn_index": 5}) + "\n")
-    before = _files(tmp_path)
-    assert run(["pipeline", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert re.search(rf"{output} \S+ is the same file as \S+ \({other}\)", err), err
-    assert _files(tmp_path) == before
 
 
 def test_pipeline_denoise_may_name_chatprep_output_as_input(tmp_path):
@@ -974,20 +925,6 @@ def test_pipeline_failing_stage_changes_no_file(tmp_path, capsys, break_stage, m
     before = _dir_state(tmp_path)
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith(message)
-    assert _dir_state(tmp_path) == before
-
-
-def test_pipeline_checks_denoise_input_before_any_stage_runs(tmp_path, capsys):
-    argv = _pipeline_over_old_outputs(tmp_path)
-    _break_chatprep(tmp_path)
-    missing = tmp_path / "missing.tsv"
-    cfg_path = tmp_path / "pipeline.json"
-    cfg = json.loads(cfg_path.read_text())
-    cfg["denoise"]["input"] = str(missing)
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    before = _dir_state(tmp_path)
-    assert run(argv) == 1
-    assert capsys.readouterr().err.startswith(f"error: input path does not exist: {missing}\n")
     assert _dir_state(tmp_path) == before
 
 
@@ -1192,70 +1129,6 @@ def test_pipeline_takes_every_spelling_of_chatprep_options(tmp_path, key, value,
     assert json.loads(report.read_text())["stages"][1]["config"][key] == resolved
 
 
-@pytest.mark.parametrize("argv", [
-    ["filter", "--in", "{dir}", "--out", "{tmp}/o.tsv"],
-    ["chatprep", "--in", "{dir}", "--out", "{tmp}/o.tsv"],
-    ["denoise", "--in", "{dir}", "--out", "{tmp}/o.tsv"],
-    ["bsce-select", "--scores", "{dir}", "--ensemble-size", "1", "--out", "{tmp}/o.json"],
-    ["pipeline", "{dir}"],
-], ids=lambda argv: argv[0])
-def test_input_that_is_a_directory_exits_1(tmp_path, capsys, argv):
-    directory = tmp_path / "in.d"
-    directory.mkdir()
-    assert run([arg.format(dir=directory, tmp=tmp_path) for arg in argv]) == 1
-    assert capsys.readouterr().err.startswith(f"error: input path is a directory: {directory}\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["in.d"]
-
-
-@pytest.mark.parametrize("stage", ["filter", "chatprep", "denoise"])
-def test_pipeline_stage_input_that_is_a_directory_exits_1_before_any_stage_runs(
-        tmp_path, capsys, monkeypatch, stage):
-    argv = _pipeline_over_old_outputs(tmp_path)
-    directory = tmp_path / "in.d"
-    directory.mkdir()
-    cfg_path = tmp_path / "pipeline.json"
-    cfg = json.loads(cfg_path.read_text())
-    cfg[stage]["input"] = str(directory)
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    ran = []
-    for runner in ("_run_filter", "_run_chatprep", "_run_denoise"):
-        monkeypatch.setattr(cli, runner, lambda *args, runner=runner: ran.append(runner))
-    names, before = sorted(p.name for p in tmp_path.iterdir()), _files(tmp_path)
-    assert run(argv) == 1
-    assert capsys.readouterr().err.startswith(f"error: input path is a directory: {directory}\n")
-    assert ran == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == names and _files(tmp_path) == before
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("fifo, argv", [
-    ("out.tsv", ["filter", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"]),
-    ("out.tsv", ["chatprep", "--in", "{tmp}/chat.jsonl", "--out", "{tmp}/out.tsv"]),
-    ("out.tsv", ["denoise", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/out.tsv"]),
-    ("out.json", ["bsce-select", "--scores", "{tmp}/scores.json", "--ensemble-size", "1",
-                  "--out", "{tmp}/out.json"]),
-    ("report.json", ["filter", "--in", "{tmp}/bitext.tsv", "--out", "{tmp}/o.tsv",
-                     "--report", "{tmp}/report.json"]),
-    ("filtered.tsv", ["pipeline", "{tmp}/pipeline.json"]),
-    ("prepped.tsv", ["pipeline", "{tmp}/pipeline.json"]),
-    ("noised.tsv", ["pipeline", "{tmp}/pipeline.json"]),
-    ("report.json", ["pipeline", "{tmp}/pipeline.json", "--report", "{tmp}/report.json"]),
-], ids=lambda v: v if isinstance(v, str) else v[0])
-def test_output_that_is_a_fifo_exits_1_and_stays_a_fifo(tmp_path, capsys, fifo, argv):
-    make_pipeline_config(tmp_path)
-    (tmp_path / "scores.json").write_text(json.dumps({
-        "models": ["a", "b"], "comet": [0.1, 0.2], "pairwise": [[0, 0.5], [0.5, 0]],
-    }), encoding="utf-8")
-    fifo = tmp_path / fifo
-    os.mkfifo(fifo)
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: output exists and is not a regular file: {fifo}\n")
-    assert fifo.is_fifo()
-    assert sorted(p.name for p in tmp_path.iterdir()) == names
-
-
 # An output that is a symlink is written through: the file it resolves to
 # gets the bytes, and the link stays.
 
@@ -1284,23 +1157,6 @@ def test_output_through_a_dangling_symlink_creates_its_target(tmp_path):
     assert run(["filter", "--in", str(src), "--out", str(link)]) == 0
     assert link.is_symlink() and (tmp_path / "d" / "new.tsv").is_file()
     assert [p.name for p in (tmp_path / "d").iterdir()] == ["new.tsv"]
-
-
-# A data error would show that the bad input was read.
-@pytest.mark.parametrize("target, message", [
-    ("missing/new.tsv", "output must be a file in an existing directory"),
-    ("link.tsv", "output exists and is not a regular file"),
-], ids=["into-a-missing-directory", "loop"])
-def test_output_through_a_symlink_it_cannot_write_exits_1_before_reading(
-        tmp_path, capsys, target, message):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("not a record\n", encoding="utf-8")
-    link = tmp_path / "link.tsv"
-    link.symlink_to(target)
-    assert run(["filter", "--in", str(bad), "--out", str(link)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message}: {link}\n")
-    assert link.is_symlink() and os.readlink(link) == target
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "link.tsv"]
 
 
 @pytest.mark.parametrize("output", ["filtered.tsv", "prepped.tsv", "noised.tsv"])
