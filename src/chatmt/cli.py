@@ -123,38 +123,35 @@ def _infer_format(path: str, explicit: str | None) -> str:
     return "jsonl" if str(path).endswith((".jsonl", ".json")) else "tsv"
 
 
-def _require_input(path: str) -> None:
-    if not os.path.exists(path):
-        raise UsageError(f"input path does not exist: {path}")
-    if os.path.isdir(path):
-        raise UsageError(f"input path is a directory: {path}")
-
-
-def _require_output(path: str) -> None:
-    """Refuse an output whose resolved path the commit's rename could not
-    put in place, or would replace with a regular file (a FIFO, a device)."""
-    real = os.path.realpath(path)
-    if not os.path.basename(path) or os.path.isdir(real) \
-            or not os.path.isdir(os.path.dirname(real)):
-        raise UsageError(f"output must be a file in an existing directory: {path}")
-    if os.path.lexists(real) and not os.path.isfile(real):
-        raise UsageError(f"output exists and is not a regular file: {path}")
-
-
-def _require_distinct_outputs(outputs: Iterable[tuple[str, str | None]],
-                              used: Iterable[tuple[str, str | None]]) -> None:
-    """Refuse an output that resolves (os.path.realpath) to a path in `used`
-    or to an output listed before it: committing it would replace a file
-    the command reads, or two writes would stage one file and keep only
-    the last. Both hold (name, path) pairs, and a None path is left out."""
-    seen = [(name, path, os.path.realpath(path)) for name, path in used if path]
-    for name, path in outputs:
-        if path:
-            real = os.path.realpath(path)
-            for other_name, other, other_real in seen:
-                if real == other_real:
-                    raise UsageError(f"{name} {path} is the same file as {other} ({other_name})")
-            seen.append((name, path, real))
+def _check_paths(reads, writes, may_share=()) -> None:
+    """Refuse a command's paths, given as (name, path) pairs, before anything
+    is read: an output whose resolved path (os.path.realpath) the commit's
+    rename could not put in place, or would replace with a regular file (a
+    FIFO, a device); an output that resolves to an input or to an earlier
+    output, unless (its name, the other's) is in may_share, since committing
+    it would replace a file the command reads, or two writes would stage one
+    file and keep only the last; and an input that is missing or a directory.
+    A None path, an option the command was not given, is left out."""
+    reads = [(name, path) for name, path in reads if path is not None]
+    seen = [(name, path, os.path.realpath(path)) for name, path in reads]
+    for name, path in writes:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if not os.path.basename(path) or os.path.isdir(real) \
+                or not os.path.isdir(os.path.dirname(real)):
+            raise UsageError(f"output must be a file in an existing directory: {path}")
+        if os.path.lexists(real) and not os.path.isfile(real):
+            raise UsageError(f"output exists and is not a regular file: {path}")
+        for other_name, other, other_real in seen:
+            if real == other_real and (name, other_name) not in may_share:
+                raise UsageError(f"{name} {path} is the same file as {other} ({other_name})")
+        seen.append((name, path, real))
+    for _, path in reads:
+        if not os.path.exists(path):
+            raise UsageError(f"input path does not exist: {path}")
+        if os.path.isdir(path):
+            raise UsageError(f"input path is a directory: {path}")
 
 
 def _stage_config(config_cls, values: dict):
@@ -259,7 +256,7 @@ def _run_bsce(args, staged: dict) -> dict:
     except OverflowError as exc:
         raise CorpusError(f"bad scores file: {exc}") from None
     out = selection.as_dict()
-    if args.outfile:
+    if args.outfile is not None:
         _atomic_write_json(args.outfile, out, staged)
     else:
         print(json.dumps(out, ensure_ascii=False, indent=2))
@@ -288,7 +285,7 @@ def _config_section(obj, where: str, allowed, required=()) -> dict:
 
 
 def _stage_section(cfg: dict, stage: str) -> dict:
-    """One stage's pipeline section, with its keys, paths and format checked."""
+    """One stage's pipeline section, with its keys, path types and format checked."""
     section = _config_section(
         cfg.get(stage, {}), stage,
         {"input", "output", "format", *(f.name for f in fields(_STAGES[stage][0]))},
@@ -302,7 +299,6 @@ def _stage_section(cfg: dict, stage: str) -> dict:
         raise UsageError(
             f"pipeline config: {stage}.format must be one of {', '.join(BITEXT_FORMATS)}"
         )
-    _require_output(section["output"])
     return section
 
 
@@ -327,16 +323,15 @@ def _run_pipeline(args, staged: dict) -> dict:
     den_options = {"seed": cfg["seed"], **den} if "seed" in cfg else den
     denoise_cfg = _stage_config(DenoiseConfig, den_options)
     den_input = den.get("input", chat["output"])
-    inputs = [("filter.input", filt["input"]), ("chatprep.input", chat["input"])]
+    reads = [("config", args.config), ("filter.input", filt["input"]),
+             ("chatprep.input", chat["input"])]
     # denoise reading chatprep's output is the pipeline's designed flow.
     reads_chatprep = os.path.realpath(den_input) == os.path.realpath(chat["output"])
     if not reads_chatprep:
-        inputs.append(("denoise.input", den_input))
-    _require_distinct_outputs([(f"{stage}.output", section["output"]) for stage, section
-                               in zip(_STAGES, (filt, chat, den))]
-                              + [("--report", args.report)], [("config", args.config), *inputs])
-    for _, path in inputs:
-        _require_input(path)
+        reads.append(("denoise.input", den_input))
+    _check_paths(reads, [*((f"{stage}.output", section["output"])
+                           for stage, section in zip(_STAGES, (filt, chat, den))),
+                         ("--report", args.report)])
 
     chat_format = _infer_format(chat["output"], chat.get("format"))
     reports = [
@@ -358,6 +353,8 @@ def _run_pipeline(args, staged: dict) -> dict:
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="chatmt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"chatmt {__version__}")
+    # A path a command does not take is None.
+    parser.set_defaults(infile=None, scores=None, config=None, outfile=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -408,23 +405,16 @@ def _main(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        # The paths each command names on its command line, each checked
-        # once before anything is read; pipeline checks its stages' paths
-        # once it has read its config.
-        named = [(flag, getattr(args, dest, None)) for flag, dest in
-                 (("--in", "infile"), ("--out", "outfile"), ("--scores", "scores"),
-                  ("config", "config"))]
-        if args.report:
-            _require_output(args.report)
-            _require_distinct_outputs([("--report", args.report)], named)
-        if getattr(args, "outfile", None):
-            _require_output(args.outfile)
-        for flag, path in named:
-            if path and flag != "--out":
-                _require_input(path)
+        # The paths the command line names, checked before anything is read;
+        # pipeline checks its stages' paths once it has read its config. A
+        # stage may write over its own input, and bsce-select over its scores:
+        # each reads the whole file before its output is renamed into place.
+        _check_paths([("--in", args.infile), ("--scores", args.scores), ("config", args.config)],
+                     [("--out", args.outfile), ("--report", args.report)],
+                     {("--out", "--in"), ("--out", "--scores")})
         with _staged_outputs() as staged:
             report = args.func(args, staged)
-            if args.report:
+            if args.report is not None:
                 _atomic_write_json(args.report, report, staged)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -442,7 +432,7 @@ def _main(argv) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if not args.report:
+    if args.report is None:
         print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
     return EXIT_OK
 

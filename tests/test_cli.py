@@ -129,6 +129,8 @@ _LONG_INT = "1" * 5000  # past int()'s default limit of 4300 digits
 _BIG = 1.7976931348623157e308
 TWO_SCORES = json.dumps({"models": ["a", "b"], "comet": [0.1, 0.2],
                          "pairwise": [[0, 0.5], [0.5, 0]]}).encode()
+_NO_INPUT = "input path does not exist"
+_NO_OUTPUT = "output must be a file in an existing directory"
 # The pipeline's outputs and report, there before it runs.
 OLD_OUTPUTS = sentinels(["filtered.tsv", "prepped.tsv", "noised.tsv", "report.json"])
 
@@ -425,6 +427,23 @@ CASES = {
     "pipeline-denoise-input-checked-before-any-stage-runs": _pipeline(
         _edit(denoise={"input": "missing.tsv"}), "error: input path does not exist: missing.tsv",
         "--report", "report.json", files={**OLD_OUTPUTS, "chat.jsonl": _lines(CHAT_LINES[0], "not json")}),
+    # An empty path is refused like any other, before anything is read.
+    **{f"empty-{name}": _refused(argv, {**PIPELINE_FILES, "scores.json": TWO_SCORES},
+                                 f"error: {message}: ")
+       for name, argv, message in [
+           ("filter-in", ["filter", "--in", "", "--out", "out.tsv"], _NO_INPUT),
+           ("filter-out", ["filter", "--in", "bitext.tsv", "--out", ""], _NO_OUTPUT),
+           ("chatprep-in", ["chatprep", "--in", "", "--out", "out.tsv"], _NO_INPUT),
+           ("chatprep-out", ["chatprep", "--in", "chat.jsonl", "--out", ""], _NO_OUTPUT),
+           ("denoise-in", ["denoise", "--in", "", "--out", "out.tsv"], _NO_INPUT),
+           ("denoise-out", ["denoise", "--in", "bitext.tsv", "--out", ""], _NO_OUTPUT),
+           ("bsce-select-scores", ["bsce-select", "--scores", "", "--ensemble-size", "1"],
+            _NO_INPUT),
+           ("bsce-select-out", ["bsce-select", "--scores", "scores.json", "--ensemble-size", "1",
+                                "--out", ""], _NO_OUTPUT),
+           ("report", ["filter", "--in", "bitext.tsv", "--out", "out.tsv", "--report", ""],
+            _NO_OUTPUT),
+           ("pipeline", ["pipeline", ""], _NO_INPUT)]},
     **{f"pipeline-{stage}-input-is-a-directory": _pipeline(
         _edit(**{stage: {"input": "in.d"}}), "error: input path is a directory: in.d",
         "--report", "report.json",
