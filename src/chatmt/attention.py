@@ -32,17 +32,12 @@ _BLOCK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class FfnParams:
-    """Position-wise two-layer feed-forward: relu(x W1 + b1) W2 + b2.
-
-    use_activation=False bypasses the rectifier so an exact identity
-    configuration is constructible for testing.
-    """
+    """Position-wise two-layer feed-forward: relu(x W1 + b1) W2 + b2."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    use_activation: bool = True
 
     def __post_init__(self):
         if self.w1.shape[1] != self.w2.shape[0]:
@@ -54,13 +49,10 @@ class FfnParams:
 
     @classmethod
     def identity(cls, d: int) -> "FfnParams":
-        return cls(
-            w1=np.eye(d),
-            b1=np.zeros(d),
-            w2=np.eye(d),
-            b2=np.zeros(d),
-            use_activation=False,
-        )
+        """The exact identity relu(x) - relu(-x): W1 = [I, -I], W2 = [I; -I]."""
+        eye = np.eye(d)
+        return cls(w1=np.hstack([eye, -eye]), b1=np.zeros(2 * d),
+                   w2=np.vstack([eye, -eye]), b2=np.zeros(d))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._output(self._hidden(x))
@@ -74,9 +66,7 @@ class FfnParams:
                 f"input width {x.shape[-1]} != W1 rows {self.w1.shape[0]}"
             )
         h = _add_bias(x @ self.w1, self.b1)
-        if self.use_activation:
-            h = np.maximum(h, 0.0, out=h if h.dtype == np.result_type(h, 0.0) else None)
-        return h
+        return np.maximum(h, 0.0, out=h if h.dtype == np.result_type(h, 0.0) else None)
 
     def _output(self, h: np.ndarray) -> np.ndarray:
         """h W2 + b2."""

@@ -490,10 +490,7 @@ def softmax_rows(x):
 
 
 def ffn(x, params):
-    h = x @ params.w1 + params.b1
-    if params.use_activation:
-        h = np.maximum(h, 0.0)
-    return h @ params.w2 + params.b2
+    return np.maximum(x @ params.w1 + params.b1, 0.0) @ params.w2 + params.b2
 
 
 def aan_context(y, params):

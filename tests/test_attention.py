@@ -228,14 +228,13 @@ class TestInPlaceKernels:
         (np.int64, np.int64), (np.float32, np.float32), (np.float64, np.float64),
         (np.int64, np.float64),
     ], ids=["int64", "float32", "float64", "int64-float64-biases"])
-    @pytest.mark.parametrize("use_activation", [True, False])
-    def test_ffn_apply_equals_its_formula(self, dtype, bias_dtype, use_activation):
+    def test_ffn_apply_equals_its_formula(self, dtype, bias_dtype):
         rng = np.random.default_rng(12)
         d, d_ff = 5, 7
         w1, b1, w2, b2, x = (rng.integers(-4, 5, size=shape).astype(dtype) for shape in
                              ((d, d_ff), d_ff, (d_ff, d), d, (6, d)))
         b1, b2 = b1.astype(bias_dtype), b2.astype(bias_dtype)
-        ffn = FfnParams(w1=w1, b1=b1, w2=w2, b2=b2, use_activation=use_activation)
+        ffn = FfnParams(w1=w1, b1=b1, w2=w2, b2=b2)
         for inp in (x, x.astype(np.int64), x.astype(np.float32), x.astype(np.float64)):
             out = _unchanged_after(lambda inp, *_: ffn.apply(inp), inp, w1, b1, w2, b2)
             want = oracle.ffn(inp, ffn)
