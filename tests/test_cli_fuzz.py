@@ -227,13 +227,17 @@ def _stage_format(section: dict) -> str:
     return section.get("format") or section["output"].rsplit(".", 1)[1]
 
 
-pipeline_configs = st.one_of(
-    st.sampled_from(PIPELINE_VARIANTS),
+# Near-valid or random configs, which are not held to the oracle.
+other_configs = st.one_of(
     near_valid(PIPELINE),
     st.sampled_from(["filter", "chatprep", "denoise"]).flatmap(
         lambda stage: near_valid(PIPELINE[stage]).map(lambda sec: {**PIPELINE, stage: sec})),
     json_values,
 )
+# About half the configs drawn are variants, held to the oracle: as one
+# more branch of st.one_of, they were 56-99 of 300 seeded draws.
+pipeline_configs = st.booleans().flatmap(
+    lambda held: st.sampled_from(PIPELINE_VARIANTS) if held else other_configs)
 
 
 # Every pipeline path a run writes, with the name it gets when nothing
