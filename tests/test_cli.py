@@ -277,8 +277,9 @@ CASES = {
     "chatprep-overlong-integer": _stage("chatprep", _lines(
         CHAT_LINES[0], json.dumps(CHAT_LINES[1])[:-1] + ', "n": %s}' % _LONG_INT), 2),
     # Usage and config errors.
-    "unknown-flag": _refused(["filter", "--no-such-flag"], {},
-                             "error: chatmt filter: the following arguments are required: --in, --out"),
+    "unknown-flag": _refused(
+        ["filter", "--no-such-flag"], {},
+        "error: chatmt filter: the following arguments are required: --in, --out"),
     "missing-subcommand": _refused(
         [], {}, "error: chatmt: the following arguments are required: command"),
     "filter-missing-input": _refused(["filter", "--in", "nope.tsv", "--out", "o.tsv"], {},
@@ -297,7 +298,8 @@ CASES = {
            ("chatprep", "--n-prev", "4", "n_prev must be in 0..3"),
            ("chatprep", "--n-prev", "-1", "n_prev must be in 0..3")]},
     **{f"bsce-ensemble-size-{size}": _refused(
-        ["bsce-select", "--scores", "scores.json", "--ensemble-size", str(size), "--out", "sel.json"],
+        ["bsce-select", "--scores", "scores.json", "--ensemble-size", str(size),
+         "--out", "sel.json"],
         {"scores.json": TWO_SCORES}, f"config error: ensemble size {size} out of range 1..2")
        for size in (0, 3)},
     **{f"filter-max-ratio-{ratio}": _refused(
@@ -426,7 +428,8 @@ CASES = {
     # report exist already.
     "pipeline-denoise-input-checked-before-any-stage-runs": _pipeline(
         _edit(denoise={"input": "missing.tsv"}), "error: input path does not exist: missing.tsv",
-        "--report", "report.json", files={**OLD_OUTPUTS, "chat.jsonl": _lines(CHAT_LINES[0], "not json")}),
+        "--report", "report.json",
+        files={**OLD_OUTPUTS, "chat.jsonl": _lines(CHAT_LINES[0], "not json")}),
     # An empty path is refused like any other, before anything is read.
     **{f"empty-{name}": _refused(argv, {**PIPELINE_FILES, "scores.json": TWO_SCORES},
                                  f"error: {message}: ")
