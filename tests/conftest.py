@@ -106,11 +106,11 @@ def sentinels(names) -> dict[str, bytes]:
 def run_in(files: dict[str, bytes | str | tuple], argv: list[str], outputs: set[str],
            expected=None) -> tuple[int, str]:
     """Run `argv` in a fresh working directory holding `files` (bytes, a
-    str: a symlink to that path, DIRECTORY or FIFO), then check the exit code, stderr and
-    which files were created, changed or removed: only `outputs`, and only
-    by a run that succeeds. `expected(files)`, if given, is the oracle's
-    run: the output bytes by file name, or the CorpusError the run must
-    exit 2 with. Returns the exit code and stderr."""
+    str: a symlink to that path, DIRECTORY or FIFO), then check the exit
+    code, stderr and which files were created, changed or removed: only
+    `outputs`, and only by a run that succeeds. `expected(files)`, if
+    given, is the oracle's run: the output bytes by file name, or the
+    CorpusError the run must exit 2 with. Returns the exit code and stderr."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as d:
         for name, data in files.items():
