@@ -30,10 +30,8 @@ RESERVED_TAGS = (BT_TAG, AGENT_TAG, CUSTOMER_TAG, CONTEXT_TAG, SEP_TAG)
 LEADING_TAGS = (AGENT_TAG, CUSTOMER_TAG, BT_TAG)
 _RESERVED_TAG = re.compile("|".join(map(re.escape, RESERVED_TAGS)))
 _SEP = f" {SEP_TAG} "
-# What split_tags looks for: the context indicator after the payload, and
-# each leading tag with the space that ends it.
+# Where split_tags ends a line's payload: the context indicator after it.
 _CONTEXT_START = f" {CONTEXT_TAG}"
-_LEADING_WITH_SPACE = tuple((tag, tag + " ") for tag in LEADING_TAGS)
 
 # The agent side of the WMT'22 chat task speaks English; the customer
 # speaks the other language of the pair.
@@ -115,35 +113,16 @@ def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig,
 
 
 def split_tags(text: str) -> tuple[str, str, str]:
-    """Split a chat line into (leading tag or "", payload, suffix). The
-    suffix runs from the first " <context begins>" to the end, or is ""."""
+    """Split a chat line into (leading tag or "", payload, suffix); this is
+    the one reader of the chat line. The suffix runs from the first
+    " <context begins>" to the end, or is "". What comes before it opens
+    with a leading tag if its text up to the first space is one of
+    LEADING_TAGS; the payload is what follows that space."""
     head, sep, tail = text.partition(_CONTEXT_START)
-    for tag, opener in _LEADING_WITH_SPACE:
-        if head.startswith(opener):
-            return tag, head[len(opener) :], sep + tail
-        if head == tag:
-            return tag, "", sep + tail
+    tag, _, payload = head.partition(" ")
+    if tag in LEADING_TAGS:
+        return tag, payload, sep + tail
     return "", head, sep + tail
-
-
-# The heads (the text before " <context begins>") that split_tags leaves
-# with an empty payload: none, or a leading tag alone.
-_EMPTY_HEADS = frozenset(("", *(text for pair in _LEADING_WITH_SPACE for text in pair)))
-_LONGEST_EMPTY_HEAD = max(map(len, _EMPTY_HEADS))
-
-
-def chat_line_fault(text: str) -> str | None:
-    """Why split_tags's split of a chat line holds no single payload, or
-    None, without building the split: first a second context indicator
-    after the first, then an empty payload."""
-    head_end = text.find(_CONTEXT_START)
-    if head_end < 0:
-        head_end = len(text)
-    elif text.find(CONTEXT_TAG, head_end + len(_CONTEXT_START)) >= 0:
-        return "multiple context indicators"
-    if head_end <= _LONGEST_EMPTY_HEAD and text[:head_end] in _EMPTY_HEADS:
-        return "empty payload"
-    return None
 
 
 def strip_tags(text: str) -> str:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .corpus import BitextPair, CorpusError, check_field_types
-from .chatprep import chat_line_fault, split_tags
+from .chatprep import CONTEXT_TAG, split_tags
 
 if TYPE_CHECKING:
     import numpy as np
@@ -283,12 +283,15 @@ class TargetSpans(NamedTuple):
     tail: str
 
 
-def _check_chat_line(target: str) -> None:
-    """Refuse a target without a span that chatprep.split_tags cannot
-    split into a single non-empty payload."""
-    fault = chat_line_fault(target)
-    if fault is not None:
-        raise DenoiseFormatError(f"{fault} in target {target!r}")
+def _split_chat_line(target: str) -> tuple[str, str, str]:
+    """chatprep.split_tags's split of a target without a span, refused
+    unless it holds a single non-empty payload."""
+    tag, payload, tail = split_tags(target)
+    if tail.count(CONTEXT_TAG) > 1:
+        raise DenoiseFormatError(f"multiple context indicators in target {target!r}")
+    if not payload:
+        raise DenoiseFormatError(f"empty payload in target {target!r}")
+    return tag, payload, tail
 
 
 def _check_span(target: str, span: tuple[int, int]) -> None:
@@ -317,8 +320,7 @@ def split_target(
         return TargetSpans(" ".join(tokens[:start]) + " " if start else "",
                            tuple(tokens[start:end]),
                            " " + " ".join(tokens[end:]) if end < len(tokens) else "")
-    _check_chat_line(target)
-    tag, payload, tail = split_tags(target)
+    tag, payload, tail = _split_chat_line(target)
     return TargetSpans(f"{tag} " if tag else "", tuple(payload.split(" ")), tail)
 
 
@@ -379,7 +381,7 @@ def denoise_corpus(
             span = pair.payload_span if payload_spans is None else payload_spans[i]
             if i not in chosen:
                 if span is None:
-                    _check_chat_line(pair.target)
+                    _split_chat_line(pair.target)
                 else:
                     _check_span(pair.target, span)
                 continue

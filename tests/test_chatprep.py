@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 import oracle
 from chatmt.corpus import BitextPair, ChatRecord, Dialogue
@@ -12,7 +12,6 @@ from chatmt.chatprep import (
     SEP_TAG,
     TagError,
     build_context,
-    chat_line_fault,
     prepare_chat_corpus,
     strip_tags,
 )
@@ -134,31 +133,6 @@ class TestStripTags:
     )
     def test_examples(self, text, expected):
         assert strip_tags(text) == expected
-
-
-# Leading tags with and without their space, spaces, words, context
-# indicators with and without the space before them, and separators.
-_chat_lines = st.lists(
-    st.sampled_from(["<agent>", "<customer>", "<BT>", "<agent> ", "<customer> ", "<BT> ",
-                     " ", "a", "b c", " <context begins>", "<context begins>", " <SEP> y"]),
-    max_size=8,
-).map("".join)
-
-
-@given(_chat_lines)
-@example("")
-@example("<customer> ")
-@example("<BT> <context begins> x <context begins> y")
-@example("a <context begins><context begins>")
-def test_chat_line_fault_reads_split_tags(text):
-    _, payload, tail = oracle.split_chat_line(text)
-    if tail.count(CONTEXT_TAG) > 1:
-        expected = "multiple context indicators"
-    elif not payload:
-        expected = "empty payload"
-    else:
-        expected = None
-    assert chat_line_fault(text) == expected
 
 
 def test_prepare_rejects_reserved_tags():

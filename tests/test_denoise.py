@@ -13,11 +13,11 @@ from chatmt import denoise
 from chatmt.denoise import (
     DenoiseConfig,
     DenoiseFormatError,
-    _check_chat_line,
     _picks,
     _record_draws,
     _record_rng,
     _record_states,
+    _split_chat_line,
     choose_pairs,
     chosen_count,
     denoise_corpus,
@@ -290,6 +290,11 @@ chat_lines = st.lists(
 
 
 @given(chat_lines)
+@example("<agent>\tx")
+@example("<agent>x <context begins> y")
+@example(" <agent> x")
+@example("<agent>  x")
+@example("<context begins> x")
 def test_chat_line_parsing_matches_reference(text):
     assert strip_tags(text) == oracle.split_chat_line(text)[1]
     assert outcome(split_target, text) == outcome(oracle.split_target, text)
@@ -313,8 +318,8 @@ _structured_lines = st.tuples(
 @example("<BT> <context begins> x <context begins> y")
 @example("a <context begins><context begins>")
 def test_chat_line_check_refuses_what_the_split_refuses(target):
-    checked, split = outcome(_check_chat_line, target), outcome(oracle.split_target, target)
-    assert checked == (("ok", None) if split[0] == "ok" else split)
+    checked, split = outcome(_split_chat_line, target), outcome(oracle.split_target, target)
+    assert checked == (("ok", oracle.split_chat_line(target)) if split[0] == "ok" else split)
 
 
 _targets = st.lists(
