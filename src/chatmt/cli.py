@@ -385,6 +385,8 @@ def _build_parser() -> _ArgumentParser:
 
     p = command("pipeline", _run_pipeline, "run filter, chatprep, denoise in order")
     p.add_argument("config", help="pipeline config (JSON)")
+    # Each subcommand's parser by name, whose usage a usage error prints.
+    parser.commands = sub.choices
     return parser
 
 
@@ -403,8 +405,11 @@ def main(argv=None) -> int:
 
 def _main(argv) -> int:
     parser = _build_parser()
+    # argparse names the subcommand in args before it parses the
+    # subcommand's own arguments, so a usage error can print its usage.
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
+        parser.parse_args(argv, args)
         # The paths the command line names, checked before anything is read;
         # pipeline checks its stages' paths once it has read its config. A
         # stage may write over its own input, and bsce-select over its scores:
@@ -418,7 +423,7 @@ def _main(argv) -> int:
                 _atomic_write_json(args.report, report, staged)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        parser.commands.get(getattr(args, "command", None), parser).print_usage(sys.stderr)
         return EXIT_USAGE
     except CorpusError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -465,9 +465,15 @@ def _sweep(cases):
                                line, id="-".join([name, *(f"{f[2:]}={v}" for f, v in pairs)]))
 
 
-# The exit code and the stderr after the error line, by the line's prefix.
-_ERRORS = {"data error": (2, ""), "config error": (1, ""),
-           "error": (1, _build_parser().format_usage())}
+# The exit code, by the error line's prefix.
+_EXIT_CODES = {"data error": 2, "config error": 1, "error": 1}
+_PARSER = _build_parser()
+
+
+def _usage(argv):
+    """The usage printed after an `error:` line: the row's subcommand's,
+    or the top-level one for a command line without a subcommand."""
+    return _PARSER.commands.get(argv[0] if argv else None, _PARSER).format_usage()
 
 
 @pytest.mark.parametrize("argv, files, expect, line", _sweep(CASES))
@@ -480,7 +486,9 @@ def test_cli_case(argv, files, expect, line):
     else:
         code, err = run_in(files, argv, set())
         first, _, rest = err.partition("\n")
-        assert err.startswith(expect) and (code, rest) == _ERRORS[first.split(":")[0]], err
+        prefix = first.split(":")[0]
+        assert err.startswith(expect) and (code, rest) == \
+            (_EXIT_CODES[prefix], _usage(argv) if prefix == "error" else ""), err
     if line is not None:
         assert err.startswith(f"data error: line {line}: "), err
 
