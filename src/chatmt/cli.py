@@ -140,18 +140,18 @@ def _check_paths(reads, writes, may_share=()) -> None:
         real = os.path.realpath(path)
         if not os.path.basename(path) or os.path.isdir(real) \
                 or not os.path.isdir(os.path.dirname(real)):
-            raise UsageError(f"output must be a file in an existing directory: {path}")
+            raise UsageError(f"output must be a file in an existing directory: {path!r}")
         if os.path.lexists(real) and not os.path.isfile(real):
-            raise UsageError(f"output exists and is not a regular file: {path}")
+            raise UsageError(f"output exists and is not a regular file: {path!r}")
         for other_name, other, other_real in seen:
             if real == other_real and (name, other_name) not in may_share:
-                raise UsageError(f"{name} {path} is the same file as {other} ({other_name})")
+                raise UsageError(f"{name} {path!r} is the same file as {other!r} ({other_name})")
         seen.append((name, path, real))
     for _, path in reads:
         if not os.path.exists(path):
-            raise UsageError(f"input path does not exist: {path}")
+            raise UsageError(f"input path does not exist: {path!r}")
         if os.path.isdir(path):
-            raise UsageError(f"input path is a directory: {path}")
+            raise UsageError(f"input path is a directory: {path!r}")
 
 
 def _stage_config(config_cls, values: dict):

@@ -283,7 +283,7 @@ CASES = {
     "missing-subcommand": _refused(
         [], {}, "error: chatmt: the following arguments are required: command"),
     "filter-missing-input": _refused(["filter", "--in", "nope.tsv", "--out", "o.tsv"], {},
-                                     "error: input path does not exist: nope.tsv"),
+                                     "error: input path does not exist: 'nope.tsv'"),
     # A value outside its config field's range is refused by the config
     # dataclass, with the field's name, and not by the flag.
     **{f"{command}-{flag[2:]}-{value}": _refused(
@@ -309,7 +309,7 @@ CASES = {
        for ratio in ("nan", "inf", "-inf")},
     "pipeline-missing-inputs": _pipeline(
         _edit(filter={"input": "missing.tsv"}, chatprep={"input": "missing.jsonl"}),
-        "error: input path does not exist: missing.tsv"),
+        "error: input path does not exist: 'missing.tsv'"),
     **{f"pipeline-{name}": _pipeline(config, message) for name, config, message in [
         ("misspelled-key", _edit(filter={"max_wrods": 50}),
          "error: pipeline config: unknown key 'max_wrods' in filter"),
@@ -338,11 +338,11 @@ CASES = {
         ("denoise-format-xml", _edit(denoise={"format": "xml"}),
          "error: pipeline config: denoise.format must be one of tsv, jsonl"),
         ("denoise-output-in-a-missing-directory", _edit(denoise={"output": "missing/n.tsv"}),
-         "error: output must be a file in an existing directory: missing/n.tsv")]},
+         "error: output must be a file in an existing directory: 'missing/n.tsv'")]},
     # A data error would show that the bad input was read.
     **{f"{name}-output-in-a-missing-directory": _refused(
         argv, {"bad.jsonl": b"not a record\n"},
-        f"error: output must be a file in an existing directory: {argv[-1]}")
+        f"error: output must be a file in an existing directory: {argv[-1]!r}")
        for name, argv in [
            ("filter", ["filter", "--in", "bad.jsonl", "--out", "missing/x.tsv"]),
            ("chatprep", ["chatprep", "--in", "bad.jsonl", "--out", "missing/x.tsv"]),
@@ -353,14 +353,14 @@ CASES = {
                        "--report", "missing/r.json"])]},
     **{f"output-through-a-symlink-{name}": _refused(
         ["filter", "--in", "bad.jsonl", "--out", "link.tsv"],
-        {"bad.jsonl": b"not a record\n", "link.tsv": target}, f"error: {message}: link.tsv")
+        {"bad.jsonl": b"not a record\n", "link.tsv": target}, f"error: {message}: 'link.tsv'")
        for name, target, message in [
            ("into-a-missing-directory", "missing/new.tsv",
             "output must be a file in an existing directory"),
            ("loop", "link.tsv", "output exists and is not a regular file")]},
     **{f"{argv[0]}-output-{fifo}-is-a-fifo": _refused(
         argv, {**PIPELINE_FILES, "scores.json": TWO_SCORES, fifo: FIFO},
-        f"error: output exists and is not a regular file: {fifo}")
+        f"error: output exists and is not a regular file: {fifo!r}")
        for fifo, argv in [
            ("out.tsv", ["filter", "--in", "bitext.tsv", "--out", "out.tsv"]),
            ("out.tsv", ["chatprep", "--in", "chat.jsonl", "--out", "out.tsv"]),
@@ -377,7 +377,7 @@ CASES = {
     **{f"report-{argv[0]}-{clash}": _refused(
         [*argv, "--report", clash],
         {**PIPELINE_FILES, "out.tsv": b"keep me\n", "scores.json": TWO_SCORES},
-        f"error: --report {clash} is the same file as {clash} ({name})")
+        f"error: --report {clash!r} is the same file as {clash!r} ({name})")
        for argv, clash, name in [
            (["filter", "--in", "bitext.tsv", "--out", "out.tsv"], "out.tsv", "--out"),
            (["filter", "--in", "bitext.tsv", "--out", "out.tsv"], "bitext.tsv", "--in"),
@@ -398,26 +398,26 @@ CASES = {
     "report-through-a-symlink-to-the-input": _refused(
         ["filter", "--in", "in.tsv", "--out", "out.tsv", "--report", "link.json"],
         {"in.tsv": MICRO_TSV, "link.json": "in.tsv"},
-        "error: --report link.json is the same file as in.tsv (--in)"),
+        "error: --report 'link.json' is the same file as 'in.tsv' (--in)"),
     # A turn gap in chat.jsonl: without the check, chatprep would fail after
     # filter wrote.
     **{f"pipeline-{name}": _pipeline(
-        _edit(**{stage: {key: path}}), f"error: {clash} is the same file as {path} ({other})",
+        _edit(**{stage: {key: path}}), f"error: {clash} is the same file as {path!r} ({other})",
         files={"chat.jsonl": PIPELINE_FILES["chat.jsonl"]
                + _lines({**CHAT_LINES[2], "turn_index": 5})})
        for name, stage, key, path, clash, other in [
-           ("filter-in-place", "filter", "output", "bitext.tsv", "filter.output bitext.tsv",
+           ("filter-in-place", "filter", "output", "bitext.tsv", "filter.output 'bitext.tsv'",
             "filter.input"),
-           ("filter-over-chat", "filter", "output", "chat.jsonl", "filter.output chat.jsonl",
+           ("filter-over-chat", "filter", "output", "chat.jsonl", "filter.output 'chat.jsonl'",
             "chatprep.input"),
            ("chatprep-over-filter", "chatprep", "output", "filtered.tsv",
-            "chatprep.output filtered.tsv", "filter.output"),
+            "chatprep.output 'filtered.tsv'", "filter.output"),
            ("denoise-over-chatprep", "denoise", "output", "prepped.tsv",
-            "denoise.output prepped.tsv", "chatprep.output"),
+            "denoise.output 'prepped.tsv'", "chatprep.output"),
            ("filter-over-denoise-input", "denoise", "input", "filtered.tsv",
-            "filter.output filtered.tsv", "denoise.input")]},
+            "filter.output 'filtered.tsv'", "denoise.input")]},
     **{f"{argv[0]}-input-is-a-directory": _refused(
-        argv, {"in.d": DIRECTORY}, "error: input path is a directory: in.d") for argv in [
+        argv, {"in.d": DIRECTORY}, "error: input path is a directory: 'in.d'") for argv in [
         ["filter", "--in", "in.d", "--out", "o.tsv"],
         ["chatprep", "--in", "in.d", "--out", "o.tsv"],
         ["denoise", "--in", "in.d", "--out", "o.tsv"],
@@ -427,12 +427,12 @@ CASES = {
     # (line 11) or chatprep's (line 2) would exit 2, and every output and the
     # report exist already.
     "pipeline-denoise-input-checked-before-any-stage-runs": _pipeline(
-        _edit(denoise={"input": "missing.tsv"}), "error: input path does not exist: missing.tsv",
+        _edit(denoise={"input": "missing.tsv"}), "error: input path does not exist: 'missing.tsv'",
         "--report", "report.json",
         files={**OLD_OUTPUTS, "chat.jsonl": _lines(CHAT_LINES[0], "not json")}),
     # An empty path is refused like any other, before anything is read.
     **{f"empty-{name}": _refused(argv, {**PIPELINE_FILES, "scores.json": TWO_SCORES},
-                                 f"error: {message}: ")
+                                 f"error: {message}: ''")
        for name, argv, message in [
            ("filter-in", ["filter", "--in", "", "--out", "out.tsv"], _NO_INPUT),
            ("filter-out", ["filter", "--in", "bitext.tsv", "--out", ""], _NO_OUTPUT),
@@ -448,7 +448,7 @@ CASES = {
             _NO_OUTPUT),
            ("pipeline", ["pipeline", ""], _NO_INPUT)]},
     **{f"pipeline-{stage}-input-is-a-directory": _pipeline(
-        _edit(**{stage: {"input": "in.d"}}), "error: input path is a directory: in.d",
+        _edit(**{stage: {"input": "in.d"}}), "error: input path is a directory: 'in.d'",
         "--report", "report.json",
         files={**OLD_OUTPUTS, "in.d": DIRECTORY, "bitext.tsv": MICRO_TSV + b"no tab\n"})
        for stage in ("filter", "chatprep", "denoise")},

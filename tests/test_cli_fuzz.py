@@ -313,4 +313,4 @@ def test_fuzz_colliding_pipeline_paths(written, target, spelling, with_report):
         files[paths[written]] = target_path
     code, message = run_in(files, argv, set())
     assert code == 1 and "is the same file as" in message, message
-    assert f" {paths[written]} " in message and f" {target_path} " in message, message
+    assert f" {paths[written]!r} " in message and f" {target_path!r} " in message, message
