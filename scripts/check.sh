@@ -4,7 +4,10 @@
 # against perfbench/pins.json at full size for seed 0 (about 20 s); then
 # the benchmark's smoke run (every workload, tiny inputs, about 13 s) and
 # one short select-kernels run at full size (400 models, about 8 s), the
-# checks that compare chatmt's output bytes against perfbench/pins.json.
+# checks that compare chatmt's output bytes against perfbench/pins.json;
+# last, the numpy-free smoke stages under each python3.10 ... python3.13
+# that starts and under PYTHONHASHSEED=1, against the same pins (about 2 s,
+# scripts/interpreter_check.py).
 # Fails if any fails, if the smoke run reports a trace hook whose target is
 # missing, or if the select-kernels run's result line is not correct with
 # no failed stage.
@@ -40,3 +43,5 @@ sys.exit(not (result["correct"] is True and result["failed"] == 0))'; then
     echo "check: the 400-model select-kernels run failed its checks" >&2
     exit 1
 fi
+
+python3 scripts/interpreter_check.py

@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""The benchmark's numpy-free smoke stages under other interpreters.
+
+Writes each workload's smoke inputs for seed 0 with perfbench/gen.py, then
+runs the stages that import no numpy (filter on filter-tsv and on
+mixed-jsonl, chatprep on chat-tsv, bsce-select on select-kernels), as
+perfbench/workloads.py gives them, under each python3.10 ... python3.13 on
+PATH that starts, and once more under this interpreter with
+PYTHONHASHSEED=1. Each output's sha256 is compared with its smoke pin in
+perfbench/pins.json. Prints the interpreters that ran and those skipped;
+exits 1 if a stage fails or an output differs from its pin.
+
+    python3 scripts/interpreter_check.py
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VERSIONS = ("3.10", "3.11", "3.12", "3.13")
+NUMPY_FREE = ("filter", "chatprep", "bsce-select")
+SEED = 0
+
+# Import perfbench's modules without writing bytecode under perfbench/.
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True
+from checks import load_pins, pin_key  # noqa: E402
+from gen import write_inputs  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def interpreters() -> tuple[list[tuple[str, str, dict]], list[str]]:
+    """(the runs, as (label, executable, extra environment), and the
+    interpreters skipped, each with its reason)."""
+    runs, skipped = [], []
+    for version in VERSIONS:
+        name = f"python{version}"
+        exe = shutil.which(name)
+        if exe is None:
+            skipped.append(f"{name} (not on PATH)")
+            continue
+        probe = subprocess.run([exe, "-c", "import platform; print(platform.python_version())"],
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode != 0:
+            skipped.append(f"{name} (does not start)")
+        else:
+            runs.append((f"{name} ({probe.stdout.strip()})", exe, {}))
+    runs.append((f"{Path(sys.executable).name} ({sys.version.split()[0]}) PYTHONHASHSEED=1",
+                 sys.executable, {"PYTHONHASHSEED": "1"}))
+    return runs, skipped
+
+
+def check(label: str, exe: str, extra_env: dict, inputs: Path, work: Path,
+          pins: dict) -> list[str]:
+    """Run every numpy-free stage under exe on a copy of the inputs; return
+    the problems found."""
+    env = {**os.environ, **extra_env, "PYTHONPATH": str(ROOT / "src")}
+    problems = []
+    for wl in WORKLOADS.values():
+        cwd = work / wl.name
+        shutil.copytree(inputs / wl.name, cwd)
+        pin = pins[pin_key(wl.name, True, SEED)]
+        for stage in wl.stages:
+            if stage.name not in NUMPY_FREE:
+                continue
+            # -B: no bytecode of another interpreter lands in src/.
+            result = subprocess.run([exe, "-B", "-m", "chatmt", *stage.argv(SEED)], cwd=cwd,
+                                    env=env, capture_output=True, text=True, timeout=300)
+            if result.returncode != 0:
+                problems.append(f"{label}: {wl.name} {stage.name} exited "
+                                f"{result.returncode}: {result.stderr.strip()[-400:]}")
+                continue
+            for name in stage.outputs:
+                digest = hashlib.sha256((cwd / name).read_bytes()).hexdigest()
+                if digest != pin[name]:
+                    problems.append(f"{label}: {wl.name} {stage.name} {name} differs "
+                                    f"from its pin")
+    return problems
+
+
+def main() -> int:
+    pins = load_pins()
+    runs, skipped = interpreters()
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp) / "inputs"
+        for wl in WORKLOADS.values():
+            write_inputs(wl.smoke_inputs, SEED, inputs / wl.name)
+        for i, (label, exe, extra_env) in enumerate(runs):
+            problems += check(label, exe, extra_env, inputs, Path(tmp) / str(i), pins)
+    print("interpreters: ran " + ", ".join(label for label, _, _ in runs)
+          + "; skipped " + (", ".join(skipped) or "none"))
+    for problem in problems:
+        print(f"interpreter check FAILED: {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
