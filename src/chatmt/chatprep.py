@@ -113,11 +113,10 @@ def build_context(d: Dialogue, turn_index: int, cfg: ContextConfig,
 
 
 def split_tags(text: str) -> tuple[str, str, str]:
-    """Split a chat line into (leading tag or "", payload, suffix); this is
-    the one reader of the chat line. The suffix runs from the first
-    " <context begins>" to the end, or is "". What comes before it opens
-    with a leading tag if its text up to the first space is one of
-    LEADING_TAGS; the payload is what follows that space."""
+    """Split a chat line into (leading tag or "", payload, suffix), the one
+    reader of the chat line. The suffix runs from the first " <context
+    begins>" on, or is ""; before it, a leading tag is one of LEADING_TAGS
+    up to the first space, and the payload is the rest."""
     head, sep, tail = text.partition(_CONTEXT_START)
     tag, _, payload = head.partition(" ")
     if tag in LEADING_TAGS:

@@ -423,7 +423,7 @@ def _main(argv) -> int:
                 _atomic_write_json(args.report, report, staged)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.commands.get(getattr(args, "command", None), parser).print_usage(sys.stderr)
+        parser.commands.get(args.command, parser).print_usage(sys.stderr)
         return EXIT_USAGE
     except CorpusError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -1,4 +1,3 @@
-import argparse
 import errno
 import gc
 import itertools
@@ -705,9 +704,7 @@ def test_readme_cli_block_names_every_subcommand():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     named = set(re.findall(r"^chatmt ([\w-]+)", block, re.MULTILINE))
-    parser = _build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert named == set(sub.choices)
+    assert named == set(_build_parser().commands)
 
 
 def _tab_input(path):
@@ -1091,9 +1088,8 @@ def test_cli_and_pipeline_take_the_config_defaults(tmp_path):
 def test_stage_flags_are_its_config_fields(command, config_cls, own_flags):
     """A stage's flags are its paths and formats (filter's --fail-mode
     too) and one flag per config field, with the field's default."""
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    actions = {flag: a for a in sub.choices[command]._actions for flag in a.option_strings}
+    actions = {flag: a for a in _build_parser().commands[command]._actions
+               for flag in a.option_strings}
     field_flags = {"--" + f.name.replace("_", "-"): f for f in fields(config_cls)}
     assert sorted(actions) == sorted(["-h", "--help", "--report", "--in", "--out",
                                       *own_flags, *field_flags])
@@ -1134,9 +1130,7 @@ def test_readme_cli_section_names_every_flag():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    flags = {flag for p in sub.choices.values() for action in p._actions
+    flags = {flag for p in _build_parser().commands.values() for action in p._actions
              for flag in action.option_strings} - {"-h", "--help"}
     assert flags <= named, sorted(flags - named)
 
