@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracle
 from chatmt.corpus import BitextPair, ChatRecord, Dialogue
@@ -13,6 +13,7 @@ from chatmt.chatprep import (
     TagError,
     build_context,
     prepare_chat_corpus,
+    split_tags,
     strip_tags,
 )
 from conftest import make_dialogue
@@ -133,6 +134,26 @@ class TestStripTags:
     )
     def test_examples(self, text, expected):
         assert strip_tags(text) == expected
+
+
+# Leading tags with and without their space, other whitespace after a
+# tag, words, context indicators with and without the space before them,
+# and separators.
+_chat_lines = st.lists(
+    st.sampled_from(["<agent>", "<customer>", "<BT>", "<agent> ", "<customer> ", "<BT> ",
+                     " ", "\t", "a", "b c", " <context begins>", "<context begins>", " <SEP> y"]),
+    max_size=8,
+).map("".join)
+
+
+@given(_chat_lines)
+@example("")
+@example("<BT>")
+@example("<agent>\tx <context begins> y")
+@example("<customer>  <context begins>")
+@example("a <context begins> <context begins>")
+def test_split_tags_matches_reference(text):
+    assert split_tags(text) == oracle.split_chat_line(text)
 
 
 def test_prepare_rejects_reserved_tags():
