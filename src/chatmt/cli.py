@@ -44,6 +44,7 @@ EXIT_INTERNAL = 3
 _SPELLINGS = {
     "mode": {"same": SAME_LANGUAGE, "mixed": MIXED_LANGUAGE},
     "speaker_tags": {"on": True, "off": False},
+    "fail_mode": {mode: mode for mode in FAIL_MODES},
 }
 
 
@@ -174,16 +175,16 @@ def _stage_config(config_cls, values: dict):
 # transform and writing, not the rename.
 
 def _run_filter(infile: str, outfile: str, cfg: FilterConfig, staged: dict,
-                in_format: str | None = None, out_format: str | None = None,
-                fail_mode: str = FAIL_MODES[0]) -> dict:
+                in_format: str | None = None, out_format: str | None = None) -> dict:
     started = time.monotonic()
     stats = ParseStats()
-    pairs = parse_bitext(_read_lines(infile), _infer_format(infile, in_format), fail_mode, stats)
+    pairs = parse_bitext(_read_lines(infile), _infer_format(infile, in_format), cfg.fail_mode,
+                         stats)
     kept, report = filter_corpus(pairs, cfg)
     _atomic_write_lines(outfile, write_bitext(kept, _infer_format(outfile, out_format)), staged)
     return {
         "command": "filter",
-        "config": {**asdict(cfg), "fail_mode": fail_mode},
+        "config": asdict(cfg),
         "parse_skipped": stats.skipped,
         "seconds": round(time.monotonic() - started, 6),
         **report.as_dict(),
@@ -236,7 +237,7 @@ _STAGES = {
 def _cmd_stage(args, staged: dict) -> dict:
     config_cls, runner, _, _ = _STAGES[args.command]
     passed = {key: value for key, value in vars(args).items()
-              if key in ("in_format", "out_format", "fail_mode")}
+              if key in ("in_format", "out_format")}
     return runner(args.infile, args.outfile, _stage_config(config_cls, vars(args)), staged,
                   **passed)
 
@@ -308,13 +309,7 @@ def _run_pipeline(args, staged: dict) -> dict:
             obj = json.load(fh)
         except RecursionError:
             raise ValueError("pipeline config: JSON nested too deeply") from None
-    cfg = _config_section(obj, "the top level", {"seed", "fail_mode", *_STAGES})
-    fail_mode = cfg.get("fail_mode", FAIL_MODES[0])
-    if fail_mode not in FAIL_MODES:
-        raise UsageError(
-            f"pipeline config: fail_mode must be one of {', '.join(FAIL_MODES)}, "
-            f"got {fail_mode!r}"
-        )
+    cfg = _config_section(obj, "the top level", {"seed", *_STAGES})
     # Check every section and build every config before any stage writes.
     filt, chat, den = (_stage_section(cfg, stage) for stage in _STAGES)
     filter_cfg = _stage_config(FilterConfig, filt)
@@ -336,7 +331,7 @@ def _run_pipeline(args, staged: dict) -> dict:
     chat_format = _infer_format(chat["output"], chat.get("format"))
     reports = [
         _run_filter(filt["input"], filt["output"], filter_cfg, staged,
-                    filt.get("format"), filt.get("format"), fail_mode),
+                    filt.get("format"), filt.get("format")),
         _run_chatprep(chat["input"], chat["output"], context_cfg, staged, chat_format),
     ]
     # chatprep's output stays a staged temp until the whole run succeeds;
@@ -353,12 +348,16 @@ def _run_pipeline(args, staged: dict) -> dict:
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="chatmt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"chatmt {__version__}")
+    # --report goes before or after the command: a command given none
+    # (SUPPRESS) keeps the value given before it.
+    report_help = "write the run report here"
+    parser.add_argument("--report", default=None, help=report_help)
     # A path a command does not take is None.
     parser.set_defaults(infile=None, scores=None, config=None, outfile=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", default=None, help="write the run report here")
+    common.add_argument("--report", default=argparse.SUPPRESS, help=report_help)
 
     def command(name: str, func, help: str) -> _ArgumentParser:
         p = sub.add_parser(name, parents=[common], help=help)
@@ -375,8 +374,6 @@ def _build_parser() -> _ArgumentParser:
             kind = ({"choices": _SPELLINGS[f.name]} if f.name in _SPELLINGS
                     else {"type": {"int": int, "float": float}[f.type]})
             p.add_argument("--" + f.name.replace("_", "-"), default=f.default, **kind)
-        if name == "filter":
-            p.add_argument("--fail-mode", choices=FAIL_MODES, default=FAIL_MODES[0])
 
     p = command("bsce-select", _run_bsce, "greedy diversity-aware ensemble selection")
     p.add_argument("--scores", required=True)

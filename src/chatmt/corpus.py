@@ -59,6 +59,12 @@ def check_field_types(cfg) -> None:
             raise ValueError(f"{f.name} must be {name}, got {value!r}")
 
 
+def is_token_span(target: str, start: int, end: int) -> bool:
+    """Whether tokens start:end of the target, split on single spaces,
+    are a span of it: 0 <= start <= end <= its token count."""
+    return 0 <= start <= end <= target.count(" ") + 1
+
+
 # BitextPair and ChatRecord are slotted and mutable: the stages build one
 # per line, and a frozen dataclass, whose __init__ sets each field through
 # object.__setattr__, costs about 3x as much to build. No stage writes into
@@ -188,7 +194,7 @@ def _parse_jsonl_line(raw: str, line: int) -> BitextPair:
     # type(), not isinstance(): a JSON true would pass as the int 1.
     if span is not None and not (
         isinstance(span, list) and len(span) == 2 and all(type(i) is int for i in span)
-        and 0 <= span[0] <= span[1] <= target.count(" ") + 1
+        and is_token_span(target, *span)
     ):
         raise CorpusError(
             f"target_payload_span {json.dumps(span)} is not a [start, end] "

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .corpus import BitextPair, CorpusError, check_field_types
+from .corpus import BitextPair, CorpusError, check_field_types, is_token_span
 from .chatprep import CONTEXT_TAG, split_tags
 
 if TYPE_CHECKING:
@@ -297,7 +297,7 @@ def _split_chat_line(target: str) -> tuple[str, str, str]:
 def _check_span(target: str, span: tuple[int, int]) -> None:
     """Refuse a (start, end) span outside the target's single-space tokens."""
     start, end = span
-    if not 0 <= start <= end <= target.count(" ") + 1:
+    if not is_token_span(target, start, end):
         raise DenoiseFormatError(f"span {span} out of range for {target!r}")
 
 

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .corpus import BitextPair, check_field_types
+from .corpus import FAIL_MODES, BitextPair, check_field_types
 
 RULE_LENGTH = "length"
 RULE_DEDUP = "dedup"
@@ -66,6 +66,8 @@ class FilterConfig:
     max_words: int = 100
     max_word_chars: int = 40
     max_ratio: float = 4.0
+    # What the reader does with a malformed input line (corpus.FAIL_MODES).
+    fail_mode: str = FAIL_MODES[0]
 
     def __post_init__(self):
         check_field_types(self)
@@ -74,6 +76,9 @@ class FilterConfig:
         # NaN compares false with everything and inf never drops a pair.
         if not math.isfinite(self.max_ratio) or self.max_ratio < 1:
             raise ValueError(f"max_ratio must be finite and >= 1, got {self.max_ratio!r}")
+        if self.fail_mode not in FAIL_MODES:
+            raise ValueError(f"fail_mode must be one of {', '.join(FAIL_MODES)}, "
+                             f"got {self.fail_mode!r}")
 
 
 @dataclass

@@ -151,14 +151,15 @@ def run_in(files: dict[str, bytes | str | tuple], argv: list[str], outputs: set[
 
 
 # A flag's text as its config field's value, by the field's type.
-_FLAG_VALUES = {"int": int, "float": float, "bool": {"on": True, "off": False}.__getitem__}
+_FLAG_VALUES = {"int": int, "float": float, "str": str,
+                "bool": {"on": True, "off": False}.__getitem__}
 
 
 def oracle_outputs(argv: list[str]):
     """The oracle's run of a filter, chatprep, denoise or bsce-select
     command line, as `run_in` takes it: files -> output bytes by name.
-    Formats follow the file suffixes; every other flag but `--report` and
-    filter's `--fail-mode` is a config field."""
+    Formats follow the file suffixes; every other flag but `--report` is a
+    config field."""
     command, *rest = argv
     flags = dict(zip(rest[::2], rest[1::2]))
     flags.pop("--report", None)
@@ -167,14 +168,13 @@ def oracle_outputs(argv: list[str]):
         scores, size = flags.pop("--scores"), int(flags.pop("--ensemble-size"))
         return lambda files: {out: oracle.run_bsce(files[scores], size)}
     src = flags.pop("--in")
-    fail_mode = flags.pop("--fail-mode", "fail_fast")
     config_cls = {"filter": FilterConfig, "chatprep": ContextConfig,
                   "denoise": DenoiseConfig}[command]
     types = {f.name: f.type for f in fields(config_cls)}
     values = {flag[2:].replace("-", "_"): text for flag, text in flags.items()}
     cfg = config_cls(**{name: _FLAG_VALUES[types[name]](text) for name, text in values.items()})
     in_fmt, out_fmt = (path.rsplit(".", 1)[1] for path in (src, out))
-    run = {"filter": lambda data: oracle.run_filter(data, in_fmt, out_fmt, cfg, fail_mode),
+    run = {"filter": lambda data: oracle.run_filter(data, in_fmt, out_fmt, cfg),
            "chatprep": lambda data: oracle.run_chatprep(data, out_fmt, cfg),
            "denoise": lambda data: oracle.run_denoise(data, in_fmt, out_fmt, cfg)}[command]
     return lambda files: {out: run(files[src])}

@@ -399,8 +399,8 @@ def denoise_corpus(pairs, cfg, payload_spans=None) -> list[BitextPair]:
 # A command's output bytes for its input bytes, or the CorpusError it
 # exits 2 with.
 
-def run_filter(data: bytes, in_fmt: str, out_fmt: str, cfg, fail_mode="fail_fast") -> bytes:
-    kept, _ = filter_corpus(parse_bitext(read_lines(data), in_fmt, fail_mode), cfg)
+def run_filter(data: bytes, in_fmt: str, out_fmt: str, cfg) -> bytes:
+    kept, _ = filter_corpus(parse_bitext(read_lines(data), in_fmt, cfg.fail_mode), cfg)
     return "".join(write_bitext(kept, out_fmt)).encode("utf-8")
 
 

@@ -312,8 +312,11 @@ CASES = {
     **{f"pipeline-{name}": _pipeline(config, message) for name, config, message in [
         ("misspelled-key", _edit(filter={"max_wrods": 50}),
          "error: pipeline config: unknown key 'max_wrods' in filter"),
-        ("unknown-fail-mode", {**PIPELINE, "fail_mode": "bogus"}, "error: pipeline config: "
+        ("unknown-fail-mode", _edit(filter={"fail_mode": "bogus"}), "config error: "
          "fail_mode must be one of fail_fast, skip_and_count, got 'bogus'"),
+        # fail_mode is filter's option, not the pipeline's.
+        ("top-level-fail-mode", {**PIPELINE, "fail_mode": "skip_and_count"},
+         "error: pipeline config: unknown key 'fail_mode' in the top level"),
         ("unknown-section", {**PIPELINE, "stages": []},
          "error: pipeline config: unknown key 'stages' in the top level"),
         ("section-not-an-object", {**PIPELINE, "chatprep": []},
@@ -327,6 +330,7 @@ CASES = {
           for stage, key, value, kind in [("filter", "max_words", "100", "an integer"),
                                           ("filter", "max_word_chars", 40.0, "an integer"),
                                           ("filter", "max_ratio", True, "a number"),
+                                          ("filter", "fail_mode", 1, "a string"),
                                           ("chatprep", "n_prev", "2", "an integer"),
                                           ("chatprep", "mode", 1, "a string"),
                                           ("denoise", "seed", 1.5, "an integer"),
@@ -655,6 +659,49 @@ def test_pipeline_runs_and_is_deterministic(tmp_path):
     assert first == second
     rep = json.loads(report.read_text())
     assert [s["command"] for s in rep["stages"]] == ["filter", "chatprep", "denoise"]
+
+
+def test_pipeline_filter_fail_mode_does_what_the_flag_does(tmp_path):
+    """filter.fail_mode in a pipeline is filter's --fail-mode: the same
+    kept pairs, the same skipped lines, the same report config."""
+    cfg_path, outputs = make_pipeline_config(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    bitext = cfg["filter"]["input"]
+    with open(bitext, "a", encoding="utf-8") as fh:
+        fh.write("no tab\nlast pair\tletztes Paar\n")
+    cfg["filter"]["fail_mode"] = "skip_and_count"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    report, alone = tmp_path / "report.json", tmp_path / "alone.tsv"
+    assert run(["pipeline", str(cfg_path), "--report", str(report)]) == 0
+    piped = json.loads(report.read_text())["stages"][0]
+    assert run(["filter", "--in", bitext, "--out", str(alone),
+                "--fail-mode", "skip_and_count", "--report", str(report)]) == 0
+    flagged = json.loads(report.read_text())
+    assert alone.read_bytes() == outputs[0].read_bytes()
+    assert b"last pair" in alone.read_bytes()
+    assert piped["parse_skipped"] == flagged["parse_skipped"] == 1
+    assert piped["config"] == flagged["config"]
+
+
+def test_report_goes_before_or_after_the_command(tmp_path, capsys):
+    """README: --report goes before or after the command, and a usage error
+    once the command is reached prints that command's usage."""
+    src = tmp_path / "in.tsv"
+    write_micro_corpus(src)
+    argv = ["filter", "--in", str(src), "--out", str(tmp_path / "o.tsv")]
+    reports = []
+    for name, order in (("before", lambda flag: flag + argv), ("after", lambda flag: argv + flag)):
+        report = tmp_path / f"{name}.json"
+        assert run(order(["--report", str(report)])) == 0
+        assert capsys.readouterr().err == ""
+        reports.append(json.loads(report.read_text()))
+        del reports[-1]["seconds"]
+    assert reports[0] == reports[1]
+    assert run(["--report", str(tmp_path / "r.json"), "filter", "--in", str(src)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: chatmt filter: the following arguments are required: --out\n"
+        "usage: chatmt filter ")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_atomic_write_no_partial_output(tmp_path):
@@ -1064,7 +1111,7 @@ def test_cli_and_pipeline_take_the_config_defaults(tmp_path):
     cfg_path, _ = make_pipeline_config(tmp_path)
     paths = json.loads(cfg_path.read_text())
     bitext, chat = paths["filter"]["input"], paths["chatprep"]["input"]
-    defaults = {"filter": {**asdict(FilterConfig()), "fail_mode": "fail_fast"},
+    defaults = {"filter": asdict(FilterConfig()),
                 "chatprep": asdict(ContextConfig()), "denoise": asdict(DenoiseConfig())}
     report = tmp_path / "report.json"
     for stage, infile in (("filter", bitext), ("chatprep", chat),
@@ -1081,13 +1128,13 @@ def test_cli_and_pipeline_take_the_config_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("command, config_cls, own_flags", [
-    ("filter", FilterConfig, ["--in-format", "--out-format", "--fail-mode"]),
+    ("filter", FilterConfig, ["--in-format", "--out-format"]),
     ("chatprep", ContextConfig, ["--out-format"]),
     ("denoise", DenoiseConfig, ["--in-format", "--out-format"]),
 ], ids=["filter", "chatprep", "denoise"])
 def test_stage_flags_are_its_config_fields(command, config_cls, own_flags):
-    """A stage's flags are its paths and formats (filter's --fail-mode
-    too) and one flag per config field, with the field's default."""
+    """A stage's flags are its paths and formats and one flag per config
+    field, with the field's default."""
     actions = {flag: a for a in _build_parser().commands[command]._actions
                for flag in a.option_strings}
     field_flags = {"--" + f.name.replace("_", "-"): f for f in fields(config_cls)}

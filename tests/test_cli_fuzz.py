@@ -92,7 +92,7 @@ def test_fuzz_filter(fmt, mode, out_exists, data):
     run_in({f"in.{fmt}": content, **sentinels(["out.tsv"] if out_exists else [])},
            ["filter", "--in", f"in.{fmt}", "--out", "out.tsv", "--fail-mode", mode],
            {"out.tsv"}, lambda files: {"out.tsv": oracle.run_filter(
-               files[f"in.{fmt}"], fmt, "tsv", FilterConfig(), mode)})
+               files[f"in.{fmt}"], fmt, "tsv", FilterConfig(fail_mode=mode))})
 
 
 @st.composite

@@ -169,6 +169,7 @@ def test_config_validation():
     ({"max_word_chars": True}, "max_word_chars"),
     ({"max_ratio": "4"}, "max_ratio"),
     ({"max_ratio": False}, "max_ratio"),
+    ({"fail_mode": "x"}, "fail_mode must be one of fail_fast, skip_and_count, got 'x'"),
 ])
 def test_config_rejects_bad_values(kwargs, named):
     with pytest.raises(ValueError, match=named):
