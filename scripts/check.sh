@@ -6,7 +6,8 @@
 # one short select-kernels run at full size (400 models, about 8 s), the
 # checks that compare chatmt's output bytes against perfbench/pins.json;
 # last, the numpy-free smoke stages under each python3.10 ... python3.13
-# that starts and under PYTHONHASHSEED=1, against the same pins (about 2 s,
+# that starts, or else that version's pyenv install, and under
+# PYTHONHASHSEED=1, against the same pins (about 3 s,
 # scripts/interpreter_check.py).
 # Fails if any fails, if the smoke run reports a trace hook whose target is
 # missing, or if the select-kernels run's result line is not correct with

@@ -5,8 +5,9 @@ Writes each workload's smoke inputs for seed 0 with perfbench/gen.py, then
 runs the stages that import no numpy (filter on filter-tsv and on
 mixed-jsonl, chatprep on chat-tsv, bsce-select on select-kernels), as
 perfbench/workloads.py gives them, under each python3.10 ... python3.13 on
-PATH that starts, and once more under this interpreter with
-PYTHONHASHSEED=1. Each output's sha256 is compared with its smoke pin in
+PATH that starts (or else the newest of that version pyenv has installed,
+`$(pyenv root)/versions/3.X.*/bin/python3.X`), and once more under this
+interpreter with PYTHONHASHSEED=1. Nothing is installed. Each output's sha256 is compared with its smoke pin in
 perfbench/pins.json. Prints the interpreters that ran and those skipped;
 exits 1 if a stage fails or an output differs from its pin.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -35,22 +37,47 @@ from gen import write_inputs  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
+def full_version(exe: str) -> str | None:
+    """The full version the interpreter exe reports, or None if it does
+    not start (a pyenv shim whose version is not selected exits 127)."""
+    probe = subprocess.run([exe, "-c", "import platform; print(platform.python_version())"],
+                           capture_output=True, text=True, timeout=60)
+    return probe.stdout.strip() if probe.returncode == 0 else None
+
+
+def pyenv_installs(version: str) -> list[str]:
+    """`$(pyenv root)/versions/<version>.*/bin/python<version>`, newest
+    first; none without pyenv."""
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return []
+    root = subprocess.run([pyenv, "root"], capture_output=True, text=True,
+                          timeout=60).stdout.strip()
+    if not root:
+        return []
+    found = map(str, Path(root).glob(f"versions/{version}.*/bin/python{version}"))
+    # 3.10.13 after 3.10.9: digit runs compare as numbers.
+    return sorted(found, reverse=True, key=lambda path: [
+        int(part) if part.isdigit() else part for part in re.split(r"(\d+)", path)])
+
+
 def interpreters() -> tuple[list[tuple[str, str, dict]], list[str]]:
     """(the runs, as (label, executable, extra environment), and the
-    interpreters skipped, each with its reason)."""
+    interpreters skipped, each with its reason). A version runs under its
+    python3.X on PATH, or, where that does not start, under an interpreter
+    pyenv has installed for it."""
     runs, skipped = [], []
     for version in VERSIONS:
         name = f"python{version}"
-        exe = shutil.which(name)
-        if exe is None:
-            skipped.append(f"{name} (not on PATH)")
-            continue
-        probe = subprocess.run([exe, "-c", "import platform; print(platform.python_version())"],
-                               capture_output=True, text=True, timeout=60)
-        if probe.returncode != 0:
-            skipped.append(f"{name} (does not start)")
+        on_path = shutil.which(name)
+        candidates = [*([on_path] if on_path else []), *pyenv_installs(version)]
+        for exe in candidates:
+            full = full_version(exe)
+            if full is not None:
+                runs.append((f"{name} ({full})", exe, {}))
+                break
         else:
-            runs.append((f"{name} ({probe.stdout.strip()})", exe, {}))
+            skipped.append(f"{name} ({'does not start' if candidates else 'not installed'})")
     runs.append((f"{Path(sys.executable).name} ({sys.version.split()[0]}) PYTHONHASHSEED=1",
                  sys.executable, {"PYTHONHASHSEED": "1"}))
     return runs, skipped

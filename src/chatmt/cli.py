@@ -24,6 +24,7 @@ from . import __version__
 from .corpus import (
     BITEXT_FORMATS,
     FAIL_MODES,
+    BitextPair,
     CorpusError,
     ParseStats,
     parse_bitext,
@@ -172,7 +173,9 @@ def _stage_config(config_cls, values: dict):
 # A stage runner takes its paths, checked by its caller, its config, the
 # dict it stages its output in and formats (None infers the format from the
 # file suffix). Its report's `seconds` covers reading, parsing, the
-# transform and writing, not the rename.
+# transform and writing, not the rename. _run_denoise takes pairs instead of
+# a path, so that the pipeline can hand it chatprep's: their reading is
+# chatprep's.
 
 def _run_filter(infile: str, outfile: str, cfg: FilterConfig, staged: dict,
                 in_format: str | None = None, out_format: str | None = None) -> dict:
@@ -191,26 +194,49 @@ def _run_filter(infile: str, outfile: str, cfg: FilterConfig, staged: dict,
     }
 
 
+def _kept(items: Iterable, into: list) -> Iterator:
+    """Yield items, appending each to `into` as it is pulled."""
+    for item in items:
+        into.append(item)
+        yield item
+
+
+def _taken(items: list) -> Iterator:
+    """Yield the list's items, taking each out of it as it is pulled."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig, staged: dict,
-                  out_format: str | None = None) -> dict:
+                  out_format: str | None = None, keep: list | None = None) -> dict:
+    """keep, where given, gets the pairs as they are written: the pipeline
+    hands them to denoise."""
     started = time.monotonic()
     dialogues = parse_chat(_read_lines(infile))
-    pairs = prepare_chat_corpus(dialogues, cfg)
+    count = len(dialogues)
+    # A dialogue is dropped once its pairs are built, so the pairs kept
+    # for denoise do not stack on the whole chat corpus.
+    pairs = prepare_chat_corpus(_taken(dialogues), cfg)
+    if keep is not None:
+        pairs = _kept(pairs, keep)
     written = _atomic_write_lines(
         outfile, write_bitext(pairs, _infer_format(outfile, out_format)), staged)
     return {
         "command": "chatprep",
         "config": asdict(cfg),
-        "dialogues": len(dialogues),
+        "dialogues": count,
         "pairs": written,
         "seconds": round(time.monotonic() - started, 6),
     }
 
 
-def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, staged: dict,
-                 in_format: str | None = None, out_format: str | None = None) -> dict:
+def _run_denoise(pairs: Iterable[BitextPair], outfile: str, cfg: DenoiseConfig, staged: dict,
+                 out_format: str | None = None) -> dict:
+    """denoise on pairs its caller read: a reader's generator, which
+    `seconds` then covers, or the pairs chatprep wrote."""
     started = time.monotonic()
-    pairs = list(parse_bitext(_read_lines(infile), _infer_format(infile, in_format)))
+    pairs = list(pairs)
     noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
     _atomic_write_lines(outfile, write_bitext(noised, _infer_format(outfile, out_format)), staged)
     changed = sum(1 for a, b in zip(pairs, noised) if a.target != b.target)
@@ -224,13 +250,20 @@ def _run_denoise(infile: str, outfile: str, cfg: DenoiseConfig, staged: dict,
     }
 
 
+def _denoise_file(infile: str, outfile: str, cfg: DenoiseConfig, staged: dict,
+                  in_format: str | None = None, out_format: str | None = None) -> dict:
+    """denoise's stage runner: _run_denoise on the pairs of a bitext file."""
+    return _run_denoise(parse_bitext(_read_lines(infile), _infer_format(infile, in_format)),
+                        outfile, cfg, staged, out_format)
+
+
 # A stage's config class, runner, format flags and help. Its options are
 # its config's fields: each is its CLI flag (`--` and the name with `-` for
 # `_`), the flag's dest and default, and its pipeline key.
 _STAGES = {
     "filter": (FilterConfig, _run_filter, ("in", "out"), "apply the corpus filtering rules"),
     "chatprep": (ContextConfig, _run_chatprep, ("out",), "build the speaker/context corpus"),
-    "denoise": (DenoiseConfig, _run_denoise, ("in", "out"), "generate the target-denoised corpus"),
+    "denoise": (DenoiseConfig, _denoise_file, ("in", "out"), "generate the target-denoised corpus"),
 }
 
 
@@ -244,11 +277,30 @@ def _cmd_stage(args, staged: dict) -> dict:
 
 # ----------------------------------------------------------- bsce-select
 
+def _first_repeated(pairs) -> str | None:
+    """The first key of a JSON object's (key, value) pairs that an earlier
+    one repeats; json keeps only a repeated key's last value."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict, refusing a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"duplicate key {_first_repeated(pairs)!r}")
+    return obj
+
+
 def _run_bsce(args, staged: dict) -> dict:
     started = time.monotonic()
     try:
         with open(args.scores, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         score_set = ScoreSet.from_lists(obj["models"], obj["comet"], obj["pairwise"])
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CorpusError(f"bad scores file: {exc}") from exc
@@ -272,10 +324,21 @@ def _run_bsce(args, staged: dict) -> dict:
 
 # -------------------------------------------------------------- pipeline
 
+class _ConfigObject(dict):
+    """A pipeline config object, with the first key it repeats, if any, for
+    _config_section to refuse where it knows the object's place."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.repeated = _first_repeated(pairs) if len(self) < len(pairs) else None
+
+
 def _config_section(obj, where: str, allowed, required=()) -> dict:
     """Check one level of the pipeline config against its closed key set."""
     if not isinstance(obj, dict):
         raise UsageError(f"pipeline config: {where} must be a JSON object")
+    if getattr(obj, "repeated", None) is not None:
+        raise UsageError(f"pipeline config: duplicate key {obj.repeated!r} in {where}")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise UsageError(f"pipeline config: unknown key {unknown[0]!r} in {where}")
@@ -290,7 +353,7 @@ def _stage_section(cfg: dict, stage: str) -> dict:
     section = _config_section(
         cfg.get(stage, {}), stage,
         {"input", "output", "format", *(f.name for f in fields(_STAGES[stage][0]))},
-        # denoise reads chatprep's output unless given its own input.
+        # denoise takes chatprep's pairs unless given its own input.
         ("output",) if stage == "denoise" else ("input", "output"),
     )
     for key in ("input", "output"):
@@ -306,7 +369,7 @@ def _stage_section(cfg: dict, stage: str) -> dict:
 def _run_pipeline(args, staged: dict) -> dict:
     with open(args.config, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_ConfigObject)
         except RecursionError:
             raise ValueError("pipeline config: JSON nested too deeply") from None
     cfg = _config_section(obj, "the top level", {"seed", *_STAGES})
@@ -320,7 +383,7 @@ def _run_pipeline(args, staged: dict) -> dict:
     den_input = den.get("input", chat["output"])
     reads = [("config", args.config), ("filter.input", filt["input"]),
              ("chatprep.input", chat["input"])]
-    # denoise reading chatprep's output is the pipeline's designed flow.
+    # denoise taking chatprep's output is the pipeline's designed flow.
     reads_chatprep = os.path.realpath(den_input) == os.path.realpath(chat["output"])
     if not reads_chatprep:
         reads.append(("denoise.input", den_input))
@@ -328,18 +391,19 @@ def _run_pipeline(args, staged: dict) -> dict:
                            for stage, section in zip(_STAGES, (filt, chat, den))),
                          ("--report", args.report)])
 
-    chat_format = _infer_format(chat["output"], chat.get("format"))
+    # denoise takes the pairs chatprep wrote, each naming its chat line,
+    # unless it names another input; denoise.format sets its output.
+    handed = [] if reads_chatprep else None
     reports = [
         _run_filter(filt["input"], filt["output"], filter_cfg, staged,
                     filt.get("format"), filt.get("format")),
-        _run_chatprep(chat["input"], chat["output"], context_cfg, staged, chat_format),
+        _run_chatprep(chat["input"], chat["output"], context_cfg, staged, chat.get("format"),
+                      handed),
+        _run_denoise(handed, den["output"], denoise_cfg, staged, den.get("format"))
+        if reads_chatprep else
+        _denoise_file(den_input, den["output"], denoise_cfg, staged, den.get("format"),
+                      den.get("format")),
     ]
-    # chatprep's output stays a staged temp until the whole run succeeds;
-    # denoise reads it in chatprep's format, and denoise.format sets its output.
-    reports.append(_run_denoise(
-        staged[Path(chat["output"])] if reads_chatprep else den_input, den["output"],
-        denoise_cfg, staged, chat_format if reads_chatprep else den.get("format"),
-        den.get("format")))
     return {"command": "pipeline", "config_path": args.config, "stages": reports}
 
 

@@ -419,11 +419,13 @@ def run_pipeline(bitext: bytes, chat: bytes, filter_fmt: str, chatprep_fmt: str,
                  denoise_fmt: str, filter_cfg, context_cfg,
                  denoise_cfg) -> tuple[bytes, bytes, bytes]:
     """filter's, chatprep's and denoise's outputs, each in its stage's
-    format (filter's for both its sides); denoise reads chatprep's output
-    in chatprep's format."""
+    format (filter's for both its sides); denoise takes chatprep's pairs,
+    each with its chat line, and reads nothing."""
     filtered = run_filter(bitext, filter_fmt, filter_fmt, filter_cfg)
     prepped = run_chatprep(chat, chatprep_fmt, context_cfg)
-    return filtered, prepped, run_denoise(prepped, chatprep_fmt, denoise_fmt, denoise_cfg)
+    pairs = list(prepare_chat_corpus(parse_chat(read_lines(chat)), context_cfg))
+    noised = denoise_corpus(pairs, denoise_cfg)
+    return filtered, prepped, "".join(write_bitext(noised, denoise_fmt)).encode("utf-8")
 
 
 def run_bsce(data: bytes, e: int) -> bytes:

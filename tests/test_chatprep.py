@@ -8,6 +8,7 @@ import oracle
 from chatmt.corpus import BitextPair, ChatRecord, Dialogue
 from chatmt.chatprep import (
     CONTEXT_TAG,
+    RESERVED_TAGS,
     ContextConfig,
     SEP_TAG,
     TagError,
@@ -16,6 +17,7 @@ from chatmt.chatprep import (
     split_tags,
     strip_tags,
 )
+from chatmt.denoise import DenoiseConfig, denoise_corpus
 from conftest import make_dialogue
 from oracle import outcome
 
@@ -203,20 +205,21 @@ _tagged_texts = st.tuples(_clean_texts, st.sampled_from(oracle.RESERVED_TAGS), _
 
 
 @st.composite
-def _dialogues(draw):
+def _dialogues(draw, texts=_clean_texts, tagged=True):
+    """1-3 dialogues of texts; where tagged, one text may hold a whole tag."""
     dialogues = []
     for n in range(draw(st.integers(1, 3))):
         turns = [
             ChatRecord(
                 dialogue_id=f"d{n}", turn_index=i,
                 speaker=draw(st.sampled_from(["agent", "customer"])),
-                src_text=draw(_clean_texts), tgt_text=draw(_clean_texts),
+                src_text=draw(texts), tgt_text=draw(texts),
                 src_lang=draw(st.sampled_from(["en", "de"])),
                 tgt_lang=draw(st.sampled_from(["en", "de"])),
             )
             for i in range(draw(st.integers(1, 6)))
         ]
-        if draw(st.booleans()):
+        if tagged and draw(st.booleans()):
             i = draw(st.integers(0, len(turns) - 1))
             side = draw(st.sampled_from(["src_text", "tgt_text"]))
             turns[i] = replace(turns[i], **{side: draw(_tagged_texts)})
@@ -240,3 +243,23 @@ def test_chatprep_matches_reference(dialogues, turn_index):
             outcome(oracle.prepare_chat_corpus, dialogues, cfg)
         assert outcome(build_context, d, turn_index, cfg) == \
             outcome(oracle.build_context, d, turn_index, cfg)
+
+
+# Texts parse_chat and prepare_chat_corpus accept, none blank and none
+# holding a reserved tag: leading spaces, tabs and words starting with "<".
+_accepted_texts = st.lists(
+    st.sampled_from([" ", "  ", "\t", "a", "bc", "ü", "<", ">", "<x>", "<agent", "agent>",
+                     "<SEP", "<BT", "<context", "begins>", "<customer"]),
+    min_size=1, max_size=6,
+).map("".join).filter(lambda t: t.strip() and not any(tag in t for tag in RESERVED_TAGS))
+
+
+@given(_dialogues(_accepted_texts, tagged=False))
+@example([Dialogue("d0", (rec(0, "agent", " a", "\tb"), rec(1, "customer", "<agent", " <SEP")))])
+def test_every_chatprep_pair_denoises(dialogues):
+    """The pipeline hands chatprep's pairs to denoise: every pair chatprep
+    yields splits, so denoise refuses none of them."""
+    for cfg in _CONTEXT_CONFIGS:
+        pairs = list(prepare_chat_corpus(dialogues, cfg))
+        noised = denoise_corpus(pairs, DenoiseConfig(pair_fraction=1.0, token_prob=0.5))
+        assert [p.source for p in noised] == [p.source for p in pairs]

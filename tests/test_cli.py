@@ -186,6 +186,11 @@ CASES = {
         ("nan", '{"models": ["a", "b"], "comet": [0.1, NaN], "pairwise": [[0, 1], [1, 0]]}',
          "all scores must be finite\n"),
         ("duplicate-ids", {**GOOD_SCORES, "models": ["a", "b", "a"]}, "model ids must be unique\n"),
+        # json would keep only a repeated key's last value.
+        ("repeated-key", json.dumps(GOOD_SCORES)[:-1] + ', "models": ["x", "y"]}',
+         "duplicate key 'models'\n"),
+        ("repeated-nested-key", json.dumps({**GOOD_SCORES, "comet": [0.1, {"a": 1}, 0.3]})
+         .replace('{"a": 1}', '{"a": 1, "a": 2}'), "duplicate key 'a'\n"),
         ("non-string-id", {**GOOD_SCORES, "models": ["a", 2, "c"]}, "model ids must be strings\n"),
         ("shape", {**GOOD_SCORES, "pairwise": [[0, 0.5], [0.5, 0], [0.6, 0.7]]},
          "pairwise must be 3x3\n"),
@@ -338,11 +343,25 @@ CASES = {
         *[(f"{stage}-{key}-not-a-string", _edit(**{stage: {key: value}}),
            f"error: pipeline config: {stage}.{key} must be a string")
           for stage, key, value in [("filter", "output", ["o"]), ("chatprep", "input", 5)]],
+        # json would keep only a repeated key's last value.
+        ("repeated-section", json.dumps(PIPELINE)[:-1] + ', "filter": {"input": "bitext.tsv", '
+         '"output": "f2.tsv"}}', "error: pipeline config: duplicate key 'filter' in the top level"),
+        ("repeated-option", json.dumps(PIPELINE).replace(
+            '"n_prev": 2', '"n_prev": 2, "speaker_tags": false, "n_prev": 3'),
+         "error: pipeline config: duplicate key 'n_prev' in chatprep"),
         ("denoise-format-xml", _edit(denoise={"format": "xml"}),
          "error: pipeline config: denoise.format must be one of tsv, jsonl"),
         ("denoise-output-in-a-missing-directory", _edit(denoise={"output": "missing/n.tsv"}),
          "error: output must be a file in an existing directory: 'missing/n.tsv'")]},
     # A data error would show that the bad input was read.
+    # A pair chatprep hands to denoise names its chat line: the turn on line
+    # 2 is the first pair, the first line of chatprep's output.
+    "pipeline-handed-pair-names-its-chat-line": _pipeline(
+        _edit(chatprep={"output": "p.jsonl"}, denoise={"output": "n.tsv"}),
+        "data error: line 2: tab, newline or carriage return in text '<customer> Hel\\tlo' "
+        "cannot be written as TSV",
+        files={"chat.jsonl": _lines(CHAT_LINES[1], {**CHAT_LINES[0], "tgt_text": "Hel\tlo"},
+                                    CHAT_LINES[2])}),
     **{f"{name}-output-in-a-missing-directory": _refused(
         argv, {"bad.jsonl": b"not a record\n"},
         f"error: output must be a file in an existing directory: {argv[-1]!r}")
@@ -915,6 +934,27 @@ def test_pipeline_denoise_may_name_chatprep_output_as_input(tmp_path):
     cfg_path = _edit_pipeline_paths(tmp_path, {"denoise": {"input": "prepped.tsv"}})
     assert run(["pipeline", str(cfg_path)]) == 0
     assert (tmp_path / "noised.tsv").exists()
+
+
+@pytest.mark.parametrize("den_input", [None, "prepped.tsv", "other.tsv"])
+def test_pipeline_opens_only_its_config_and_stage_inputs(tmp_path, monkeypatch, den_input):
+    """denoise takes the pairs chatprep wrote: the pipeline opens its config
+    and the stages' inputs, denoise's only where it names another file, and
+    never chatprep's output or a temp."""
+    cfg_path = _edit_pipeline_paths(tmp_path, {"denoise": {"input": den_input}} if den_input
+                                    else {})
+    write_micro_corpus(tmp_path / "other.tsv")
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert run(["pipeline", str(cfg_path)]) == 0
+    assert opened == [str(tmp_path / name) for name in (
+        "pipeline.json", "bitext.tsv", "chat.jsonl", *(["other.tsv"] if den_input == "other.tsv"
+                                                       else []))]
 
 
 def test_single_stage_may_rewrite_its_input_in_place(tmp_path):

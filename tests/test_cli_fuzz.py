@@ -270,6 +270,10 @@ def pipeline_runs(draw) -> tuple[bytes, bytes, object]:
 # chatprep writes TSV into p.jsonl, which denoise reads as TSV.
 @example((jsonl([BITEXT_RECORD]), jsonl(CHAT_LINES), _variant("p.jsonl", "tsv", "n.jsonl", None)),
          set(), False)
+# A tab chatprep writes as JSONL, which denoise's TSV refuses: the error
+# names the turn's chat line (2), not its line in p.jsonl (1).
+@example((jsonl([BITEXT_RECORD]), jsonl([CHAT_LINES[1], {**CHAT_LINES[0], "tgt_text": "a\tb"}]),
+          _variant("p.jsonl", None, "n.tsv", None)), set(), False)
 @given(pipeline_runs(), st.sets(st.sampled_from(sorted({*WRITTEN.values(), "p.tsv", "n.tsv"}))),
        st.booleans())
 def test_fuzz_pipeline(run, existing, with_report):
