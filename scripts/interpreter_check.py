@@ -7,8 +7,8 @@ mixed-jsonl, chatprep on chat-tsv, bsce-select on select-kernels), as
 perfbench/workloads.py gives them, under each python3.10 ... python3.13 on
 PATH that starts (or else the newest of that version pyenv has installed,
 `$(pyenv root)/versions/3.X.*/bin/python3.X`), and once more under this
-interpreter with PYTHONHASHSEED=1. Nothing is installed. Each output's sha256 is compared with its smoke pin in
-perfbench/pins.json. Prints the interpreters that ran and those skipped;
+interpreter with PYTHONHASHSEED=1; nothing is installed. Each output's
+sha256 is compared with its smoke pin in perfbench/pins.json. Prints the interpreters that ran and those skipped;
 exits 1 if a stage fails or an output differs from its pin.
 
     python3 scripts/interpreter_check.py

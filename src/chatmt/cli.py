@@ -290,10 +290,10 @@ def _first_repeated(pairs) -> str | None:
 
 def _unique_keys(pairs) -> dict:
     """A JSON object's dict, refusing a repeated key."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        raise ValueError(f"duplicate key {_first_repeated(pairs)!r}")
-    return obj
+    repeated = _first_repeated(pairs)
+    if repeated is not None:
+        raise ValueError(f"duplicate key {repeated!r}")
+    return dict(pairs)
 
 
 def _run_bsce(args, staged: dict) -> dict:
@@ -330,7 +330,7 @@ class _ConfigObject(dict):
 
     def __init__(self, pairs):
         super().__init__(pairs)
-        self.repeated = _first_repeated(pairs) if len(self) < len(pairs) else None
+        self.repeated = _first_repeated(pairs)
 
 
 def _config_section(obj, where: str, allowed, required=()) -> dict:

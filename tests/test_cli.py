@@ -347,13 +347,12 @@ CASES = {
         ("repeated-section", json.dumps(PIPELINE)[:-1] + ', "filter": {"input": "bitext.tsv", '
          '"output": "f2.tsv"}}', "error: pipeline config: duplicate key 'filter' in the top level"),
         ("repeated-option", json.dumps(PIPELINE).replace(
-            '"n_prev": 2', '"n_prev": 2, "speaker_tags": false, "n_prev": 3'),
+            '"n_prev": 2', '"n_prev": 2, "n_prev": 3'),
          "error: pipeline config: duplicate key 'n_prev' in chatprep"),
         ("denoise-format-xml", _edit(denoise={"format": "xml"}),
          "error: pipeline config: denoise.format must be one of tsv, jsonl"),
         ("denoise-output-in-a-missing-directory", _edit(denoise={"output": "missing/n.tsv"}),
          "error: output must be a file in an existing directory: 'missing/n.tsv'")]},
-    # A data error would show that the bad input was read.
     # A pair chatprep hands to denoise names its chat line: the turn on line
     # 2 is the first pair, the first line of chatprep's output.
     "pipeline-handed-pair-names-its-chat-line": _pipeline(
@@ -362,6 +361,7 @@ CASES = {
         "cannot be written as TSV",
         files={"chat.jsonl": _lines(CHAT_LINES[1], {**CHAT_LINES[0], "tgt_text": "Hel\tlo"},
                                     CHAT_LINES[2])}),
+    # A data error would show that the bad input was read.
     **{f"{name}-output-in-a-missing-directory": _refused(
         argv, {"bad.jsonl": b"not a record\n"},
         f"error: output must be a file in an existing directory: {argv[-1]!r}")

@@ -267,7 +267,7 @@ def pipeline_runs(draw) -> tuple[bytes, bytes, object]:
 @example((b"", b"", {**PIPELINE, "denoise": {**PIPELINE["denoise"], "pair_fraction": True}}),
          set(), False)
 @example((b"", b"", {**PIPELINE, "seed": 3.0}), set(), False)
-# chatprep writes TSV into p.jsonl, which denoise reads as TSV.
+# chatprep writes TSV into p.jsonl; denoise takes its pairs.
 @example((jsonl([BITEXT_RECORD]), jsonl(CHAT_LINES), _variant("p.jsonl", "tsv", "n.jsonl", None)),
          set(), False)
 # A tab chatprep writes as JSONL, which denoise's TSV refuses: the error
