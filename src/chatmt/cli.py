@@ -16,7 +16,7 @@ import stat
 import sys
 import tempfile
 import time
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -33,7 +33,7 @@ from .corpus import (
 )
 from .chatprep import ContextConfig, MIXED_LANGUAGE, SAME_LANGUAGE, prepare_chat_corpus
 from .denoise import DenoiseConfig, chosen_count, denoise_corpus
-from .ensemble import ScoreSet, select_ensemble
+from .ensemble import EnsembleConfig, ScoreSet, select_ensemble
 from .filtering import FilterConfig, filter_corpus
 
 EXIT_OK = 0
@@ -257,24 +257,6 @@ def _denoise_file(infile: str, outfile: str, cfg: DenoiseConfig, staged: dict,
                         outfile, cfg, staged, out_format)
 
 
-# A stage's config class, runner, format flags and help. Its options are
-# its config's fields: each is its CLI flag (`--` and the name with `-` for
-# `_`), the flag's dest and default, and its pipeline key.
-_STAGES = {
-    "filter": (FilterConfig, _run_filter, ("in", "out"), "apply the corpus filtering rules"),
-    "chatprep": (ContextConfig, _run_chatprep, ("out",), "build the speaker/context corpus"),
-    "denoise": (DenoiseConfig, _denoise_file, ("in", "out"), "generate the target-denoised corpus"),
-}
-
-
-def _cmd_stage(args, staged: dict) -> dict:
-    config_cls, runner, _, _ = _STAGES[args.command]
-    passed = {key: value for key, value in vars(args).items()
-              if key in ("in_format", "out_format")}
-    return runner(args.infile, args.outfile, _stage_config(config_cls, vars(args)), staged,
-                  **passed)
-
-
 # ----------------------------------------------------------- bsce-select
 
 def _first_repeated(pairs) -> str | None:
@@ -296,30 +278,57 @@ def _unique_keys(pairs) -> dict:
     return dict(pairs)
 
 
-def _run_bsce(args, staged: dict) -> dict:
+def _run_bsce(scores: str, outfile: str | None, cfg: EnsembleConfig, staged: dict) -> dict:
     started = time.monotonic()
     try:
-        with open(args.scores, encoding="utf-8") as fh:
+        with open(scores, encoding="utf-8") as fh:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
         score_set = ScoreSet.from_lists(obj["models"], obj["comet"], obj["pairwise"])
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CorpusError(f"bad scores file: {exc}") from exc
     try:
-        selection = select_ensemble(score_set, args.ensemble_size)
+        selection = select_ensemble(score_set, cfg.ensemble_size)
     except OverflowError as exc:
         raise CorpusError(f"bad scores file: {exc}") from None
     out = selection.as_dict()
-    if args.outfile is not None:
-        _atomic_write_json(args.outfile, out, staged)
+    if outfile is not None:
+        _atomic_write_json(outfile, out, staged)
     else:
         print(json.dumps(out, ensure_ascii=False, indent=2))
     return {
         "command": "bsce-select",
-        "config": {"ensemble_size": args.ensemble_size},
+        "config": asdict(cfg),
         "candidates": score_set.n,
         "selected": out["selected"],
         "seconds": round(time.monotonic() - started, 6),
     }
+
+
+# -------------------------------------------------------------- commands
+
+# A command's config class, runner, input flag, whether --out is required,
+# format flags and help. Its options are its config's fields: each is its
+# CLI flag (`--` and the name with `-` for `_`), the flag's dest and default
+# (required where the field has none), and its key in a pipeline stage.
+_STAGES = {
+    "filter": (FilterConfig, _run_filter, "--in", True, ("in", "out"),
+               "apply the corpus filtering rules"),
+    "chatprep": (ContextConfig, _run_chatprep, "--in", True, ("out",),
+                 "build the speaker/context corpus"),
+    "denoise": (DenoiseConfig, _denoise_file, "--in", True, ("in", "out"),
+                "generate the target-denoised corpus"),
+    "bsce-select": (EnsembleConfig, _run_bsce, "--scores", False, (),
+                    "greedy diversity-aware ensemble selection"),
+}
+_PIPELINE_STAGES = ("filter", "chatprep", "denoise")
+
+
+def _cmd_stage(args, staged: dict) -> dict:
+    config_cls, runner, *_ = _STAGES[args.command]
+    passed = {key: value for key, value in vars(args).items()
+              if key in ("in_format", "out_format")}
+    return runner(args.infile, args.outfile, _stage_config(config_cls, vars(args)), staged,
+                  **passed)
 
 
 # -------------------------------------------------------------- pipeline
@@ -372,9 +381,9 @@ def _run_pipeline(args, staged: dict) -> dict:
             obj = json.load(fh, object_pairs_hook=_ConfigObject)
         except RecursionError:
             raise ValueError("pipeline config: JSON nested too deeply") from None
-    cfg = _config_section(obj, "the top level", {"seed", *_STAGES})
+    cfg = _config_section(obj, "the top level", {"seed", *_PIPELINE_STAGES})
     # Check every section and build every config before any stage writes.
-    filt, chat, den = (_stage_section(cfg, stage) for stage in _STAGES)
+    filt, chat, den = (_stage_section(cfg, stage) for stage in _PIPELINE_STAGES)
     filter_cfg = _stage_config(FilterConfig, filt)
     context_cfg = _stage_config(ContextConfig, chat)
     # The top-level seed is denoise's default seed.
@@ -388,7 +397,7 @@ def _run_pipeline(args, staged: dict) -> dict:
     if not reads_chatprep:
         reads.append(("denoise.input", den_input))
     _check_paths(reads, [*((f"{stage}.output", section["output"])
-                           for stage, section in zip(_STAGES, (filt, chat, den))),
+                           for stage, section in zip(_PIPELINE_STAGES, (filt, chat, den))),
                          ("--report", args.report)])
 
     # denoise takes the pairs chatprep wrote, each naming its chat line,
@@ -417,7 +426,7 @@ def _build_parser() -> _ArgumentParser:
     report_help = "write the run report here"
     parser.add_argument("--report", default=None, help=report_help)
     # A path a command does not take is None.
-    parser.set_defaults(infile=None, scores=None, config=None, outfile=None)
+    parser.set_defaults(infile=None, config=None, outfile=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -428,21 +437,17 @@ def _build_parser() -> _ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    for name, (config_cls, _, formats, help) in _STAGES.items():
+    for name, (config_cls, _, in_flag, out_required, formats, help) in _STAGES.items():
         p = command(name, _cmd_stage, help)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", dest="outfile", required=True)
+        p.add_argument(in_flag, dest="infile", required=True)
+        p.add_argument("--out", dest="outfile", required=out_required)
         for fmt in formats:
             p.add_argument(f"--{fmt}-format", choices=BITEXT_FORMATS, default=None)
         for f in fields(config_cls):
             kind = ({"choices": _SPELLINGS[f.name]} if f.name in _SPELLINGS
                     else {"type": {"int": int, "float": float}[f.type]})
-            p.add_argument("--" + f.name.replace("_", "-"), default=f.default, **kind)
-
-    p = command("bsce-select", _run_bsce, "greedy diversity-aware ensemble selection")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--ensemble-size", type=int, required=True)
-    p.add_argument("--out", dest="outfile", default=None)
+            p.add_argument("--" + f.name.replace("_", "-"), required=f.default is MISSING,
+                           default=None if f.default is MISSING else f.default, **kind)
 
     p = command("pipeline", _run_pipeline, "run filter, chatprep, denoise in order")
     p.add_argument("config", help="pipeline config (JSON)")
@@ -473,11 +478,10 @@ def _main(argv) -> int:
         parser.parse_args(argv, args)
         # The paths the command line names, checked before anything is read;
         # pipeline checks its stages' paths once it has read its config. A
-        # stage may write over its own input, and bsce-select over its scores:
-        # each reads the whole file before its output is renamed into place.
-        _check_paths([("--in", args.infile), ("--scores", args.scores), ("config", args.config)],
-                     [("--out", args.outfile), ("--report", args.report)],
-                     {("--out", "--in"), ("--out", "--scores")})
+        # command may write over its own input: it reads it whole first.
+        in_flag = _STAGES[args.command][2] if args.command in _STAGES else None
+        _check_paths([(in_flag, args.infile), ("config", args.config)],
+                     [("--out", args.outfile), ("--report", args.report)], {("--out", in_flag)})
         with _staged_outputs() as staged:
             report = args.func(args, staged)
             if args.report is not None:

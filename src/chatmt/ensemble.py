@@ -73,6 +73,13 @@ class ScoreSet:
         return len(self.model_ids)
 
 
+@dataclass(frozen=True)
+class EnsembleConfig:
+    """bsce-select's option. It has no default; select_ensemble checks its
+    range, 1..n, since n comes from the scores."""
+    ensemble_size: int
+
+
 @dataclass
 class EnsembleSelection:
     selected: list[str]

@@ -193,8 +193,9 @@ def test_random_dialogue_properties(seed, mode):
             assert longer.target.startswith(shorter.target)
 
 
-# Texts free of whole tags, which may hold partial ones; a dialogue may
-# get one text that holds a whole tag.
+# Texts joined from pieces that hold partial tags. Joined pieces such as
+# "<SEP" + ">" can form a whole tag, so a draw may hold one; a dialogue
+# may also get one text built to hold a whole tag.
 _clean_texts = st.lists(
     st.sampled_from(["a", "bc", "ü", " ", "<", ">", "<SEP", "<context begins",
                      "context begins>", "<agent", "SEP>"]),

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import pytest
@@ -19,6 +19,7 @@ from chatmt.cli import _build_parser, main
 from chatmt.chatprep import ContextConfig
 from chatmt.corpus import write_bitext
 from chatmt.denoise import DenoiseConfig
+from chatmt.ensemble import EnsembleConfig
 from chatmt.filtering import FilterConfig
 from conftest import DIRECTORY, FIFO, make_micro_corpus, oracle_outputs, run_in, sentinels
 
@@ -306,6 +307,10 @@ CASES = {
          "--out", "sel.json"],
         {"scores.json": TWO_SCORES}, f"config error: ensemble size {size} out of range 1..2")
        for size in (0, 3)},
+    # EnsembleConfig.ensemble_size has no default, so its flag is required.
+    "bsce-ensemble-size-missing": _refused(
+        ["bsce-select", "--scores", "scores.json"], {"scores.json": TWO_SCORES},
+        "error: chatmt bsce-select: the following arguments are required: --ensemble-size"),
     **{f"filter-max-ratio-{ratio}": _refused(
         ["filter", "--in", "in.tsv", "--out", "out.tsv", f"--max-ratio={ratio}"],
         {"in.tsv": b"one\ta b c d e f g h\n"},
@@ -324,6 +329,9 @@ CASES = {
          "error: pipeline config: unknown key 'fail_mode' in the top level"),
         ("unknown-section", {**PIPELINE, "stages": []},
          "error: pipeline config: unknown key 'stages' in the top level"),
+        # bsce-select is a command, not a pipeline stage.
+        ("bsce-select-section", {**PIPELINE, "bsce-select": {"ensemble_size": 2}},
+         "error: pipeline config: unknown key 'bsce-select' in the top level"),
         ("section-not-an-object", {**PIPELINE, "chatprep": []},
          "error: pipeline config: chatprep must be a JSON object"),
         ("speaker-tags-yes", _edit(chatprep={"speaker_tags": "yes"}),
@@ -1098,11 +1106,11 @@ def test_failed_rename_keeps_earlier_renames_and_no_temp(tmp_path, capsys, monke
 @pytest.mark.parametrize("den_format", [None, "tsv", "jsonl"])
 @pytest.mark.parametrize("chat_suffix", [".tsv", ".jsonl"])
 @pytest.mark.parametrize("chat_format", [None, "tsv", "jsonl"])
-def test_pipeline_denoise_reads_chatprep_output_in_chatprep_format(
+def test_pipeline_denoise_of_chatprep_pairs_matches_denoise_on_its_file(
         tmp_path, monkeypatch, chat_format, chat_suffix, den_format, den_suffix, named_input):
-    """denoise reads chatprep's output in the format chatprep wrote it in,
-    as `chatmt denoise` alone reads the committed file with that
-    `--in-format`; denoise.format sets only denoise's output."""
+    """denoise takes the pairs chatprep wrote, and its output equals that of
+    `chatmt denoise --in-format <chatprep's format>` run on the file
+    chatprep committed; denoise.format sets only denoise's output."""
     monkeypatch.chdir(tmp_path)
     cfg_path, _ = make_pipeline_config(tmp_path)
     cfg = json.loads(cfg_path.read_text())
@@ -1167,21 +1175,27 @@ def test_cli_and_pipeline_take_the_config_defaults(tmp_path):
         list(defaults.values())
 
 
-@pytest.mark.parametrize("command, config_cls, own_flags", [
-    ("filter", FilterConfig, ["--in-format", "--out-format"]),
-    ("chatprep", ContextConfig, ["--out-format"]),
-    ("denoise", DenoiseConfig, ["--in-format", "--out-format"]),
-], ids=["filter", "chatprep", "denoise"])
-def test_stage_flags_are_its_config_fields(command, config_cls, own_flags):
-    """A stage's flags are its paths and formats and one flag per config
-    field, with the field's default."""
+@pytest.mark.parametrize("command, config_cls, own_flags, out_required", [
+    ("filter", FilterConfig, ["--in", "--in-format", "--out-format"], True),
+    ("chatprep", ContextConfig, ["--in", "--out-format"], True),
+    ("denoise", DenoiseConfig, ["--in", "--in-format", "--out-format"], True),
+    ("bsce-select", EnsembleConfig, ["--scores"], False),
+], ids=["filter", "chatprep", "denoise", "bsce-select"])
+def test_stage_flags_are_its_config_fields(command, config_cls, own_flags, out_required):
+    """A command's flags are its paths and formats and one flag per config
+    field: required where the field has no default, else with its default."""
     actions = {flag: a for a in _build_parser().commands[command]._actions
                for flag in a.option_strings}
     field_flags = {"--" + f.name.replace("_", "-"): f for f in fields(config_cls)}
-    assert sorted(actions) == sorted(["-h", "--help", "--report", "--in", "--out",
+    assert sorted(actions) == sorted(["-h", "--help", "--report", "--out",
                                       *own_flags, *field_flags])
+    assert (actions[own_flags[0]].required, actions["--out"].required) == (True, out_required)
     for flag, f in field_flags.items():
-        assert (actions[flag].dest, actions[flag].default) == (f.name, f.default)
+        if f.default is MISSING:
+            assert (actions[flag].dest, actions[flag].required) == (f.name, True)
+        else:
+            assert (actions[flag].dest, actions[flag].required, actions[flag].default) == \
+                (f.name, False, f.default)
 
 
 def test_python_m_chatmt_prints_its_version_and_every_commands_help():
