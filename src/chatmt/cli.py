@@ -172,26 +172,30 @@ def _stage_config(config_cls, values: dict):
 # ------------------------------------------------------------ stages
 # A stage runner takes its paths, checked by its caller, its config, the
 # dict it stages its output in and formats (None infers the format from the
-# file suffix). Its report's `seconds` covers reading, parsing, the
-# transform and writing, not the rename. _run_denoise takes pairs instead of
-# a path, so that the pipeline can hand it chatprep's: their reading is
-# chatprep's.
+# file suffix), and returns its own counts; _report makes them a report.
+# _run_denoise takes pairs instead of a path, so that the pipeline can hand
+# it chatprep's: their reading is chatprep's.
+
+def _report(command: str, runner, src, outfile: str | None, cfg, staged: dict,
+            **formats) -> dict:
+    """The report of runner(src, outfile, cfg, staged, **formats), formats
+    being its keyword options: the command, its config, the runner's counts
+    and `seconds`, which covers reading, parsing, the transform and writing
+    the temp, not the rename."""
+    started = time.monotonic()
+    counts = runner(src, outfile, cfg, staged, **formats)
+    return {"command": command, "config": asdict(cfg), **counts,
+            "seconds": round(time.monotonic() - started, 6)}
+
 
 def _run_filter(infile: str, outfile: str, cfg: FilterConfig, staged: dict,
                 in_format: str | None = None, out_format: str | None = None) -> dict:
-    started = time.monotonic()
     stats = ParseStats()
     pairs = parse_bitext(_read_lines(infile), _infer_format(infile, in_format), cfg.fail_mode,
                          stats)
     kept, report = filter_corpus(pairs, cfg)
     _atomic_write_lines(outfile, write_bitext(kept, _infer_format(outfile, out_format)), staged)
-    return {
-        "command": "filter",
-        "config": asdict(cfg),
-        "parse_skipped": stats.skipped,
-        "seconds": round(time.monotonic() - started, 6),
-        **report.as_dict(),
-    }
+    return {"parse_skipped": stats.skipped, **report.as_dict()}
 
 
 def _kept(items: Iterable, into: list) -> Iterator:
@@ -212,7 +216,6 @@ def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig, staged: dict,
                   out_format: str | None = None, keep: list | None = None) -> dict:
     """keep, where given, gets the pairs as they are written: the pipeline
     hands them to denoise."""
-    started = time.monotonic()
     dialogues = parse_chat(_read_lines(infile))
     count = len(dialogues)
     # A dialogue is dropped once its pairs are built, so the pairs kept
@@ -222,32 +225,19 @@ def _run_chatprep(infile: str, outfile: str, cfg: ContextConfig, staged: dict,
         pairs = _kept(pairs, keep)
     written = _atomic_write_lines(
         outfile, write_bitext(pairs, _infer_format(outfile, out_format)), staged)
-    return {
-        "command": "chatprep",
-        "config": asdict(cfg),
-        "dialogues": count,
-        "pairs": written,
-        "seconds": round(time.monotonic() - started, 6),
-    }
+    return {"dialogues": count, "pairs": written}
 
 
 def _run_denoise(pairs: Iterable[BitextPair], outfile: str, cfg: DenoiseConfig, staged: dict,
                  out_format: str | None = None) -> dict:
     """denoise on pairs its caller read: a reader's generator, which
     `seconds` then covers, or the pairs chatprep wrote."""
-    started = time.monotonic()
     pairs = list(pairs)
     noised = denoise_corpus(pairs, cfg, [p.payload_span for p in pairs])
     _atomic_write_lines(outfile, write_bitext(noised, _infer_format(outfile, out_format)), staged)
     changed = sum(1 for a, b in zip(pairs, noised) if a.target != b.target)
-    return {
-        "command": "denoise",
-        "config": asdict(cfg),
-        "pairs": len(pairs),
-        "chosen": chosen_count(len(pairs), cfg),
-        "changed_targets": changed,
-        "seconds": round(time.monotonic() - started, 6),
-    }
+    return {"pairs": len(pairs), "chosen": chosen_count(len(pairs), cfg),
+            "changed_targets": changed}
 
 
 def _denoise_file(infile: str, outfile: str, cfg: DenoiseConfig, staged: dict,
@@ -279,7 +269,6 @@ def _unique_keys(pairs) -> dict:
 
 
 def _run_bsce(scores: str, outfile: str | None, cfg: EnsembleConfig, staged: dict) -> dict:
-    started = time.monotonic()
     try:
         with open(scores, encoding="utf-8") as fh:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
@@ -295,13 +284,7 @@ def _run_bsce(scores: str, outfile: str | None, cfg: EnsembleConfig, staged: dic
         _atomic_write_json(outfile, out, staged)
     else:
         print(json.dumps(out, ensure_ascii=False, indent=2))
-    return {
-        "command": "bsce-select",
-        "config": asdict(cfg),
-        "candidates": score_set.n,
-        "selected": out["selected"],
-        "seconds": round(time.monotonic() - started, 6),
-    }
+    return {"candidates": score_set.n, "selected": out["selected"]}
 
 
 # -------------------------------------------------------------- commands
@@ -327,8 +310,8 @@ def _cmd_stage(args, staged: dict) -> dict:
     config_cls, runner, *_ = _STAGES[args.command]
     passed = {key: value for key, value in vars(args).items()
               if key in ("in_format", "out_format")}
-    return runner(args.infile, args.outfile, _stage_config(config_cls, vars(args)), staged,
-                  **passed)
+    return _report(args.command, runner, args.infile, args.outfile,
+                   _stage_config(config_cls, vars(args)), staged, **passed)
 
 
 # -------------------------------------------------------------- pipeline
@@ -404,14 +387,15 @@ def _run_pipeline(args, staged: dict) -> dict:
     # unless it names another input; denoise.format sets its output.
     handed = [] if reads_chatprep else None
     reports = [
-        _run_filter(filt["input"], filt["output"], filter_cfg, staged,
-                    filt.get("format"), filt.get("format")),
-        _run_chatprep(chat["input"], chat["output"], context_cfg, staged, chat.get("format"),
-                      handed),
-        _run_denoise(handed, den["output"], denoise_cfg, staged, den.get("format"))
+        _report("filter", _run_filter, filt["input"], filt["output"], filter_cfg, staged,
+                in_format=filt.get("format"), out_format=filt.get("format")),
+        _report("chatprep", _run_chatprep, chat["input"], chat["output"], context_cfg, staged,
+                out_format=chat.get("format"), keep=handed),
+        _report("denoise", _run_denoise, handed, den["output"], denoise_cfg, staged,
+                out_format=den.get("format"))
         if reads_chatprep else
-        _denoise_file(den_input, den["output"], denoise_cfg, staged, den.get("format"),
-                      den.get("format")),
+        _report("denoise", _denoise_file, den_input, den["output"], denoise_cfg, staged,
+                in_format=den.get("format"), out_format=den.get("format")),
     ]
     return {"command": "pipeline", "config_path": args.config, "stages": reports}
 

@@ -282,8 +282,9 @@ def parse_chat(lines: Iterable[str]) -> list[Dialogue]:
     for lineno, raw in enumerate(lines, start=1):
         if not raw.isascii():
             _check_utf8(raw, lineno)
-        raw = raw.strip()
-        if not raw:
+        # As in parse_bitext's JSONL: only JSON whitespace may surround the value.
+        raw = raw.rstrip("\n").rstrip("\r")
+        if not raw or raw.isspace():
             continue
         obj = _loads(raw, lineno)
         if type(obj) is not dict:

@@ -166,8 +166,8 @@ def parse_chat(lines: list[bytes]) -> list[Dialogue]:
     by field and each dialogue's turns sorted."""
     by_dialogue, seen = {}, set()
     for lineno, raw in enumerate(lines, start=1):
-        text = decode(raw, lineno).strip()
-        if not text:
+        text = decode(raw, lineno).rstrip("\r\n")
+        if not text.strip():
             continue
         obj = loads(text, lineno)
         if not isinstance(obj, dict):

@@ -276,6 +276,11 @@ CASES = {
        for name, line in [("array", "[1, 2]"), ("string", '"text"'),
                           ("missing-speaker",
                            {k: v for k, v in CHAT_LINES[1].items() if k != "speaker"})]},
+    # Only JSON whitespace may surround a chat line's value, as a bitext line's.
+    "chatprep-turn-led-by-no-break-space": (
+        ["chatprep", "--in", "in.jsonl", "--out", "out.tsv"],
+        {"in.jsonl": "\u00a0".encode() + _lines(CHAT_LINES[0])},
+        "data error: line 1: invalid JSON: Expecting value: line 1 column 1 (char 0)\n", 1, None),
     **{f"{command}-overlong-integer": _stage(command, _lines(
         AB, '{"source": "a", "target": "b", "n": %s}' % _LONG_INT), 2)
        for command in ("filter", "denoise")},
@@ -729,6 +734,38 @@ def test_report_goes_before_or_after_the_command(tmp_path, capsys):
         "error: chatmt filter: the following arguments are required: --out\n"
         "usage: chatmt filter ")
     assert not (tmp_path / "r.json").exists()
+
+
+# Each report's keys in order, as README lists them; a stage's `seconds` is last.
+REPORT_KEYS = {
+    "filter": ["command", "config", "parse_skipped", "input_count", "kept_count",
+               "dropped_by_rule", "dropped_by_reason", "seconds"],
+    "chatprep": ["command", "config", "dialogues", "pairs", "seconds"],
+    "denoise": ["command", "config", "pairs", "chosen", "changed_targets", "seconds"],
+    "bsce-select": ["command", "config", "candidates", "selected", "seconds"],
+    "pipeline": ["command", "config_path", "stages"],
+}
+
+
+def test_each_report_has_its_documented_keys_in_order(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, data in {**PIPELINE_FILES, "scores.json": TWO_SCORES}.items():
+        Path(name).write_bytes(data)
+    reports = {}
+    for argv in (["filter", "--in", "bitext.tsv", "--out", "o.tsv"],
+                 ["chatprep", "--in", "chat.jsonl", "--out", "o.tsv"],
+                 ["denoise", "--in", "bitext.tsv", "--out", "o.tsv"],
+                 ["bsce-select", "--scores", "scores.json", "--ensemble-size", "1",
+                  "--out", "s.json"],
+                 ["pipeline", "pipeline.json"]):
+        assert run([*argv, "--report", "report.json"]) == 0
+        reports[argv[0]] = json.loads(Path("report.json").read_text(encoding="utf-8"))
+    assert {command: list(report) for command, report in reports.items()} == REPORT_KEYS
+    assert [list(stage) for stage in reports["pipeline"]["stages"]] == \
+        [REPORT_KEYS[stage] for stage in ("filter", "chatprep", "denoise")]
+    readme = " ".join((Path(__file__).parent.parent / "README.md").read_text("utf-8").split())
+    for keys in REPORT_KEYS.values():
+        assert ", ".join(f"`{key}`" for key in keys) in readme
 
 
 def test_atomic_write_no_partial_output(tmp_path):

@@ -221,14 +221,18 @@ _ODD_VALUES = {
     "tgt_lang": st.sampled_from([None, 1, ["en"], "fr"]),
 }
 _NON_OBJECTS = st.sampled_from(["[1, 2]", '"text"', "3", "null", "true", "{", "[]"])
-_BLANK_LINES = st.sampled_from(["", "\n", "  \n", "\t\n"])
+# Unicode whitespace only is still no record, though JSON would refuse it
+# around a value.
+_BLANK_LINES = st.sampled_from(["", "\n", "  \n", "\t\n", "\u00a0\n", "\u2028\n"])
+_UNICODE_SPACES = st.sampled_from(["\u00a0", "\u2028", "\u3000", "\x1c"])
 
 
 @st.composite
 def _chat_corpora(draw):
     """Lines of a few dialogues in shuffled order, most often well formed,
     with up to three faults: a field set to an odd value or dropped, a
-    missing line, a duplicated line, a non-object line and blank lines."""
+    missing line, a duplicated line, a non-object line, blank lines and a
+    line wrapped in Unicode whitespace that is not JSON's."""
     records = []
     for d in range(draw(st.integers(1, 3))):
         for turn in range(draw(st.integers(1, 4))):
@@ -244,7 +248,7 @@ def _chat_corpora(draw):
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         fault = draw(st.sampled_from(
-            ["value", "drop", "gap", "duplicate", "non_object", "blank"]))
+            ["value", "drop", "gap", "duplicate", "non_object", "blank", "wrapped"]))
         if fault in ("value", "drop"):
             rec = dict(records[draw(st.integers(0, len(records) - 1))])
             # Faults in more fields than one put the checks' order to the test.
@@ -262,6 +266,9 @@ def _chat_corpora(draw):
             lines.insert(draw(st.integers(0, len(lines))), lines[i])
         elif fault == "non_object":
             lines.insert(i, draw(_NON_OBJECTS) + "\n")
+        elif fault == "wrapped":
+            head, tail = draw(_UNICODE_SPACES | st.just("")), draw(_UNICODE_SPACES | st.just(""))
+            lines[i] = head + lines[i].rstrip("\n") + tail + "\n"
         else:
             lines.insert(i, draw(_BLANK_LINES))
     return lines
@@ -280,6 +287,8 @@ def _odd_chat_line(**fields):
 @example([_odd_chat_line(speaker="robot", tgt_text="")])
 @example([_odd_chat_line(turn_index=True, src_lang=1)])
 @example([_chat_line("d0", 1), _chat_line("d1", 0), _chat_line("d0", 0), _chat_line("d0", 1)])
+@example(["\u00a0\n", "\u2028\n", _chat_line("d0", 0)])
+@example([_chat_line("d0", 0), "\u00a0" + _chat_line("d0", 1)])
 def test_parse_chat_matches_reference(lines):
     assert outcome(parse_chat, lines) == \
         outcome(oracle.parse_chat, [line.encode() for line in lines])
