@@ -342,14 +342,13 @@ def _config_section(obj, where: str, allowed, required=()) -> dict:
 
 def _stage_section(cfg: dict, stage: str) -> dict:
     """One stage's pipeline section, with its keys, path types and format checked."""
+    # denoise takes the pairs chatprep wrote, so it has no input.
+    paths = ("output",) if stage == "denoise" else ("input", "output")
     section = _config_section(
         cfg.get(stage, {}), stage,
-        {"input", "output", "format", *(f.name for f in fields(_STAGES[stage][0]))},
-        # denoise takes chatprep's pairs unless given its own input.
-        ("output",) if stage == "denoise" else ("input", "output"),
-    )
-    for key in ("input", "output"):
-        if not isinstance(section.get(key, ""), str):
+        {*paths, "format", *(f.name for f in fields(_STAGES[stage][0]))}, paths)
+    for key in paths:
+        if not isinstance(section[key], str):
             raise UsageError(f"pipeline config: {stage}.{key} must be a string")
     if section.get("format", BITEXT_FORMATS[0]) not in BITEXT_FORMATS:
         raise UsageError(
@@ -372,32 +371,23 @@ def _run_pipeline(args, staged: dict) -> dict:
     # The top-level seed is denoise's default seed.
     den_options = {"seed": cfg["seed"], **den} if "seed" in cfg else den
     denoise_cfg = _stage_config(DenoiseConfig, den_options)
-    den_input = den.get("input", chat["output"])
-    reads = [("config", args.config), ("filter.input", filt["input"]),
-             ("chatprep.input", chat["input"])]
-    # denoise taking chatprep's output is the pipeline's designed flow.
-    reads_chatprep = os.path.realpath(den_input) == os.path.realpath(chat["output"])
-    if not reads_chatprep:
-        reads.append(("denoise.input", den_input))
-    _check_paths(reads, [*((f"{stage}.output", section["output"])
-                           for stage, section in zip(_PIPELINE_STAGES, (filt, chat, den))),
-                         ("--report", args.report)])
+    _check_paths([("config", args.config), ("filter.input", filt["input"]),
+                  ("chatprep.input", chat["input"])],
+                 [*((f"{stage}.output", section["output"])
+                    for stage, section in zip(_PIPELINE_STAGES, (filt, chat, den))),
+                  ("--report", args.report)])
 
-    # denoise takes the pairs chatprep wrote, each naming its chat line,
-    # unless it names another input; denoise.format sets its output.
-    handed = [] if reads_chatprep else None
-    reports = [
+    # denoise takes the pairs chatprep wrote, each naming its chat line;
+    # denoise.format sets its output.
+    handed = []
+    return {"command": "pipeline", "config_path": args.config, "stages": [
         _report("filter", _run_filter, filt["input"], filt["output"], filter_cfg, staged,
                 in_format=filt.get("format"), out_format=filt.get("format")),
         _report("chatprep", _run_chatprep, chat["input"], chat["output"], context_cfg, staged,
                 out_format=chat.get("format"), keep=handed),
         _report("denoise", _run_denoise, handed, den["output"], denoise_cfg, staged,
-                out_format=den.get("format"))
-        if reads_chatprep else
-        _report("denoise", _denoise_file, den_input, den["output"], denoise_cfg, staged,
-                in_format=den.get("format"), out_format=den.get("format")),
-    ]
-    return {"command": "pipeline", "config_path": args.config, "stages": reports}
+                out_format=den.get("format")),
+    ]}
 
 
 # ----------------------------------------------------------------- main

@@ -125,6 +125,12 @@ UNSPLITTABLE_TSV = ("s1\t<agent> hallo\n"
                     "s3\t<customer> a <context begins> b <context begins> c\n"
                     "s4\td e\n")
 _TAB = {"source": "x\ty", "target": "z"}
+# A chat corpus whose turn on line 2, the first pair chatprep hands to
+# denoise, has a tab in its target: chatprep can write it as JSONL, denoise
+# not as TSV.
+TAB_CHAT = _lines(CHAT_LINES[1], {**CHAT_LINES[0], "tgt_text": "Hel\tlo"}, CHAT_LINES[2])
+TAB_CHAT_ERROR = ("data error: line 2: tab, newline or carriage return in text "
+                  "'<customer> Hel\\tlo' cannot be written as TSV")
 _LONG_INT = "1" * 5000  # past int()'s default limit of 4300 digits
 _BIG = 1.7976931348623157e308
 TWO_SCORES = json.dumps({"models": ["a", "b"], "comet": [0.1, 0.2],
@@ -369,11 +375,8 @@ CASES = {
     # A pair chatprep hands to denoise names its chat line: the turn on line
     # 2 is the first pair, the first line of chatprep's output.
     "pipeline-handed-pair-names-its-chat-line": _pipeline(
-        _edit(chatprep={"output": "p.jsonl"}, denoise={"output": "n.tsv"}),
-        "data error: line 2: tab, newline or carriage return in text '<customer> Hel\\tlo' "
-        "cannot be written as TSV",
-        files={"chat.jsonl": _lines(CHAT_LINES[1], {**CHAT_LINES[0], "tgt_text": "Hel\tlo"},
-                                    CHAT_LINES[2])}),
+        _edit(chatprep={"output": "p.jsonl"}, denoise={"output": "n.tsv"}), TAB_CHAT_ERROR,
+        files={"chat.jsonl": TAB_CHAT}),
     # A data error would show that the bad input was read.
     **{f"{name}-output-in-a-missing-directory": _refused(
         argv, {"bad.jsonl": b"not a record\n"},
@@ -448,9 +451,7 @@ CASES = {
            ("chatprep-over-filter", "chatprep", "output", "filtered.tsv",
             "chatprep.output 'filtered.tsv'", "filter.output"),
            ("denoise-over-chatprep", "denoise", "output", "prepped.tsv",
-            "denoise.output 'prepped.tsv'", "chatprep.output"),
-           ("filter-over-denoise-input", "denoise", "input", "filtered.tsv",
-            "filter.output 'filtered.tsv'", "denoise.input")]},
+            "denoise.output 'prepped.tsv'", "chatprep.output")]},
     **{f"{argv[0]}-input-is-a-directory": _refused(
         argv, {"in.d": DIRECTORY}, "error: input path is a directory: 'in.d'") for argv in [
         ["filter", "--in", "in.d", "--out", "o.tsv"],
@@ -458,12 +459,12 @@ CASES = {
         ["denoise", "--in", "in.d", "--out", "o.tsv"],
         ["bsce-select", "--scores", "in.d", "--ensemble-size", "1", "--out", "o.json"],
         ["pipeline", "in.d"]]},
-    # Every stage input is checked before any stage runs: filter's input
-    # (line 11) or chatprep's (line 2) would exit 2, and every output and the
-    # report exist already.
-    "pipeline-denoise-input-checked-before-any-stage-runs": _pipeline(
-        _edit(denoise={"input": "missing.tsv"}), "error: input path does not exist: 'missing.tsv'",
-        "--report", "report.json",
+    # denoise takes the pairs chatprep wrote, so an input is refused, even
+    # chatprep's output, before any stage runs: chatprep's input (line 2)
+    # would exit 2, and every output and the report exist already.
+    "pipeline-denoise-input": _pipeline(
+        _edit(denoise={"input": "prepped.tsv"}),
+        "error: pipeline config: unknown key 'input' in denoise", "--report", "report.json",
         files={**OLD_OUTPUTS, "chat.jsonl": _lines(CHAT_LINES[0], "not json")}),
     # An empty path is refused like any other, before anything is read.
     **{f"empty-{name}": _refused(argv, {**PIPELINE_FILES, "scores.json": TWO_SCORES},
@@ -486,7 +487,7 @@ CASES = {
         _edit(**{stage: {"input": "in.d"}}), "error: input path is a directory: 'in.d'",
         "--report", "report.json",
         files={**OLD_OUTPUTS, "in.d": DIRECTORY, "bitext.tsv": MICRO_TSV + b"no tab\n"})
-       for stage in ("filter", "chatprep", "denoise")},
+       for stage in ("filter", "chatprep")},
 }
 
 
@@ -788,12 +789,11 @@ def test_jsonl_escapes_still_parse(tmp_path):
 
 
 def test_pipeline_failing_stage_leaves_no_outputs(tmp_path, capsys):
+    # denoise, the last stage, fails once filter and chatprep have staged theirs.
     cfg_path, outputs = make_pipeline_config(tmp_path)
-    chat = json.loads(cfg_path.read_text())["chatprep"]["input"]
-    with open(chat, "a", encoding="utf-8") as fh:
-        fh.write("not a record\n")
+    _break_denoise(tmp_path)
     assert run(["pipeline", str(cfg_path)]) == 2
-    assert "line 4:" in capsys.readouterr().err
+    assert capsys.readouterr().err == TAB_CHAT_ERROR + "\n"
     assert not any(p.exists() for p in outputs)
 
 
@@ -965,30 +965,10 @@ def test_cli_import_leaves_numpy_unloaded():
     assert result.stdout == "False\n"
 
 
-def _edit_pipeline_paths(tmp_path, stages):
-    """make_pipeline_config's config with stage paths set to files in tmp_path."""
-    cfg_path, _ = make_pipeline_config(tmp_path)
-    cfg = json.loads(cfg_path.read_text())
-    for stage, section in stages.items():
-        cfg[stage].update({key: str(tmp_path / name) for key, name in section.items()})
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    return cfg_path
-
-
-def test_pipeline_denoise_may_name_chatprep_output_as_input(tmp_path):
-    cfg_path = _edit_pipeline_paths(tmp_path, {"denoise": {"input": "prepped.tsv"}})
-    assert run(["pipeline", str(cfg_path)]) == 0
-    assert (tmp_path / "noised.tsv").exists()
-
-
-@pytest.mark.parametrize("den_input", [None, "prepped.tsv", "other.tsv"])
-def test_pipeline_opens_only_its_config_and_stage_inputs(tmp_path, monkeypatch, den_input):
+def test_pipeline_opens_only_its_config_and_stage_inputs(tmp_path, monkeypatch):
     """denoise takes the pairs chatprep wrote: the pipeline opens its config
-    and the stages' inputs, denoise's only where it names another file, and
-    never chatprep's output or a temp."""
-    cfg_path = _edit_pipeline_paths(tmp_path, {"denoise": {"input": den_input}} if den_input
-                                    else {})
-    write_micro_corpus(tmp_path / "other.tsv")
+    and filter's and chatprep's inputs, and never chatprep's output or a temp."""
+    cfg_path, _ = make_pipeline_config(tmp_path)
     opened = []
 
     def recording_open(path, *args, **kwargs):
@@ -997,9 +977,8 @@ def test_pipeline_opens_only_its_config_and_stage_inputs(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli, "open", recording_open, raising=False)
     assert run(["pipeline", str(cfg_path)]) == 0
-    assert opened == [str(tmp_path / name) for name in (
-        "pipeline.json", "bitext.tsv", "chat.jsonl", *(["other.tsv"] if den_input == "other.tsv"
-                                                       else []))]
+    assert opened == [str(tmp_path / name) for name in ("pipeline.json", "bitext.tsv",
+                                                        "chat.jsonl")]
 
 
 def test_single_stage_may_rewrite_its_input_in_place(tmp_path):
@@ -1066,17 +1045,18 @@ def _break_chatprep(tmp_path):
 
 
 def _break_denoise(tmp_path):
-    (tmp_path / "unsplittable.tsv").write_text(UNSPLITTABLE_TSV, encoding="utf-8")
+    """chatprep writes TAB_CHAT's pairs as JSONL, denoise cannot write them as TSV."""
+    (tmp_path / "chat.jsonl").write_bytes(TAB_CHAT)
     cfg_path = tmp_path / "pipeline.json"
     cfg = json.loads(cfg_path.read_text())
-    cfg["denoise"]["input"] = str(tmp_path / "unsplittable.tsv")
+    cfg["chatprep"]["format"] = "jsonl"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
 
 
 @pytest.mark.parametrize("break_stage, message", [
     (_break_filter, "data error: line 11: "),
     (_break_chatprep, "data error: line 2: invalid JSON"),
-    (_break_denoise, "data error: line 2: empty payload"),
+    (_break_denoise, TAB_CHAT_ERROR),
 ], ids=["filter", "chatprep", "denoise"])
 def test_pipeline_failing_stage_changes_no_file(tmp_path, capsys, break_stage, message):
     argv = _pipeline_over_old_outputs(tmp_path)
@@ -1138,13 +1118,12 @@ def test_failed_rename_keeps_earlier_renames_and_no_temp(tmp_path, capsys, monke
     assert sorted(os.listdir(tmp_path)) == ["in.tsv", "o.tsv"]
 
 
-@pytest.mark.parametrize("named_input", [False, True], ids=["no_input", "named_input"])
 @pytest.mark.parametrize("den_suffix", [".tsv", ".jsonl"])
 @pytest.mark.parametrize("den_format", [None, "tsv", "jsonl"])
 @pytest.mark.parametrize("chat_suffix", [".tsv", ".jsonl"])
 @pytest.mark.parametrize("chat_format", [None, "tsv", "jsonl"])
 def test_pipeline_denoise_of_chatprep_pairs_matches_denoise_on_its_file(
-        tmp_path, monkeypatch, chat_format, chat_suffix, den_format, den_suffix, named_input):
+        tmp_path, monkeypatch, chat_format, chat_suffix, den_format, den_suffix):
     """denoise takes the pairs chatprep wrote, and its output equals that of
     `chatmt denoise --in-format <chatprep's format>` run on the file
     chatprep committed; denoise.format sets only denoise's output."""
@@ -1153,8 +1132,6 @@ def test_pipeline_denoise_of_chatprep_pairs_matches_denoise_on_its_file(
     cfg = json.loads(cfg_path.read_text())
     prepped, noised = f"p{chat_suffix}", f"n{den_suffix}"
     cfg["chatprep"]["output"], cfg["denoise"]["output"] = prepped, noised
-    if named_input:
-        cfg["denoise"]["input"] = "./" + prepped
     for stage, fmt in (("chatprep", chat_format), ("denoise", den_format)):
         if fmt:
             cfg[stage]["format"] = fmt
