@@ -6,8 +6,9 @@
 # one short select-kernels run at full size (400 models, about 8 s), the
 # checks that compare chatmt's output bytes against perfbench/pins.json;
 # last, the numpy-free smoke stages under each python3.10 ... python3.13
-# that starts, or else that version's pyenv install, and under
-# PYTHONHASHSEED=1, against the same pins (about 3 s,
+# that starts, or else that version's pyenv install, under PYTHONHASHSEED=1
+# and under LC_ALL=C PYTHONUTF8=0, where bsce-select's printed selection is
+# checked too, against the same pins (about 3 s,
 # scripts/interpreter_check.py).
 # Fails if any fails, if the smoke run reports a trace hook whose target is
 # missing, or if the select-kernels run's result line is not correct with

@@ -6,10 +6,13 @@ runs the stages that import no numpy (filter on filter-tsv and on
 mixed-jsonl, chatprep on chat-tsv, bsce-select on select-kernels), as
 perfbench/workloads.py gives them, under each python3.10 ... python3.13 on
 PATH that starts (or else the newest of that version pyenv has installed,
-`$(pyenv root)/versions/3.X.*/bin/python3.X`), and once more under this
-interpreter with PYTHONHASHSEED=1; nothing is installed. Each output's
-sha256 is compared with its smoke pin in perfbench/pins.json. Prints the interpreters that ran and those skipped;
-exits 1 if a stage fails or an output differs from its pin.
+`$(pyenv root)/versions/3.X.*/bin/python3.X`), and twice more under this
+interpreter: with PYTHONHASHSEED=1, and with LC_ALL=C PYTHONUTF8=0, whose
+stdio encoding is ASCII, where bsce-select also runs without --out and
+the selection it prints is checked as well; nothing is installed. Each
+output's sha256 is compared with its smoke pin in perfbench/pins.json.
+Prints the interpreters that ran and those skipped; exits 1 if a stage
+fails or an output differs from its pin.
 
     python3 scripts/interpreter_check.py
 """
@@ -28,6 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 NUMPY_FREE = ("filter", "chatprep", "bsce-select")
 SEED = 0
+# A locale whose stdio encoding is ASCII; bsce-select's stdout must still be
+# the UTF-8 bytes its --out gets.
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0"}
 
 # Import perfbench's modules without writing bytecode under perfbench/.
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -78,8 +84,10 @@ def interpreters() -> tuple[list[tuple[str, str, dict]], list[str]]:
                 break
         else:
             skipped.append(f"{name} ({'does not start' if candidates else 'not installed'})")
-    runs.append((f"{Path(sys.executable).name} ({sys.version.split()[0]}) PYTHONHASHSEED=1",
-                 sys.executable, {"PYTHONHASHSEED": "1"}))
+    this = f"{Path(sys.executable).name} ({sys.version.split()[0]})"
+    for extra_env in ({"PYTHONHASHSEED": "1"}, C_LOCALE):
+        runs.append((" ".join([this, *(f"{k}={v}" for k, v in extra_env.items())]),
+                     sys.executable, extra_env))
     return runs, skipped
 
 
@@ -108,7 +116,26 @@ def check(label: str, exe: str, extra_env: dict, inputs: Path, work: Path,
                 if digest != pin[name]:
                     problems.append(f"{label}: {wl.name} {stage.name} {name} differs "
                                     f"from its pin")
+            if stage.name == "bsce-select" and extra_env == C_LOCALE:
+                problems += check_printed_selection(label, exe, env, cwd, stage, pin)
     return problems
+
+
+def check_printed_selection(label: str, exe: str, env: dict, cwd: Path, stage,
+                            pin: dict) -> list[str]:
+    """Run the bsce-select stage without --out; return the problems found
+    with the selection it prints, which should be the bytes of --out's."""
+    argv = stage.argv(SEED)
+    at = argv.index("--out")
+    name = argv[at + 1]
+    result = subprocess.run([exe, "-B", "-m", "chatmt", *argv[:at], *argv[at + 2:]], cwd=cwd,
+                            env=env, capture_output=True, timeout=300)
+    if result.returncode != 0:
+        return [f"{label}: bsce-select without --out exited {result.returncode}: "
+                f"{result.stderr.decode(errors='replace').strip()[-400:]}"]
+    if hashlib.sha256(result.stdout).hexdigest() != pin[name]:
+        return [f"{label}: bsce-select's printed selection differs from the pin of {name}"]
+    return []
 
 
 def main() -> int:

@@ -83,8 +83,30 @@ def _atomic_write_lines(path: str | Path, lines: Iterable[str], staged: dict) ->
     return count
 
 
+def _json_text(obj, indent: int | None = None) -> str:
+    """obj's JSON and a newline, non-ASCII characters as themselves and a
+    lone surrogate (a path's byte that is not UTF-8) as its JSON escape, so
+    that the text encodes as UTF-8."""
+    text = json.dumps(obj, ensure_ascii=False, indent=indent) + "\n"
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def _atomic_write_json(path: str | Path, obj, staged: dict) -> None:
-    _atomic_write_lines(path, [json.dumps(obj, ensure_ascii=False, indent=2) + "\n"], staged)
+    _atomic_write_lines(path, [_json_text(obj, indent=2)], staged)
+
+
+def _print_json(obj, stream, indent: int | None = None) -> None:
+    """Write obj's JSON to stream, stdout or stderr, as UTF-8 whatever the
+    locale's encoding; a stream with no byte buffer (an in-process caller's
+    text stream) gets the text."""
+    text = _json_text(obj, indent)
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(text)
+        return
+    stream.flush()
+    buffer.write(text.encode("utf-8"))
+    buffer.flush()
 
 
 @contextlib.contextmanager
@@ -283,7 +305,7 @@ def _run_bsce(scores: str, outfile: str | None, cfg: EnsembleConfig, staged: dic
     if outfile is not None:
         _atomic_write_json(outfile, out, staged)
     else:
-        print(json.dumps(out, ensure_ascii=False, indent=2))
+        _print_json(out, sys.stdout, indent=2)
     return {"candidates": score_set.n, "selected": out["selected"]}
 
 
@@ -477,7 +499,7 @@ def _main(argv) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.report is None:
-        print(json.dumps(report, ensure_ascii=False), file=sys.stderr)
+        _print_json(report, sys.stderr)
     return EXIT_OK
 
 

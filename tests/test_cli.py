@@ -1,5 +1,6 @@
 import errno
 import gc
+import io
 import itertools
 import json
 import os
@@ -671,6 +672,52 @@ def test_bsce_select_without_out_prints_the_selection(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.json", "sel.json"]
 
 
+def test_bsce_select_prints_the_selection_to_a_text_stream(tmp_path, monkeypatch):
+    """An in-process caller's stdout with no byte buffer gets the text of
+    the bytes --out writes."""
+    scores, out = tmp_path / "scores.json", tmp_path / "sel.json"
+    scores.write_text(json.dumps({**GOOD_SCORES, "models": ["m\xe9", "b", "c"]}),
+                      encoding="utf-8")
+    argv = ["bsce-select", "--scores", str(scores), "--ensemble-size", "3"]
+    assert run([*argv, "--out", str(out)]) == 0
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(argv) == 0
+    assert stdout.getvalue() == out.read_text(encoding="utf-8")
+
+
+def _python_m_chatmt(argv, cwd=None, **env):
+    """`python -m chatmt` with argv, run on this checkout's src; stdout and
+    stderr are bytes."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # -B, so that the run writes no bytecode into the checkout.
+    return subprocess.run([sys.executable, "-B", "-m", "chatmt", *argv], cwd=cwd, env=env,
+                          capture_output=True)
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_bsce_select_writes_utf8_json_whatever_the_stdio_encoding(tmp_path, encoding):
+    """stdout gets the bytes --out writes and stderr the report --report
+    writes, as UTF-8 JSON, under a stdio encoding that cannot hold the
+    model id or would write it in other bytes."""
+    (tmp_path / "scores.json").write_text(
+        json.dumps({**GOOD_SCORES, "models": ["m\xe9", "b", "c"]}), encoding="utf-8")
+    argv = ["bsce-select", "--scores", "scores.json", "--ensemble-size", "3"]
+    to_files = _python_m_chatmt([*argv, "--out", "sel.json", "--report", "r.json"],
+                                cwd=tmp_path)
+    assert (to_files.returncode, to_files.stderr) == (0, b"")
+    printed = _python_m_chatmt(argv, cwd=tmp_path, PYTHONIOENCODING=encoding)
+    assert printed.returncode == 0, printed.stderr
+    assert printed.stdout == (tmp_path / "sel.json").read_bytes()
+    assert "m\xe9" in printed.stdout.decode("utf-8")
+    report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    printed_report = json.loads(printed.stderr.decode("utf-8"))
+    assert "m\xe9" in printed_report["selected"]
+    assert {**printed_report, "seconds": None} == {**report, "seconds": None}
+
+
 def make_pipeline_config(tmp_path):
     """PIPELINE_FILES in tmp_path, with PIPELINE naming each path in full."""
     for name, data in PIPELINE_FILES.items():
@@ -692,6 +739,23 @@ def test_pipeline_runs_and_is_deterministic(tmp_path):
     assert first == second
     rep = json.loads(report.read_text())
     assert [s["command"] for s in rep["stages"]] == ["filter", "chatprep", "denoise"]
+
+
+def test_pipeline_reports_a_config_path_that_is_not_utf8(tmp_path, capsys):
+    """A config path's byte that is not UTF-8 is written as its JSON escape,
+    in the report file and on stderr, and reads back as the path's bytes."""
+    cfg_path, _ = make_pipeline_config(tmp_path)
+    config = os.fsdecode(bytes(tmp_path) + b"/cfg\xff.json")
+    os.rename(cfg_path, config)
+    report = tmp_path / "report.json"
+    assert run(["pipeline", config, "--report", str(report)]) == 0
+    assert b"\\udcff" in report.read_bytes()
+    with open(report, encoding="utf-8") as fh:
+        assert os.fsencode(json.load(fh)["config_path"]) == os.fsencode(config)
+    capsys.readouterr()
+    assert run(["pipeline", config]) == 0
+    assert os.fsencode(json.loads(capsys.readouterr().err)["config_path"]) == \
+        os.fsencode(config)
 
 
 def test_pipeline_filter_fail_mode_does_what_the_flag_does(tmp_path):
@@ -1213,21 +1277,12 @@ def test_stage_flags_are_its_config_fields(command, config_cls, own_flags, out_r
 
 
 def test_python_m_chatmt_prints_its_version_and_every_commands_help():
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-    def chatmt(*argv):
-        # -B, so that the run writes no bytecode into the checkout.
-        return subprocess.run([sys.executable, "-B", "-m", "chatmt", *argv], env=env,
-                              capture_output=True, text=True)
-
-    result = chatmt("--version")
-    assert (result.returncode, result.stdout) == (0, f"chatmt {__version__}\n")
+    result = _python_m_chatmt(["--version"])
+    assert (result.returncode, result.stdout) == (0, f"chatmt {__version__}\n".encode())
     for command in ("filter", "chatprep", "denoise", "bsce-select", "pipeline"):
-        result = chatmt(command, "--help")
+        result = _python_m_chatmt([command, "--help"])
         assert result.returncode == 0, result.stderr
-        assert result.stdout.startswith(f"usage: chatmt {command} ")
+        assert result.stdout.startswith(f"usage: chatmt {command} ".encode())
 
 
 def test_readme_cli_block_parses():

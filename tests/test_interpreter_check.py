@@ -1,5 +1,6 @@
 """scripts/interpreter_check.py finds each python3.X to run: the one on
-PATH, or, where that does not start, one pyenv has installed."""
+PATH, or, where that does not start, one pyenv has installed; then this
+interpreter runs under PYTHONHASHSEED=1 and under the C locale."""
 import json
 import os
 import subprocess
@@ -34,7 +35,9 @@ def test_a_version_whose_shim_does_not_start_runs_under_pyenvs_install(tmp_path)
                          text=True, check=True).stdout
     runs, skipped = json.loads(out)
     full = ".".join(map(str, sys.version_info[:3]))
-    assert [run[:2] for run in runs[:-1]] == \
+    assert [run[:2] for run in runs[:-2]] == \
         [[f"python3.10 ({full})", str(root / "versions" / "3.10.13" / "bin" / "python3.10")]]
+    assert [run[1:] for run in runs[-2:]] == [[sys.executable, {"PYTHONHASHSEED": "1"}],
+                                              [sys.executable, {"LC_ALL": "C", "PYTHONUTF8": "0"}]]
     assert skipped == ["python3.11 (not installed)", "python3.12 (does not start)",
                        "python3.13 (not installed)"]
