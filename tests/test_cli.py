@@ -686,14 +686,14 @@ def test_bsce_select_prints_the_selection_to_a_text_stream(tmp_path, monkeypatch
     assert stdout.getvalue() == out.read_text(encoding="utf-8")
 
 
-def _python_m_chatmt(argv, cwd=None, **env):
-    """`python -m chatmt` with argv, run on this checkout's src; stdout and
-    stderr are bytes."""
+def _python_m_chatmt(argv, cwd=None, module="chatmt", **env):
+    """`python -m chatmt` (or another module) with argv, run on this
+    checkout's src; stdout and stderr are bytes."""
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     # -B, so that the run writes no bytecode into the checkout.
-    return subprocess.run([sys.executable, "-B", "-m", "chatmt", *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-B", "-m", module, *argv], cwd=cwd, env=env,
                           capture_output=True)
 
 
@@ -1276,11 +1276,12 @@ def test_stage_flags_are_its_config_fields(command, config_cls, own_flags, out_r
                 (f.name, False, f.default)
 
 
-def test_python_m_chatmt_prints_its_version_and_every_commands_help():
-    result = _python_m_chatmt(["--version"])
+@pytest.mark.parametrize("module", ["chatmt", "chatmt.cli"])
+def test_python_m_chatmt_prints_its_version_and_every_commands_help(module):
+    result = _python_m_chatmt(["--version"], module=module)
     assert (result.returncode, result.stdout) == (0, f"chatmt {__version__}\n".encode())
     for command in ("filter", "chatprep", "denoise", "bsce-select", "pipeline"):
-        result = _python_m_chatmt([command, "--help"])
+        result = _python_m_chatmt([command, "--help"], module=module)
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith(f"usage: chatmt {command} ".encode())
 
