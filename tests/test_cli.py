@@ -132,6 +132,20 @@ _TAB = {"source": "x\ty", "target": "z"}
 TAB_CHAT = _lines(CHAT_LINES[1], {**CHAT_LINES[0], "tgt_text": "Hel\tlo"}, CHAT_LINES[2])
 TAB_CHAT_ERROR = ("data error: line 2: tab, newline or carriage return in text "
                   "'<customer> Hel\\tlo' cannot be written as TSV")
+# A chat corpus whose texts TSV and JSONL must carry unchanged: JSON
+# escapes, characters str.splitlines splits on, spaces that are not single,
+# text outside the BMP; its dialogues interleave, and its file has blank
+# lines and a CRLF line end.
+_AWKWARD_TEXTS = [("Grüße, \"Kunde\" \\ C:\\pfad", "Hi  there,\u2028\"customer\" \\ C:\\path"),
+                  ("Wie\x85geht's?\x0b\x0c", " How\x1cis it going? "),
+                  ("こんにちは 👋", "e\u0301 \xa0hello\u3000world"),
+                  ("Danke\x1d\x1e schön", "Thanks\x00 a lot  ")]
+AWKWARD_CHAT = b"\n".join([
+    b"", *(json.dumps({"dialogue_id": f"d{i % 2}", "turn_index": i // 2,
+                       "speaker": ("customer", "agent")[i // 2 % 2], "src_text": src,
+                       "tgt_text": tgt, "src_lang": "de", "tgt_lang": "en"}).encode()
+           + (b"\r" if i == 2 else b"") for i, (src, tgt) in enumerate(_AWKWARD_TEXTS * 2)),
+    b"  ", b""])
 _LONG_INT = "1" * 5000  # past int()'s default limit of 4300 digits
 _BIG = 1.7976931348623157e308
 TWO_SCORES = json.dumps({"models": ["a", "b"], "comet": [0.1, 0.2],
@@ -1029,10 +1043,17 @@ def test_cli_import_leaves_numpy_unloaded():
     assert result.stdout == "False\n"
 
 
-def test_pipeline_opens_only_its_config_and_stage_inputs(tmp_path, monkeypatch):
+@pytest.mark.parametrize("den_input", [None, "prepped.tsv", "other.tsv"])
+def test_pipeline_opens_only_its_config_and_stage_inputs(tmp_path, monkeypatch, den_input):
     """denoise takes the pairs chatprep wrote: the pipeline opens its config
-    and filter's and chatprep's inputs, and never chatprep's output or a temp."""
+    and filter's and chatprep's inputs, and never chatprep's output or a temp;
+    a denoise.input, whatever it names, is refused once the config is read."""
     cfg_path, _ = make_pipeline_config(tmp_path)
+    if den_input:
+        write_micro_corpus(tmp_path / "other.tsv")
+        cfg = json.loads(cfg_path.read_text())
+        cfg["denoise"]["input"] = str(tmp_path / den_input)
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     opened = []
 
     def recording_open(path, *args, **kwargs):
@@ -1040,9 +1061,9 @@ def test_pipeline_opens_only_its_config_and_stage_inputs(tmp_path, monkeypatch):
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(cli, "open", recording_open, raising=False)
-    assert run(["pipeline", str(cfg_path)]) == 0
-    assert opened == [str(tmp_path / name) for name in ("pipeline.json", "bitext.tsv",
-                                                        "chat.jsonl")]
+    assert run(["pipeline", str(cfg_path)]) == (1 if den_input else 0)
+    assert opened == [str(tmp_path / name) for name in (
+        "pipeline.json", *([] if den_input else ["bitext.tsv", "chat.jsonl"]))]
 
 
 def test_single_stage_may_rewrite_its_input_in_place(tmp_path):
@@ -1182,17 +1203,20 @@ def test_failed_rename_keeps_earlier_renames_and_no_temp(tmp_path, capsys, monke
     assert sorted(os.listdir(tmp_path)) == ["in.tsv", "o.tsv"]
 
 
+@pytest.mark.parametrize("chat", [PIPELINE_FILES["chat.jsonl"], AWKWARD_CHAT],
+                         ids=["plain", "awkward"])
 @pytest.mark.parametrize("den_suffix", [".tsv", ".jsonl"])
 @pytest.mark.parametrize("den_format", [None, "tsv", "jsonl"])
 @pytest.mark.parametrize("chat_suffix", [".tsv", ".jsonl"])
 @pytest.mark.parametrize("chat_format", [None, "tsv", "jsonl"])
 def test_pipeline_denoise_of_chatprep_pairs_matches_denoise_on_its_file(
-        tmp_path, monkeypatch, chat_format, chat_suffix, den_format, den_suffix):
+        tmp_path, monkeypatch, chat_format, chat_suffix, den_format, den_suffix, chat):
     """denoise takes the pairs chatprep wrote, and its output equals that of
     `chatmt denoise --in-format <chatprep's format>` run on the file
     chatprep committed; denoise.format sets only denoise's output."""
     monkeypatch.chdir(tmp_path)
     cfg_path, _ = make_pipeline_config(tmp_path)
+    (tmp_path / "chat.jsonl").write_bytes(chat)
     cfg = json.loads(cfg_path.read_text())
     prepped, noised = f"p{chat_suffix}", f"n{den_suffix}"
     cfg["chatprep"]["output"], cfg["denoise"]["output"] = prepped, noised
