@@ -363,19 +363,14 @@ def _config_section(obj, where: str, allowed, required=()) -> dict:
 
 
 def _stage_section(cfg: dict, stage: str) -> dict:
-    """One stage's pipeline section, with its keys, path types and format checked."""
+    """One stage's pipeline section, with its keys and path types checked."""
     # denoise takes the pairs chatprep wrote, so it has no input.
     paths = ("output",) if stage == "denoise" else ("input", "output")
     section = _config_section(
-        cfg.get(stage, {}), stage,
-        {*paths, "format", *(f.name for f in fields(_STAGES[stage][0]))}, paths)
+        cfg.get(stage, {}), stage, {*paths, *(f.name for f in fields(_STAGES[stage][0]))}, paths)
     for key in paths:
         if not isinstance(section[key], str):
             raise UsageError(f"pipeline config: {stage}.{key} must be a string")
-    if section.get("format", BITEXT_FORMATS[0]) not in BITEXT_FORMATS:
-        raise UsageError(
-            f"pipeline config: {stage}.format must be one of {', '.join(BITEXT_FORMATS)}"
-        )
     return section
 
 
@@ -399,16 +394,14 @@ def _run_pipeline(args, staged: dict) -> dict:
                     for stage, section in zip(_PIPELINE_STAGES, (filt, chat, den))),
                   ("--report", args.report)])
 
-    # denoise takes the pairs chatprep wrote, each naming its chat line;
-    # denoise.format sets its output.
+    # Each file's format is its suffix's. denoise takes the pairs chatprep
+    # wrote, each naming its chat line.
     handed = []
     return {"command": "pipeline", "config_path": args.config, "stages": [
-        _report("filter", _run_filter, filt["input"], filt["output"], filter_cfg, staged,
-                in_format=filt.get("format"), out_format=filt.get("format")),
+        _report("filter", _run_filter, filt["input"], filt["output"], filter_cfg, staged),
         _report("chatprep", _run_chatprep, chat["input"], chat["output"], context_cfg, staged,
-                out_format=chat.get("format"), keep=handed),
-        _report("denoise", _run_denoise, handed, den["output"], denoise_cfg, staged,
-                out_format=den.get("format")),
+                keep=handed),
+        _report("denoise", _run_denoise, handed, den["output"], denoise_cfg, staged),
     ]}
 
 

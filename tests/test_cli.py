@@ -383,10 +383,15 @@ CASES = {
         ("repeated-option", json.dumps(PIPELINE).replace(
             '"n_prev": 2', '"n_prev": 2, "n_prev": 3'),
          "error: pipeline config: duplicate key 'n_prev' in chatprep"),
-        ("denoise-format-xml", _edit(denoise={"format": "xml"}),
-         "error: pipeline config: denoise.format must be one of tsv, jsonl"),
         ("denoise-output-in-a-missing-directory", _edit(denoise={"output": "missing/n.tsv"}),
          "error: output must be a file in an existing directory: 'missing/n.tsv'")]},
+    # A stage file's format is its suffix's; filter's unreadable input
+    # would show that a stage ran.
+    **{f"pipeline-{stage}-format": _pipeline(
+        _edit(**{stage: {"format": "jsonl"}}),
+        f"error: pipeline config: unknown key 'format' in {stage}",
+        files={"bitext.tsv": b"not a record\n"})
+       for stage in ("filter", "chatprep", "denoise")},
     # A pair chatprep hands to denoise names its chat line: the turn on line
     # 2 is the first pair, the first line of chatprep's output.
     "pipeline-handed-pair-names-its-chat-line": _pipeline(
@@ -1134,7 +1139,7 @@ def _break_denoise(tmp_path):
     (tmp_path / "chat.jsonl").write_bytes(TAB_CHAT)
     cfg_path = tmp_path / "pipeline.json"
     cfg = json.loads(cfg_path.read_text())
-    cfg["chatprep"]["format"] = "jsonl"
+    cfg["chatprep"]["output"] = str(tmp_path / "prepped.jsonl")
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
 
 
@@ -1206,29 +1211,22 @@ def test_failed_rename_keeps_earlier_renames_and_no_temp(tmp_path, capsys, monke
 @pytest.mark.parametrize("chat", [PIPELINE_FILES["chat.jsonl"], AWKWARD_CHAT],
                          ids=["plain", "awkward"])
 @pytest.mark.parametrize("den_suffix", [".tsv", ".jsonl"])
-@pytest.mark.parametrize("den_format", [None, "tsv", "jsonl"])
 @pytest.mark.parametrize("chat_suffix", [".tsv", ".jsonl"])
-@pytest.mark.parametrize("chat_format", [None, "tsv", "jsonl"])
 def test_pipeline_denoise_of_chatprep_pairs_matches_denoise_on_its_file(
-        tmp_path, monkeypatch, chat_format, chat_suffix, den_format, den_suffix, chat):
+        tmp_path, monkeypatch, chat_suffix, den_suffix, chat):
     """denoise takes the pairs chatprep wrote, and its output equals that of
-    `chatmt denoise --in-format <chatprep's format>` run on the file
-    chatprep committed; denoise.format sets only denoise's output."""
+    `chatmt denoise --in-format <chatprep's suffix>` run on the file
+    chatprep committed."""
     monkeypatch.chdir(tmp_path)
     cfg_path, _ = make_pipeline_config(tmp_path)
     (tmp_path / "chat.jsonl").write_bytes(chat)
     cfg = json.loads(cfg_path.read_text())
     prepped, noised = f"p{chat_suffix}", f"n{den_suffix}"
     cfg["chatprep"]["output"], cfg["denoise"]["output"] = prepped, noised
-    for stage, fmt in (("chatprep", chat_format), ("denoise", den_format)):
-        if fmt:
-            cfg[stage]["format"] = fmt
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert run(["pipeline", str(cfg_path)]) == 0
     alone = f"alone{den_suffix}"
-    assert run(["denoise", "--in", prepped, "--out", alone,
-                "--in-format", chat_format or chat_suffix[1:],
-                *(["--out-format", den_format] if den_format else []),
+    assert run(["denoise", "--in", prepped, "--out", alone, "--in-format", chat_suffix[1:],
                 "--seed", "11", "--pair-fraction", "0.5", "--token-prob", "0.5"]) == 0
     assert (tmp_path / noised).read_bytes() == (tmp_path / alone).read_bytes()
 

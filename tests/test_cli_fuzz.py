@@ -3,8 +3,8 @@ near-valid records must each map to exit 0, 1 or 2 with no exception and
 no traceback. A failed run changes no file (outputs that existed before
 keep their bytes) and leaves no temp file, and a run that succeeds
 changes only its outputs. filter, chatprep, denoise, the pipeline's
-fixed config in each of its chatprep and denoise output suffixes and
-formats (on valid corpora), and bsce-select on a valid scores file also
+fixed config in each of its chatprep and denoise output suffixes (on
+valid corpora), and bsce-select on a valid scores file also
 exit as the oracle does on the same files: 0 with its output bytes, or 2
 with its error line."""
 import itertools
@@ -46,7 +46,7 @@ PIPELINE = {
     "seed": 3,
     "filter": {"input": "bitext.jsonl", "output": "f.jsonl", "max_words": 5},
     "chatprep": {"input": "chat.jsonl", "output": "p.jsonl", "n_prev": 2, "mode": "mixed"},
-    "denoise": {"output": "n.jsonl", "format": "jsonl", "pair_fraction": 1.0},
+    "denoise": {"output": "n.jsonl", "pair_fraction": 1.0},
 }
 # PIPELINE's stage configs, for the oracle.
 PIPELINE_CONFIGS = (FilterConfig(max_words=5), ContextConfig(n_prev=2, mode=MIXED_LANGUAGE),
@@ -205,26 +205,22 @@ def test_fuzz_bsce_select(valid, data):
             "--out", "sel.json"], {"sel.json"}, expected)
 
 
-def _variant(chat_out: str, chat_fmt, den_out: str, den_fmt) -> dict:
-    """PIPELINE with chatprep's and denoise's output and format (None: no
-    `format` key) replaced."""
-    sections = {}
-    for stage, output, fmt in (("chatprep", chat_out, chat_fmt), ("denoise", den_out, den_fmt)):
-        section = {key: value for key, value in PIPELINE[stage].items() if key != "format"}
-        sections[stage] = {**section, "output": output, **({"format": fmt} if fmt else {})}
-    return {**PIPELINE, **sections}
+def _variant(chat_out: str, den_out: str) -> dict:
+    """PIPELINE with chatprep's and denoise's outputs replaced."""
+    return {**PIPELINE, "chatprep": {**PIPELINE["chatprep"], "output": chat_out},
+            "denoise": {**PIPELINE["denoise"], "output": den_out}}
 
 
 # PIPELINE is one of its variants. A config is held to the oracle when it
 # is one of them as JSON (Python's == takes True for 1.0).
 PIPELINE_VARIANTS = [_variant(*v) for v in itertools.product(
-    ["p.tsv", "p.jsonl"], [None, "tsv", "jsonl"], ["n.tsv", "n.jsonl"], [None, "tsv", "jsonl"])]
+    ["p.tsv", "p.jsonl"], ["n.tsv", "n.jsonl"])]
 _VARIANTS_JSON = {json.dumps(v, sort_keys=True) for v in PIPELINE_VARIANTS}
 
 
 def _stage_format(section: dict) -> str:
-    """The format a valid stage section names, or its output's suffix."""
-    return section.get("format") or section["output"].rsplit(".", 1)[1]
+    """The format of a valid stage section's output: its suffix's."""
+    return section["output"].rsplit(".", 1)[1]
 
 
 # Near-valid or random configs, which are not held to the oracle.
@@ -267,13 +263,10 @@ def pipeline_runs(draw) -> tuple[bytes, bytes, object]:
 @example((b"", b"", {**PIPELINE, "denoise": {**PIPELINE["denoise"], "pair_fraction": True}}),
          set(), False)
 @example((b"", b"", {**PIPELINE, "seed": 3.0}), set(), False)
-# chatprep writes TSV into p.jsonl; denoise takes its pairs.
-@example((jsonl([BITEXT_RECORD]), jsonl(CHAT_LINES), _variant("p.jsonl", "tsv", "n.jsonl", None)),
-         set(), False)
 # A tab chatprep writes as JSONL, which denoise's TSV refuses: the error
 # names the turn's chat line (2), not its line in p.jsonl (1).
 @example((jsonl([BITEXT_RECORD]), jsonl([CHAT_LINES[1], {**CHAT_LINES[0], "tgt_text": "a\tb"}]),
-          _variant("p.jsonl", None, "n.tsv", None)), set(), False)
+          _variant("p.jsonl", "n.tsv")), set(), False)
 @given(pipeline_runs(), st.sets(st.sampled_from(sorted({*WRITTEN.values(), "p.tsv", "n.tsv"}))),
        st.booleans())
 def test_fuzz_pipeline(run, existing, with_report):
