@@ -22,6 +22,8 @@ from itertools import chain
 from operator import neg
 from typing import Sequence
 
+from .corpus import check_field_types
+
 
 def _scores(values) -> tuple[float, ...]:
     values = tuple(values)
@@ -78,6 +80,9 @@ class EnsembleConfig:
     """bsce-select's option. It has no default; select_ensemble checks its
     range, 1..n, since n comes from the scores."""
     ensemble_size: int
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass

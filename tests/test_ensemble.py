@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 import oracle
 from oracle import outcome
 from chatmt.ensemble import (
+    EnsembleConfig,
     ScoreSet,
     _avg_self_similarity_exact,
     _exact_sum,
@@ -95,6 +96,12 @@ class TestSelectEnsemble:
         for e in (0, 4):
             with pytest.raises(ValueError):
                 select_ensemble(WORKED, e)
+
+    @pytest.mark.parametrize("size", [True, "3", 2.0])
+    def test_config_refuses_a_size_that_is_not_an_int(self, size):
+        with pytest.raises(ValueError,
+                           match=f"^ensemble_size must be an integer, got {size!r}$"):
+            EnsembleConfig(size)
 
     def test_invalid_score_set(self):
         with pytest.raises(ValueError):
