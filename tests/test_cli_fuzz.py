@@ -3,8 +3,8 @@ near-valid records must each map to exit 0, 1 or 2 with no exception and
 no traceback. A failed run changes no file (outputs that existed before
 keep their bytes) and leaves no temp file, and a run that succeeds
 changes only its outputs. filter, chatprep, denoise, the pipeline's
-fixed config in each of its chatprep and denoise output suffixes (on
-valid corpora), and bsce-select on a valid scores file also
+fixed config in each of its filter, chatprep and denoise output
+suffixes (on valid corpora), and bsce-select on a valid scores file also
 exit as the oracle does on the same files: 0 with its output bytes, or 2
 with its error line."""
 import itertools
@@ -205,16 +205,19 @@ def test_fuzz_bsce_select(valid, data):
             "--out", "sel.json"], {"sel.json"}, expected)
 
 
-def _variant(chat_out: str, den_out: str) -> dict:
-    """PIPELINE with chatprep's and denoise's outputs replaced."""
-    return {**PIPELINE, "chatprep": {**PIPELINE["chatprep"], "output": chat_out},
-            "denoise": {**PIPELINE["denoise"], "output": den_out}}
+STAGES = ("filter", "chatprep", "denoise")
+
+
+def _variant(*outputs: str) -> dict:
+    """PIPELINE with filter's, chatprep's and denoise's outputs replaced."""
+    return {**PIPELINE, **{stage: {**PIPELINE[stage], "output": output}
+                           for stage, output in zip(STAGES, outputs)}}
 
 
 # PIPELINE is one of its variants. A config is held to the oracle when it
 # is one of them as JSON (Python's == takes True for 1.0).
 PIPELINE_VARIANTS = [_variant(*v) for v in itertools.product(
-    ["p.tsv", "p.jsonl"], ["n.tsv", "n.jsonl"])]
+    ["f.tsv", "f.jsonl"], ["p.tsv", "p.jsonl"], ["n.tsv", "n.jsonl"])]
 _VARIANTS_JSON = {json.dumps(v, sort_keys=True) for v in PIPELINE_VARIANTS}
 
 
@@ -226,7 +229,7 @@ def _stage_format(section: dict) -> str:
 # Near-valid or random configs, which are not held to the oracle.
 other_configs = st.one_of(
     near_valid(PIPELINE),
-    st.sampled_from(["filter", "chatprep", "denoise"]).flatmap(
+    st.sampled_from(STAGES).flatmap(
         lambda stage: near_valid(PIPELINE[stage]).map(lambda sec: {**PIPELINE, stage: sec})),
     json_values,
 )
@@ -266,8 +269,9 @@ def pipeline_runs(draw) -> tuple[bytes, bytes, object]:
 # A tab chatprep writes as JSONL, which denoise's TSV refuses: the error
 # names the turn's chat line (2), not its line in p.jsonl (1).
 @example((jsonl([BITEXT_RECORD]), jsonl([CHAT_LINES[1], {**CHAT_LINES[0], "tgt_text": "a\tb"}]),
-          _variant("p.jsonl", "n.tsv")), set(), False)
-@given(pipeline_runs(), st.sets(st.sampled_from(sorted({*WRITTEN.values(), "p.tsv", "n.tsv"}))),
+          _variant("f.jsonl", "p.jsonl", "n.tsv")), set(), False)
+@given(pipeline_runs(),
+       st.sets(st.sampled_from(sorted({*WRITTEN.values(), "f.tsv", "p.tsv", "n.tsv"}))),
        st.booleans())
 def test_fuzz_pipeline(run, existing, with_report):
     bitext, chat, config = run
@@ -276,9 +280,9 @@ def test_fuzz_pipeline(run, existing, with_report):
     argv = ["pipeline", "cfg.json"] + (["--report", "r.json"] if with_report else [])
     expected = None
     if _is_variant(config):
-        stages = [config[stage] for stage in ("filter", "chatprep", "denoise")]
+        stages = [config[stage] for stage in STAGES]
         expected = lambda files: dict(zip([s["output"] for s in stages], oracle.run_pipeline(
-            files["bitext.jsonl"], files["chat.jsonl"], *map(_stage_format, stages),
+            files["bitext.jsonl"], files["chat.jsonl"], "jsonl", *map(_stage_format, stages),
             *PIPELINE_CONFIGS)))
     run_in({"bitext.jsonl": bitext, "chat.jsonl": chat, "cfg.json": json.dumps(config).encode(),
             **sentinels(existing)},

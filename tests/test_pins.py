@@ -72,7 +72,7 @@ def test_golden_pins_are_the_oracles_bytes(tmp_path):
               for name in ("bitext.tsv", "chat.jsonl", "scores.json")}
     outputs = dict(zip(["bitext.filtered.tsv", "chat.prepped.tsv", "chat.noised.tsv"],
                        oracle.run_pipeline(
-                           sample["bitext.tsv"], sample["chat.jsonl"], "tsv", "tsv", "tsv",
+                           sample["bitext.tsv"], sample["chat.jsonl"], "tsv", "tsv", "tsv", "tsv",
                            FilterConfig(),
                            ContextConfig(n_prev=2, mode=SAME_LANGUAGE, speaker_tags=True),
                            DenoiseConfig(seed=42, pair_fraction=0.3, token_prob=0.15))))
