@@ -852,6 +852,49 @@ def test_each_report_has_its_documented_keys_in_order(tmp_path, monkeypatch):
         assert ", ".join(f"`{key}`" for key in keys) in readme
 
 
+def _readme_pipeline_keys() -> dict:
+    """README's pipeline key list: each bullet's section (`top level`,
+    `every stage` or a stage) and the keys it names outside parentheses."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    block = readme[readme.index("\n- top level:") + 3:].split("\n\n", 1)[0]
+    listed = {}
+    for bullet in block.split("\n- "):
+        section, _, text = bullet.partition(":")
+        listed[section.strip("`")] = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", text))
+    return listed
+
+
+def test_readme_pipeline_keys_are_the_keys_the_config_takes(tmp_path, monkeypatch, capsys):
+    """Each section takes every key README lists for it, and refuses as
+    unknown every other key README lists, config field and `format`."""
+    monkeypatch.chdir(tmp_path)
+    for name, data in PIPELINE_FILES.items():
+        Path(name).write_bytes(data)
+    listed = _readme_pipeline_keys()
+    configs = {"filter": FilterConfig, "chatprep": ContextConfig, "denoise": DenoiseConfig}
+    assert list(listed) == ["top level", "every stage", *configs]
+    candidates = {"format", *itertools.chain(*listed.values()),
+                  *(f.name for cls in configs.values() for f in fields(cls))}
+
+    def refusal(config) -> str:
+        Path("pipeline.json").write_text(json.dumps(config), encoding="utf-8")
+        code = run(["pipeline", "pipeline.json"])
+        err = capsys.readouterr().err
+        return err.partition("\n")[0] if code else ""
+
+    sections = {"the top level": (PIPELINE, listed["top level"], lambda cfg: cfg)}
+    for stage, cls in configs.items():
+        values = {**asdict(cls()), **PIPELINE[stage]}
+        keys = listed["every stage"] + listed[stage]
+        sections[stage] = ({key: values[key] for key in keys}, keys,
+                           lambda section, stage=stage: {**PIPELINE, stage: section})
+    for where, (values, keys, config) in sections.items():
+        assert refusal(config({key: values[key] for key in keys})) == "", where
+        for key in sorted(candidates - set(keys)):
+            assert refusal(config({**values, key: 1})) == \
+                f"error: pipeline config: unknown key {key!r} in {where}"
+
+
 def test_atomic_write_no_partial_output(tmp_path):
     # a data error mid-stage must not leave the destination file behind
     src = tmp_path / "in.tsv"
