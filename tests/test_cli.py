@@ -1274,6 +1274,39 @@ def test_pipeline_denoise_of_chatprep_pairs_matches_denoise_on_its_file(
     assert (tmp_path / noised).read_bytes() == (tmp_path / alone).read_bytes()
 
 
+# Suffixes a pipeline file may carry: `.jsonl` and `.json` are JSONL, any
+# other TSV.
+SUFFIXES = (".tsv", ".jsonl", ".json", ".txt")
+
+
+@pytest.mark.parametrize("stage, in_suffix, out_suffix", [
+    *(("filter", i, o) for i in SUFFIXES for o in SUFFIXES),
+    *(("chatprep", ".jsonl", o) for o in SUFFIXES),
+    *(("denoise", ".tsv", o) for o in SUFFIXES),
+])
+def test_pipeline_file_format_is_its_suffixs(tmp_path, monkeypatch, stage, in_suffix, out_suffix):
+    """A pipeline stage reads and writes each file in its suffix's format,
+    as its command given no format flag does on the same input."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path, _ = make_pipeline_config(tmp_path)
+    cfg = json.loads(cfg_path.read_text())
+    jsonl = (".jsonl", ".json")
+    bitext = f"bitext{in_suffix}"
+    Path(bitext).write_text("".join(write_bitext(
+        make_micro_corpus(), "jsonl" if in_suffix in jsonl else "tsv")), encoding="utf-8")
+    cfg["filter"]["input"], cfg[stage]["output"] = bitext, f"out{out_suffix}"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(["pipeline", str(cfg_path)]) == 0
+    options = {"filter": ["--in", bitext],
+               "chatprep": ["--in", "chat.jsonl", "--n-prev", "2", "--mode", "same"],
+               "denoise": ["--in", cfg["chatprep"]["output"], "--seed", "11",
+                           "--pair-fraction", "0.5", "--token-prob", "0.5"]}[stage]
+    assert run([stage, *options, "--out", f"alone{out_suffix}"]) == 0
+    out = Path(f"out{out_suffix}").read_bytes()
+    assert out == Path(f"alone{out_suffix}").read_bytes()
+    assert out.startswith(b"{") == (out_suffix in jsonl)
+
+
 @pytest.mark.parametrize("command, suffix, row", [
     ("filter", ".tsv", _rows(b"a\tb\n")),
     ("denoise", ".tsv", _rows(b"a\tb\n")),
