@@ -1251,15 +1251,21 @@ def test_failed_rename_keeps_earlier_renames_and_no_temp(tmp_path, capsys, monke
     assert sorted(os.listdir(tmp_path)) == ["in.tsv", "o.tsv"]
 
 
+# Suffixes a pipeline file may carry: `.jsonl` and `.json` are JSONL, any
+# other TSV.
+SUFFIXES = (".tsv", ".jsonl", ".json", ".txt")
+JSONL_SUFFIXES = (".jsonl", ".json")
+
+
 @pytest.mark.parametrize("chat", [PIPELINE_FILES["chat.jsonl"], AWKWARD_CHAT],
                          ids=["plain", "awkward"])
-@pytest.mark.parametrize("den_suffix", [".tsv", ".jsonl"])
-@pytest.mark.parametrize("chat_suffix", [".tsv", ".jsonl"])
+@pytest.mark.parametrize("den_suffix", SUFFIXES)
+@pytest.mark.parametrize("chat_suffix", SUFFIXES)
 def test_pipeline_denoise_of_chatprep_pairs_matches_denoise_on_its_file(
         tmp_path, monkeypatch, chat_suffix, den_suffix, chat):
     """denoise takes the pairs chatprep wrote, and its output equals that of
-    `chatmt denoise --in-format <chatprep's suffix>` run on the file
-    chatprep committed."""
+    `chatmt denoise --in-format <chatprep's suffix's format>` run on the
+    file chatprep committed."""
     monkeypatch.chdir(tmp_path)
     cfg_path, _ = make_pipeline_config(tmp_path)
     (tmp_path / "chat.jsonl").write_bytes(chat)
@@ -1269,42 +1275,41 @@ def test_pipeline_denoise_of_chatprep_pairs_matches_denoise_on_its_file(
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert run(["pipeline", str(cfg_path)]) == 0
     alone = f"alone{den_suffix}"
-    assert run(["denoise", "--in", prepped, "--out", alone, "--in-format", chat_suffix[1:],
+    in_format = "jsonl" if chat_suffix in JSONL_SUFFIXES else "tsv"
+    assert run(["denoise", "--in", prepped, "--out", alone, "--in-format", in_format,
                 "--seed", "11", "--pair-fraction", "0.5", "--token-prob", "0.5"]) == 0
     assert (tmp_path / noised).read_bytes() == (tmp_path / alone).read_bytes()
 
 
-# Suffixes a pipeline file may carry: `.jsonl` and `.json` are JSONL, any
-# other TSV.
-SUFFIXES = (".tsv", ".jsonl", ".json", ".txt")
-
-
-@pytest.mark.parametrize("stage, in_suffix, out_suffix", [
-    *(("filter", i, o) for i in SUFFIXES for o in SUFFIXES),
-    *(("chatprep", ".jsonl", o) for o in SUFFIXES),
-    *(("denoise", ".tsv", o) for o in SUFFIXES),
-])
+@pytest.mark.parametrize("stage", ["filter", "chatprep", "denoise"])
+@pytest.mark.parametrize("out_suffix", SUFFIXES)
+@pytest.mark.parametrize("in_suffix", SUFFIXES)
 def test_pipeline_file_format_is_its_suffixs(tmp_path, monkeypatch, stage, in_suffix, out_suffix):
     """A pipeline stage reads and writes each file in its suffix's format,
-    as its command given no format flag does on the same input."""
+    as its command given no format flag does on the same input. The input
+    is filter's bitext, chatprep's chat file (JSON lines whatever its
+    suffix) or, for denoise, the file chatprep writes."""
     monkeypatch.chdir(tmp_path)
     cfg_path, _ = make_pipeline_config(tmp_path)
     cfg = json.loads(cfg_path.read_text())
-    jsonl = (".jsonl", ".json")
-    bitext = f"bitext{in_suffix}"
+    bitext, chat, prepped = f"bitext{in_suffix}", f"chat{in_suffix}", f"prepped{in_suffix}"
     Path(bitext).write_text("".join(write_bitext(
-        make_micro_corpus(), "jsonl" if in_suffix in jsonl else "tsv")), encoding="utf-8")
-    cfg["filter"]["input"], cfg[stage]["output"] = bitext, f"out{out_suffix}"
+        make_micro_corpus(), "jsonl" if in_suffix in JSONL_SUFFIXES else "tsv")),
+        encoding="utf-8")
+    Path(chat).write_bytes(PIPELINE_FILES["chat.jsonl"])
+    cfg["filter"]["input"], cfg["chatprep"]["input"] = bitext, chat
+    cfg["chatprep"]["output"] = prepped
+    cfg[stage]["output"] = f"out{out_suffix}"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert run(["pipeline", str(cfg_path)]) == 0
     options = {"filter": ["--in", bitext],
-               "chatprep": ["--in", "chat.jsonl", "--n-prev", "2", "--mode", "same"],
-               "denoise": ["--in", cfg["chatprep"]["output"], "--seed", "11",
+               "chatprep": ["--in", chat, "--n-prev", "2", "--mode", "same"],
+               "denoise": ["--in", prepped, "--seed", "11",
                            "--pair-fraction", "0.5", "--token-prob", "0.5"]}[stage]
     assert run([stage, *options, "--out", f"alone{out_suffix}"]) == 0
     out = Path(f"out{out_suffix}").read_bytes()
     assert out == Path(f"alone{out_suffix}").read_bytes()
-    assert out.startswith(b"{") == (out_suffix in jsonl)
+    assert out.startswith(b"{") == (out_suffix in JSONL_SUFFIXES)
 
 
 @pytest.mark.parametrize("command, suffix, row", [
